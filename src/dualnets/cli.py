@@ -2,7 +2,7 @@
 
 Net documents are JSON: {"p": int, "components": [[[x,y,z], ...], ...]}
 with an optional "meta" object (constructor name and parameters; a
-"char_exception" flag marks the deliberate n = p construction).  Documents
+boolean "char_exception" marks the deliberate n = p construction).  Documents
 are re-verified on every load; nothing trusts a stored flag.
 
 Exit codes: 0 success, 1 mathematical failure (a net fails verification,
@@ -61,16 +61,21 @@ def load_document(text):
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError("p must be a prime integer")
     comps = doc["components"]
-    meta = doc.get("meta") or {}
+    meta = doc.get("meta")
+    if meta is None:
+        meta = {}
+    if not isinstance(meta, dict):
+        raise ValueError('"meta" must be an object')
+    char_exception = meta.get("char_exception", False)
+    if not isinstance(char_exception, bool):
+        raise ValueError('"char_exception" must be true or false')
     try:
         comps = [[tuple(int(x) for x in P) for P in comp] for comp in comps]
     except (TypeError, ValueError):
         raise ValueError("components must be lists of integer triples")
     if any(len(P) != 3 for comp in comps for P in comp):
         raise ValueError("points must be coordinate triples")
-    return nets.verify(comps, p,
-                       allow_char_exception=bool(meta.get("char_exception")),
-                       meta=meta)
+    return nets.verify(comps, p, allow_char_exception=char_exception, meta=meta)
 
 
 def _read_input(path):
@@ -116,38 +121,30 @@ def _load_net(args):
     return net, None
 
 
+# family -> (builder in constructors, the options passed to it in order).
+# Builders are looked up by name at call time, so a rebound one is used.
+FAMILIES = {
+    "triangular": ("triangular_cyclic", ("n", "p", "c")),
+    "pencil": ("pencil_char_p", ("p",)),
+    "conic-line": ("conic_line", ("n", "p", "c")),
+    "fermat": ("algebraic_fermat", ("n", "p")),
+    "tetrahedron": ("tetrahedron", ("m", "p")),
+    "hesse4": ("hesse_4net", ("p",)),
+}
+
+
 def cmd_construct(args):
-    family = args.family
-    required = {
-        "triangular": ("n", "p"),
-        "pencil": ("p",),
-        "conic-line": ("n", "p"),
-        "fermat": ("n", "p"),
-        "tetrahedron": ("m", "p"),
-        "hesse4": ("p",),
-    }[family]
-    missing = [name for name in required if getattr(args, name) is None]
+    builder, params = FAMILIES[args.family]
+    missing = [name for name in params if getattr(args, name) is None]
     if missing:
-        print("error: %s requires --%s" % (family, " --".join(missing)),
+        print("error: %s requires --%s" % (args.family, " --".join(missing)),
               file=sys.stderr)
         return 2
     if not is_prime(args.p):
         print("error: p=%d is not prime" % args.p, file=sys.stderr)
         return 2
-    c = 1 if args.c is None else args.c
     try:
-        if family == "triangular":
-            net = constructors.triangular_cyclic(args.n, args.p, c)
-        elif family == "pencil":
-            net = constructors.pencil_char_p(args.p)
-        elif family == "conic-line":
-            net = constructors.conic_line(args.n, args.p, c)
-        elif family == "fermat":
-            net = constructors.algebraic_fermat(args.n, args.p)
-        elif family == "tetrahedron":
-            net = constructors.tetrahedron(args.m, args.p)
-        else:
-            net = constructors.hesse_4net(args.p)
+        net = getattr(constructors, builder)(*(getattr(args, name) for name in params))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -329,11 +326,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("construct", help="build a net and print its JSON")
-    pc.add_argument("family", choices=["triangular", "pencil", "conic-line",
-                                       "fermat", "tetrahedron", "hesse4"])
+    pc.add_argument("family", choices=list(FAMILIES))
     pc.add_argument("--n", type=int, help="net order")
     pc.add_argument("--p", type=int, help="field prime")
-    pc.add_argument("--c", type=int, help="family parameter (default 1)")
+    pc.add_argument("--c", type=int, default=1, help="family parameter (default 1)")
     pc.add_argument("--m", type=int, help="tetrahedron subgroup order")
     pc.set_defaults(func=cmd_construct)
 

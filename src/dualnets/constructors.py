@@ -102,11 +102,7 @@ def algebraic_fermat(n, p):
             "no subgroup/base point found: no u-invariant subgroup of order %d over GF(%d)"
             % (n, p))
     _, subgroup = found
-    base = None
-    for P in group.points:
-        if group.add(P, group.neg(group.u_auto(P))) not in subgroup:
-            base = P
-            break
+    base = group.coset_base_point(subgroup)
     if base is None:
         raise ValueError(
             "no subgroup/base point found: every P has P - u(P) inside the "

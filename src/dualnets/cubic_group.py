@@ -97,6 +97,14 @@ class CurveGroup:
                 return g, frozenset(H)
         return None
 
+    def coset_base_point(self, H):
+        """The first point P with P - u(P) outside H, or None.
+
+        Such a P makes the cosets H+P, H+u(P), H+u^2(P) pairwise disjoint.
+        """
+        return next((P for P in self.points
+                     if self.add(P, self.neg(self.u_auto(P))) not in H), None)
+
     def coset_net(self, H, P):
         """The coset triple (H+P, H+u(P), H+u^2(P)) as sorted point tuples.
 
@@ -128,8 +136,6 @@ def find_fermat_prime_for_order(n, cap=500):
         found = grp.find_invariant_subgroup(n)
         if found is None:
             continue
-        _, H = found
-        for P in grp.points:
-            if grp.add(P, grp.neg(grp.u_auto(P))) not in H:
-                return p
+        if grp.coset_base_point(found[1]) is not None:
+            return p
     return None

@@ -6,7 +6,8 @@ and the polynomial identities behind the j=0 center criterion.
 from math import comb
 
 from .gf import sqrt_mod
-from .plane import PValue, all_points, cross_ratio_lines, det3, line_points, normalize
+from .plane import (PValue, _base_points, all_points, cross_ratio_lines, det3, line_points,
+                    normalize)
 
 
 def monomials(d):
@@ -135,14 +136,6 @@ def compose(F, M):
     return out
 
 
-def eval_poly(F, P):
-    return F.eval_at(P)
-
-
-def gradient(F, P):
-    return F.gradient(P)
-
-
 def tangent_line(F, P):
     """Tangent line of F = 0 at a nonsingular point P: the gradient triple."""
     if F.eval_at(P) != 0:
@@ -175,17 +168,10 @@ def restrict(F, B1, B2):
     def binpow(a, b, e):
         return [comb(e, r) * pow(a, e - r, p) * pow(b, r, p) % p for r in range(e + 1)]
 
-    def conv(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
     g = [0] * (d + 1)
     for (i, j, k), c in F.coeffs.items():
-        term = conv(conv(binpow(B1[0], B2[0], i), binpow(B1[1], B2[1], j)),
-                    binpow(B1[2], B2[2], k))
+        term = _pmul(_pmul(binpow(B1[0], B2[0], i), binpow(B1[1], B2[1], j), p),
+                     binpow(B1[2], B2[2], k), p)
         for r, x in enumerate(term):
             g[r] = (g[r] + c * x) % p
     return g
@@ -193,22 +179,13 @@ def restrict(F, B1, B2):
 
 def line_on_curve(F, line, p):
     """True when every point of the line satisfies F = 0 (restriction vanishes)."""
-    pts = []
-    for P in all_points(p):
-        if (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0:
-            pts.append(P)
-            if len(pts) == 2:
-                break
-    return all(c == 0 for c in restrict(F, pts[0], pts[1]))
+    B1, B2 = _base_points(normalize(line, p), p)
+    return all(c == 0 for c in restrict(F, B1, B2))
 
 
 def intersection_multiplicity(F, line, P, p):
     """Multiplicity of F restricted to the line at P (d+1 means containment)."""
-    Q = None
-    for R in all_points(p):
-        if R != P and (R[0] * line[0] + R[1] * line[1] + R[2] * line[2]) % p == 0:
-            Q = R
-            break
+    Q = next(R for R in line_points(line, p) if R != P)
     g = restrict(F, P, Q)
     for i, c in enumerate(g):
         if c != 0:
@@ -322,14 +299,11 @@ def j_of_cubic(F):
     O = infl[0]
     T = tangent_line(F, O)
     # frame: second column O, first column another point of the tangent,
-    # third column any point keeping the matrix invertible
+    # third column the first point of the plane off the tangent: one of the
+    # three below, since a line through (1,0,0) and (1,0,1) is Y = 0
     P1 = next(Q for Q in line_points(T, p) if Q != O)
-    N = None
-    for P2 in all_points(p):
-        cand = tuple(tuple(row) for row in zip(P1, O, P2))
-        if det3(cand, p) != 0:
-            N = cand
-            break
+    N = next(M for M in (tuple(zip(P1, O, P2)) for P2 in ((1, 0, 0), (1, 0, 1), (1, 1, 0)))
+             if det3(M, p) != 0)
     G = compose(F, N)
     c300 = G.coeffs.get((3, 0, 0), 0)
     c021 = G.coeffs.get((0, 2, 1), 0)

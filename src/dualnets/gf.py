@@ -1,8 +1,7 @@
 """Exact arithmetic in prime fields GF(p).
 
 Field elements are plain integers in [0, p).  Every function takes the
-modulus explicitly; the GF class just caches a generator and bundles the
-helpers for code that passes a field context around.
+modulus explicitly.
 """
 
 
@@ -111,37 +110,3 @@ def find_prime(n: int, require_cubic: bool = False, cap: int = 200000) -> int:
             return p
         p += 1
     raise ValueError("no prime found below cap=%d for n=%d" % (cap, n))
-
-
-class GF:
-    """Prime field context: modulus p >= 5 and a cached primitive root."""
-
-    def __init__(self, p: int):
-        if p in (2, 3) or not is_prime(p):
-            raise ValueError("p must be a prime >= 5, got %r" % (p,))
-        self.p = p
-        self._generator = None
-
-    @property
-    def generator(self) -> int:
-        if self._generator is None:
-            self._generator = primitive_root(self.p)
-        return self._generator
-
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, -1, self.p)
-
-    def sqrt(self, a: int):
-        return sqrt_mod(a, self.p)
-
-    def nth_root_of_unity(self, n: int) -> int:
-        return nth_root_of_unity(self.p, n)
-
-    def __repr__(self):
-        return "GF(%d)" % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))

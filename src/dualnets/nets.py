@@ -5,6 +5,11 @@ A dual k-net of order n is k >= 3 pairwise disjoint components of n points
 each such that every line meeting two distinct components meets each
 component in exactly one point.  The verifier checks the definition by
 exhaustive pair scan; everything downstream requires a verified net.
+
+A perspective center T is a point whose lines split the kn net points into
+n full net lines.  For n >= 2 it therefore lies on two distinct net lines,
+and find_centers tests only the pairwise meets of net lines; the tests keep
+the whole-plane sweep of the definition as the oracle for that search.
 """
 
 from itertools import combinations
@@ -137,31 +142,20 @@ def lines_through_center(net, T):
     return classes
 
 
-def find_centers(net, sweep_bound=30000):
+def find_centers(net):
     """All perspective centers of the net.
 
-    Candidates are the pairwise meets of net lines (a center lies on n >= 2
-    of them), cross-checked against a full-plane sweep whenever the plane
-    is small enough.
+    The lines through a center T split the net points into n net lines, so
+    for n >= 2 T is a meet of two distinct net lines: the pairwise meets
+    are a complete candidate set.  Only n = 1 needs the whole plane.  The
+    tests compare the result with a whole-plane sweep of the definition.
     """
     p = net.p
-    lines = net_lines(net)
     if net.n == 1:
-        candidates = set(all_points(p))
+        candidates = all_points(p)
     else:
-        candidates = set()
-        for l1, l2 in combinations(lines, 2):
-            try:
-                candidates.add(meet(l1, l2, p))
-            except ValueError:
-                pass
-    centers = {T for T in candidates if is_perspective_center(net, T)}
-    if p * p + p + 1 <= sweep_bound:
-        swept = {T for T in all_points(p) if is_perspective_center(net, T)}
-        if swept != centers:
-            raise AssertionError(
-                "center candidate strategy missed %r" % (swept ^ centers))
-    return centers
+        candidates = {meet(l1, l2, p) for l1, l2 in combinations(net_lines(net), 2)}
+    return {T for T in candidates if is_perspective_center(net, T)}
 
 
 def constant_cross_ratio(net, T):

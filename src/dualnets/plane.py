@@ -70,8 +70,15 @@ def all_points(p):
 
 
 def line_points(line, p):
-    """The p + 1 points on a line."""
-    return [P for P in all_points(p) if incident(P, line, p)]
+    """The p + 1 points on a line, in all_points order, built in O(p).
+
+    The points are B1 + t*B2 for t in GF(p) plus B2 itself, for the base
+    points of the line.
+    """
+    B1, B2 = _base_points(normalize(line, p), p)
+    pts = [normalize(tuple(B1[i] + t * B2[i] for i in range(3)), p) for t in range(p)]
+    pts.append(B2)
+    return sorted(pts, key=lambda P: (P[0] == 0, P[0] == 0 and P[1] == 0, P))
 
 
 class PValue:

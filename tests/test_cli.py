@@ -140,6 +140,22 @@ def test_document_loading_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2 and "error" in err
 
+    # "meta" is an object, absent or null; "char_exception" a JSON boolean
+    _, doc = construct(capsys, tmp_path, "pc", "pencil", "--p", "5")
+    for meta, wanted in (([1], '"meta"'), ("x", '"meta"'), (0, '"meta"'),
+                         ({"char_exception": "false"}, '"char_exception"'),
+                         ({"char_exception": 1}, '"char_exception"'),
+                         ({"char_exception": None}, '"char_exception"')):
+        bad = tmp_path / "bad_meta.json"
+        bad.write_text(json.dumps(dict(doc, meta=meta)))
+        rc, out, err = run(capsys, "verify", str(bad))
+        assert rc == 2 and wanted in err and "Traceback" not in err and out == ""
+    for meta, code in ((None, 1), ({"char_exception": False}, 1),
+                       ({"char_exception": True}, 0)):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(dict(doc, meta=meta)))
+        assert run(capsys, "verify", str(path))[0] == code
+
 
 def test_pencil_roundtrip_keeps_char_exception(capsys, tmp_path):
     path, doc = construct(capsys, tmp_path, "pc", "pencil", "--p", "5")

@@ -7,7 +7,11 @@ from dualnets.curves import (HomPoly, compose, corners_legendre,
                              line_on_curve, pencil_common_points,
                              pencil_crossratio_check, proportional, restrict,
                              singular_points, singular_type, tangent_line)
-from dualnets.plane import PValue, all_points, mat_inv, apply_point, normalize
+from dualnets import constructors, cubic_group, curves, nets, plane
+from dualnets.cubic_group import CurveGroup
+from dualnets.plane import (PValue, all_points, line_points, mat_inv, apply_point,
+                            normalize)
+from util import intersection_multiplicity_brute, line_on_curve_brute
 
 
 def xyz_poly(p):
@@ -106,6 +110,50 @@ def test_line_on_curve():
     assert line_on_curve(G, (0, 1, 0), p)
     assert not line_on_curve(G, (1, 12, 0), p)
     assert not line_on_curve(fermat_cubic(p), (1, 0, 0), p)
+
+
+def test_line_routines_match_plane_scan_oracles():
+    rng = random.Random(31)
+    for p in (7, 13):
+        cubics = [fermat_cubic(p), xyz_poly(p)] + [
+            HomPoly(3, {e: rng.randrange(p) for e in rng.sample(
+                [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)], 4)}, p)
+            for _ in range(6)]
+        for F in cubics:
+            for line in all_points(p):
+                assert line_on_curve(F, line, p) == line_on_curve_brute(F, line, p)
+                for P in line_points(line, p)[:: max(1, p // 3)]:
+                    assert intersection_multiplicity(F, line, P, p) \
+                        == intersection_multiplicity_brute(F, line, P, p)
+    # the oracle sees tangency, inflection and containment
+    p = 13
+    assert intersection_multiplicity_brute(fermat_cubic(p), (1, 1, 0), (1, 12, 0), p) == 3
+    assert intersection_multiplicity_brute(xyz_poly(p), (1, 0, 0), (0, 1, 0), p) == 4
+
+
+def test_no_plane_scan_inside_line_routines(monkeypatch):
+    calls = []
+    real = plane.all_points
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (plane, curves, cubic_group, nets, constructors):
+        monkeypatch.setattr(module, "all_points", counted)
+    p = 13
+    F = fermat_cubic(p)
+    lines = real(p)
+    for line in lines:
+        pts = line_points(line, p)
+        line_on_curve(F, line, p)
+        intersection_multiplicity(F, line, pts[0], p)
+    assert calls == []
+    group = CurveGroup(19)
+    calls.clear()
+    for P in group.points:
+        group.scalar_mul(7, P)
+    assert calls == []
 
 
 def test_hessian_of_fermat_is_triangle():

@@ -1,4 +1,4 @@
-from dualnets.gf import (GF, factorize, find_prime, is_prime, legendre,
+from dualnets.gf import (factorize, find_prime, is_prime, legendre,
                          nth_root_of_unity, primitive_root, sqrt_mod)
 
 
@@ -83,16 +83,3 @@ def test_find_prime_congruences_hold_generally():
         q = find_prime(n, require_cubic=True)
         assert is_prime(q) and q % n == 1 and q % 3 == 1
 
-
-def test_gf_context():
-    F = GF(13)
-    assert F.inv(5) * 5 % 13 == 1
-    assert F.sqrt(4) == (2, 11)
-    assert pow(F.generator, 12, 13) == 1
-    assert F == GF(13) and hash(F) == hash(GF(13))
-    for bad in (2, 3, 15):
-        try:
-            GF(bad)
-            assert False
-        except ValueError:
-            pass

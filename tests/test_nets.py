@@ -278,12 +278,17 @@ def test_single_point_mutation_always_breaks_verification():
 
 
 def test_brute_oracles_agree_with_verify_and_find_centers():
+    # the whole-plane center sweep is the oracle for find_centers' candidates
     families = [
         constructors.conic_line(5, 11),
         constructors.triangular_cyclic(5, 11),
         constructors.algebraic_fermat(3, 19),
         constructors.tetrahedron(2, 13),
         constructors.hesse_4net(13),
+        constructors.pencil_char_p(7),
+        constructors.triangular_cyclic(7, 29),
+        constructors.conic_line(7, 29),
+        derived_net(constructors.hesse_4net(7), 3),
     ]
     rng = random.Random(12)
     for net in families:

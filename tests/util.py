@@ -102,3 +102,34 @@ def dual_net_partitions_brute(points, k, p):
     Exhaustive over partitions, only sane for a dozen points or so."""
     return [comps for comps in partitions_brute(points, k)
             if is_dual_net_brute(comps, p)]
+
+
+def line_points_brute(line, p):
+    """The points of a line in all_points order, by scanning the whole plane."""
+    return [P for P in all_points(p)
+            if (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0]
+
+
+def line_on_curve_brute(F, line, p):
+    """F vanishes at every point of the line.  For degree <= p this is
+    containment: a nonzero binary form of degree d has at most d roots."""
+    return all(F.eval_at(P) == 0 for P in line_points_brute(line, p))
+
+
+def intersection_multiplicity_brute(F, line, P, p):
+    """Order of vanishing at t = 0 of f(t) = F(P + t*Q), for the first other
+    point Q of the line, with f interpolated from its values at
+    t = 0..degree (Lagrange); degree + 1 when f is zero."""
+    Q = next(R for R in line_points_brute(line, p) if R != P)
+    d = F.degree
+    coeffs = [0] * (d + 1)
+    for j in range(d + 1):
+        value = F.eval_at(tuple(P[i] + j * Q[i] for i in range(3)))
+        basis, denom = [1], 1
+        for m in range(d + 1):
+            if m != j:
+                basis = [(a - m * b) % p for a, b in zip([0] + basis, basis + [0])]
+                denom = denom * (j - m) % p
+        scale = value * pow(denom, -1, p) % p
+        coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
+    return next((i for i, c in enumerate(coeffs) if c), d + 1)
