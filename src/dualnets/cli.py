@@ -140,10 +140,10 @@ def cmd_construct(args):
         print("error: %s requires --%s" % (args.family, " --".join(missing)),
               file=sys.stderr)
         return 2
-    if not is_prime(args.p):
-        print("error: p=%d is not prime" % args.p, file=sys.stderr)
-        return 2
     try:
+        if not is_prime(args.p):
+            print("error: p=%d is not prime" % args.p, file=sys.stderr)
+            return 2
         net = getattr(constructors, builder)(*(getattr(args, name) for name in params))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

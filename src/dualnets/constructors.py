@@ -8,10 +8,9 @@ be realized at the requested parameters raise instead of degrading.
 from itertools import product
 
 from .cubic_group import CurveGroup
-from .curves import HomPoly, line_on_curve, singular_points
+from .curves import HomPoly, rational_lines, singular_points
 from .gf import nth_root_of_unity
 from .nets import NetViolation, verify
-from .plane import all_points, normalize
 
 
 def triangular_cyclic(n, p, c=1):
@@ -198,17 +197,16 @@ def hesse_4net(p):
     xyz = HomPoly(3, {(1, 1, 1): 1}, p)
     duals = []
     params = []
-    candidate_lines = all_points(p)
     for lam, mu in [(0, 1)] + [(1, mu) for mu in range(p)]:
         member = fermat * lam + xyz * mu
         if not singular_points(member):
             continue
-        lines = [l for l in candidate_lines if line_on_curve(member, l, p)]
+        lines = rational_lines(member)
         if len(lines) != 3:
             raise ValueError(
                 "singular pencil member at (%d:%d) splits into %d rational "
                 "lines, expected 3" % (lam, mu, len(lines)))
-        duals.append([normalize(l, p) for l in lines])
+        duals.append(lines)
         params.append((lam, mu))
     if len(duals) != 4:
         raise ValueError("expected 4 singular pencil members, found %d" % len(duals))

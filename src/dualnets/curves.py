@@ -183,6 +183,36 @@ def line_on_curve(F, line, p):
     return all(c == 0 for c in restrict(F, B1, B2))
 
 
+# X = 0, Y = 0, Z = 0, X + Y + Z = 0
+_REFERENCE_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def rational_lines(F):
+    """The sorted lines of PG(2,p) on the curve F = 0, for a nonzero form F
+    of degree at most 3, from at most 4 + 3p line restrictions.
+
+    A line on F is a linear factor of F and distinct lines are coprime
+    factors, so F holds at most 3 lines.  One of the four reference lines
+    X = 0, Y = 0, Z = 0, X + Y + Z = 0 is therefore not on F; call it M.
+    F restricted to M is a nonzero binary form of degree <= 3 with at most
+    3 zeros, and every line on F meets M in one of them, so only the lines
+    through those zeros are tested.
+    """
+    p = F.p
+    if F.is_zero or F.degree > 3:
+        raise ValueError("rational_lines needs a nonzero form of degree at most 3")
+    M = next(l for l in _REFERENCE_LINES if not line_on_curve(F, l, p))
+    B1, B2 = _base_points(M, p)
+    g = restrict(F, B1, B2)
+    zeros = [normalize(tuple(B1[i] + t * B2[i] for i in range(3)), p)
+             for t in range(p) if _peval(g, t, p) == 0]
+    if g[-1] == 0:
+        zeros.append(B2)
+    # the lines through a point Z are the points of the dual line Z
+    return sorted({L for Z in zeros for L in line_points(Z, p)
+                   if L != M and line_on_curve(F, L, p)})
+
+
 def intersection_multiplicity(F, line, P, p):
     """Multiplicity of F restricted to the line at P (d+1 means containment)."""
     Q = next(R for R in line_points(line, p) if R != P)

@@ -5,18 +5,35 @@ modulus explicitly.
 """
 
 
+# Primality is decided below this limit only.  Miller-Rabin with the first
+# 12 primes as bases has no strong pseudoprime below 3.18 * 10^23 > 2^64.
+PRIME_LIMIT = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64; ValueError above."""
+    if n >= PRIME_LIMIT:
+        raise ValueError("%d is too large: primality is decided only below 2^64" % n)
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

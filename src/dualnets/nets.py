@@ -7,9 +7,12 @@ component in exactly one point.  The verifier checks the definition by
 exhaustive pair scan; everything downstream requires a verified net.
 
 A perspective center T is a point whose lines split the kn net points into
-n full net lines.  For n >= 2 it therefore lies on two distinct net lines,
-and find_centers tests only the pairwise meets of net lines; the tests keep
-the whole-plane sweep of the definition as the oracle for that search.
+n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
+the net line through A and on the net line through B, and these differ,
+because a net line holds one point of component 0 only.  The net lines
+through A are the n joins of A with component 1, and likewise for B, so
+find_centers tests only the n^2 meets of one with the other.  The tests
+keep the whole-plane sweep of the definition as the oracle for that search.
 """
 
 from itertools import combinations
@@ -112,49 +115,52 @@ def net_lines(net):
     return lines
 
 
-def is_perspective_center(net, T):
-    """True iff the lines through T partition the kn net points into n full lines.
+def lines_through_center(net, T):
+    """The n net lines through a perspective center T, each mapped to its
+    points {component index: point}; None when T is not a center.
 
-    T must be off the components; each line through T then has to contain
-    exactly one point of every component.
+    T must be off the components, and each line through T then has to
+    contain exactly one point of every component.
     """
     p = net.p
     classes = {}
     for ci, comp in enumerate(net.components):
         for P in comp:
             if P == T:
-                return False
-            line = join(T, P, p)
-            got = classes.setdefault(line, set())
-            if ci in got:
-                return False
-            got.add(ci)
-    return len(classes) == net.n and all(len(v) == net.k for v in classes.values())
+                return None
+            got = classes.setdefault(join(T, P, p), {})
+            if ci in got or len(classes) > net.n:
+                return None
+            got[ci] = P
+    # n lines with at most one point per component hold all kn points only
+    # when each holds exactly k
+    return classes if len(classes) == net.n else None
 
 
-def lines_through_center(net, T):
-    """The n net lines through a perspective center, with their component points."""
-    p = net.p
-    classes = {}
-    for ci, comp in enumerate(net.components):
-        for P in comp:
-            classes.setdefault(join(T, P, p), {})[ci] = P
-    return classes
+def is_perspective_center(net, T):
+    """True iff the lines through T partition the kn net points into n full lines."""
+    return lines_through_center(net, T) is not None
 
 
 def find_centers(net):
     """All perspective centers of the net.
 
-    The lines through a center T split the net points into n net lines, so
-    for n >= 2 T is a meet of two distinct net lines: the pairwise meets
-    are a complete candidate set.  Only n = 1 needs the whole plane.  The
-    tests compare the result with a whole-plane sweep of the definition.
+    For n >= 2 a center T lies on the net line through A and on the net
+    line through B, for the first two points A, B of component 0; the two
+    lines differ, since no net line holds two points of one component.
+    Each is a join with a point of component 1, so the n^2 meets of the n
+    lines through A with the n lines through B are a complete candidate
+    set.  Only n = 1 needs the whole plane.  The tests compare the result
+    with a whole-plane sweep of the definition.
     """
     p = net.p
     if net.n == 1:
         candidates = all_points(p)
     else:
-        candidates = {meet(l1, l2, p) for l1, l2 in combinations(net_lines(net), 2)}
+        A, B = net.components[0][:2]
+        through_a = [join(A, Q, p) for Q in net.components[1]]
+        through_b = [join(B, Q, p) for Q in net.components[1]]
+        candidates = {meet(la, lb, p) for la in through_a for lb in through_b}
     return {T for T in candidates if is_perspective_center(net, T)}
 
 
@@ -164,12 +170,13 @@ def constant_cross_ratio(net, T):
     value fails to be constant (which would be an internal inconsistency)."""
     if net.k != 3:
         raise ValueError("constant cross-ratio is defined for 3-nets")
-    if not is_perspective_center(net, T):
+    classes = lines_through_center(net, T)
+    if classes is None:
         raise ValueError("%r is not a perspective center" % (T,))
     p = net.p
     kappa = None
     witness = None
-    for line, pts in lines_through_center(net, T).items():
+    for line, pts in classes.items():
         k = cross_ratio(T, pts[0], pts[1], pts[2], p)
         if kappa is None:
             kappa, witness = k, line
@@ -356,12 +363,11 @@ def classify(net):
     if len(basis) > 2:
         return {"tag": "unknown", "reason": "cubic fit dimension %d" % len(basis)}
     irreducible = []
-    dual_lines = all_points(p)
     for v in _proj_combinations(basis, p):
         F = curves.HomPoly(3, dict(zip(curves.monomials(3), v)), p)
         if F.is_zero:
             continue
-        if not any(curves.line_on_curve(F, l, p) for l in dual_lines):
+        if not curves.rational_lines(F):
             irreducible.append(F)
     if irreducible:
         F = irreducible[0]

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 from dualnets.cli import load_document, main, net_document, to_jsonable
 
@@ -214,3 +217,31 @@ def test_demos_pass(capsys):
 def test_demo_unknown_name(capsys):
     rc, _, err = run(capsys, "demo", "nonsense")
     assert rc == 2
+
+
+def test_huge_primes(capsys, tmp_path):
+    # a triangular net of order 3 over GF(10^18 + 3): deciding that p is
+    # prime must not stall verify, which used trial division up to 10^9
+    p = 10 ** 18 + 3
+    xi = pow(5, (p - 1) // 3, p)
+    assert xi != 1 and pow(xi, 3, p) == 1
+    roots = [1, xi, xi * xi % p]
+    doc = {"p": p, "components": [[[1, 0, r] for r in roots], [[0, 1, r] for r in roots],
+                                  [[r, p - 1, 0] for r in roots]]}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for command, want in (("verify", {"verified": True, "p": p, "k": 3, "n": 3,
+                                      "char_exception": False}),
+                          ("centers", {"centers": [], "count": 0})):
+        done = subprocess.run([sys.executable, "-m", "dualnets.cli", command, "-"],
+                              input=json.dumps(doc), capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == want
+    # above 2^64 primality is not decided: a usage error naming the limit
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(dict(doc, p=2 ** 64 + 13)))
+    rc, out, err = run(capsys, "verify", str(big))
+    assert rc == 2 and out == "" and "2^64" in err and "Traceback" not in err
+    rc, out, err = run(capsys, "construct", "hesse4", "--p", str(2 ** 64 + 13))
+    assert rc == 2 and out == "" and "2^64" in err

@@ -5,7 +5,8 @@ from dualnets.curves import (HomPoly, compose, corners_legendre,
                              inflection_points, intersection_multiplicity,
                              j_invariant, j_of_cubic, legendre_cubic,
                              line_on_curve, pencil_common_points,
-                             pencil_crossratio_check, proportional, restrict,
+                             pencil_crossratio_check, proportional,
+                             rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
 from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
@@ -125,8 +126,26 @@ def test_line_routines_match_plane_scan_oracles():
                 for P in line_points(line, p)[:: max(1, p // 3)]:
                     assert intersection_multiplicity(F, line, P, p) \
                         == intersection_multiplicity_brute(F, line, P, p)
-    # the oracle sees tangency, inflection and containment
+    # rational_lines against the plane scan, on random cubics and on
+    # reducible ones: line times conic, three lines (general, concurrent,
+    # through the first reference lines), double and triple lines, and XYZ,
+    # which holds X = 0, Y = 0, Z = 0 and forces the fourth reference line
+    monos = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+    for p in (5, 7, 11, 13):
+        X, Y, Z = (HomPoly(1, {e: 1}, p) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        cubics = [
+            fermat_cubic(p), X * (Y * Y - X * Z), (X + Y * 2) * (X * Y + Y * Z + Z * Z * 3),
+            (X + Y) * (Y + Z * 2) * (X + Y * 3 + Z), X * Y * (X + Y + Z), X * Y * (X + Y),
+            X * X * Y, (Y + Z) * (Y + Z) * (Y + Z), xyz_poly(p),
+        ] + [HomPoly(3, {e: rng.randrange(1, p) for e in rng.sample(monos, 4)}, p)
+             for _ in range(12)]
+        for F in cubics:
+            assert rational_lines(F) == sorted(
+                line for line in all_points(p) if line_on_curve_brute(F, line, p)), (p, F)
     p = 13
+    assert rational_lines(xyz_poly(p)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert rational_lines(fermat_cubic(p)) == []
+    # the oracle sees tangency, inflection and containment
     assert intersection_multiplicity_brute(fermat_cubic(p), (1, 1, 0), (1, 12, 0), p) == 3
     assert intersection_multiplicity_brute(xyz_poly(p), (1, 0, 0), (0, 1, 0), p) == 4
 
@@ -139,8 +158,9 @@ def test_no_plane_scan_inside_line_routines(monkeypatch):
         calls.append(p)
         return real(p)
 
+    # raising=False: a module that no longer imports all_points stays guarded
     for module in (plane, curves, cubic_group, nets, constructors):
-        monkeypatch.setattr(module, "all_points", counted)
+        monkeypatch.setattr(module, "all_points", counted, raising=False)
     p = 13
     F = fermat_cubic(p)
     lines = real(p)
@@ -148,6 +168,8 @@ def test_no_plane_scan_inside_line_routines(monkeypatch):
         pts = line_points(line, p)
         line_on_curve(F, line, p)
         intersection_multiplicity(F, line, pts[0], p)
+    for G in (F, xyz_poly(p), F + xyz_poly(p) * 4):
+        rational_lines(G)
     assert calls == []
     group = CurveGroup(19)
     calls.clear()

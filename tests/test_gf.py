@@ -1,5 +1,6 @@
-from dualnets.gf import (factorize, find_prime, is_prime, legendre,
+from dualnets.gf import (PRIME_LIMIT, factorize, find_prime, is_prime, legendre,
                          nth_root_of_unity, primitive_root, sqrt_mod)
+from util import is_prime_brute
 
 
 def test_is_prime_small_table():
@@ -8,6 +9,30 @@ def test_is_prime_small_table():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5):
+        assert is_prime(n) == is_prime_brute(n), n
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # the least strong pseudoprimes to all prime bases up to 2, 3, 5, 7, 11
+    # and 13, and one to all prime bases up to 23
+    strong = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 3825123056546413051]
+    for n in carmichael + strong:
+        assert not is_prime_brute(n) and not is_prime(n), n
+    # primes too large for the oracle: 2^61 - 1 (Mersenne), 10^18 + 3 and
+    # 2^64 - 59, the largest prime below the limit
+    for n in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+        assert is_prime(n), n
+    assert not is_prime(2 ** 64 - 1)
+    for n in (PRIME_LIMIT, PRIME_LIMIT + 13, 318665857834031151167461):
+        try:
+            is_prime(n)
+            assert False, "no verdict above the limit"
+        except ValueError as exc:
+            assert "2^64" in str(exc)
 
 
 def test_factorize():

@@ -1,6 +1,6 @@
 import random
 
-from dualnets import constructors
+from dualnets import constructors, curves, nets
 from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
@@ -97,6 +97,10 @@ def test_perspective_center_conic_line():
         assert incident(T, line, 11)
     # net points are never centers
     assert not is_perspective_center(net, net.components[0][0])
+    # a net point and a point off the centers have no classes
+    assert lines_through_center(net, net.components[0][0]) is None
+    assert lines_through_center(net, (1, 2, 3)) is None
+    assert not is_perspective_center(net, (1, 2, 3))
 
 
 def test_no_centers_for_triangular():
@@ -118,6 +122,15 @@ def test_constant_cross_ratio_rejects_non_center():
         assert False
     except ValueError:
         pass
+    assert lines_through_center(net, (1, 2, 3)) is None
+    tri = constructors.triangular_cyclic(5, 11)
+    for T in ((0, 0, 1), tri.components[2][0]):
+        assert lines_through_center(tri, T) is None
+        try:
+            constant_cross_ratio(tri, T)
+            assert False, "no center"
+        except ValueError:
+            pass
     h4 = constructors.hesse_4net(13)
     try:
         constant_cross_ratio(h4, (1, 2, 3))
@@ -302,6 +315,27 @@ def test_brute_oracles_agree_with_verify_and_find_centers():
         comps[rng.randrange(net.k)][rng.randrange(net.n)] = rng.choice(
             [Q for Q in plane if Q not in pts])
         assert not is_dual_net_brute(comps, p)
+
+
+def test_center_search_and_classify_work_bounds(monkeypatch):
+    # find_centers tests at most n^2 candidates, and classify restricts a
+    # cubic to at most 4 + 3(p + 1) lines (the Fermat fit is one cubic)
+    tested = []
+    real_center = nets.is_perspective_center
+    monkeypatch.setattr(nets, "is_perspective_center",
+                        lambda net, T: tested.append(T) or real_center(net, T))
+    for net in (constructors.triangular_cyclic(15, 181), constructors.pencil_char_p(19)):
+        tested.clear()
+        find_centers(net)
+        assert 0 < len(tested) <= net.n ** 2, (net, len(tested))
+    restricted = []
+    real_line = curves.line_on_curve
+    monkeypatch.setattr(curves, "line_on_curve",
+                        lambda F, line, p: restricted.append(line) or real_line(F, line, p))
+    net = constructors.algebraic_fermat(7, 61)
+    report = classify(net)
+    assert report["tag"] == "proper-algebraic" and report["cubic_space_dim"] == 1
+    assert 0 < len(restricted) <= 4 + 3 * (net.p + 1)
 
 
 def test_partitions_brute_counts():

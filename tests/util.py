@@ -133,3 +133,15 @@ def intersection_multiplicity_brute(F, line, P, p):
         scale = value * pow(denom, -1, p) % p
         coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
     return next((i for i, c in enumerate(coeffs) if c), d + 1)
+
+
+def is_prime_brute(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
