@@ -101,6 +101,11 @@ def test_perspective_center_conic_line():
     assert lines_through_center(net, net.components[0][0]) is None
     assert lines_through_center(net, (1, 2, 3)) is None
     assert not is_perspective_center(net, (1, 2, 3))
+    # n lines through T that cover every point but repeat a component are
+    # no center (the lines Y = 0 and Y = X through (0,0,1), over GF(7))
+    fake = DualNet(7, (((1, 0, 1), (1, 0, 2)), ((1, 0, 3), (1, 1, 1)),
+                       ((1, 1, 2), (1, 1, 3))), False)
+    assert lines_through_center(fake, (0, 0, 1)) is None
 
 
 def test_no_centers_for_triangular():
@@ -122,7 +127,6 @@ def test_constant_cross_ratio_rejects_non_center():
         assert False
     except ValueError:
         pass
-    assert lines_through_center(net, (1, 2, 3)) is None
     tri = constructors.triangular_cyclic(5, 11)
     for T in ((0, 0, 1), tri.components[2][0]):
         assert lines_through_center(tri, T) is None
