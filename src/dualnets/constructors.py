@@ -1,8 +1,9 @@
 """Builders for the dual net families over GF(p).
 
-Every constructor runs its output through the exhaustive verifier, so a
-returned DualNet is always a genuine dual net; constructions that cannot
-be realized at the requested parameters raise instead of degrading.
+Every constructor runs its output through nets.verify, which checks the
+net axiom on every line, so a returned DualNet is always a genuine dual
+net; constructions that cannot be realized at the requested parameters
+raise instead of degrading.
 """
 
 from itertools import product

@@ -51,15 +51,6 @@ def factorize(n: int) -> dict:
     return out
 
 
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p, by order checks against the factorization of p-1."""
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ValueError("no primitive root found for p=%d" % p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol: 1 for a nonzero square, -1 for a non-square, 0 for 0."""
     ls = pow(a % p, (p - 1) // 2, p)
@@ -104,12 +95,19 @@ def sqrt_mod(a: int, p: int):
 def nth_root_of_unity(p: int, n: int) -> int:
     """A primitive n-th root of unity in GF(p): multiplicative order exactly n.
 
-    Raises ValueError when n does not divide p-1 (no such root exists).
+    The first g^((p-1)/n), g = 2, 3, ..., of order exactly n; only n is
+    factorized, never p-1.  Every such root generates the one subgroup of
+    order n of GF(p)*.  Raises ValueError when n does not divide p-1 (no
+    such root exists).
     """
     if n <= 0 or (p - 1) % n != 0:
         raise ValueError("n=%d does not divide p-1=%d" % (n, p - 1))
-    g = primitive_root(p)
-    return pow(g, (p - 1) // n, p)
+    primes = factorize(n)
+    for g in range(2, p):
+        xi = pow(g, (p - 1) // n, p)
+        if all(pow(xi, n // q, p) != 1 for q in primes):
+            return xi
+    raise ValueError("no element of order %d found for p=%d" % (n, p))
 
 
 def find_prime(n: int, require_cubic: bool = False, cap: int = 200000) -> int:

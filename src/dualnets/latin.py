@@ -5,8 +5,6 @@ Tables are tuples of row tuples over symbols 0..n-1.  Group tables are
 normalized with identity 0.
 """
 
-from .plane import incident, join
-
 
 def is_latin(square):
     n = len(square)
@@ -19,28 +17,18 @@ def is_latin(square):
 def from_net(net):
     """Coordinatize a verified 3-net as a latin square.
 
-    L[i][j] = k where the join of the i-th point of the first component and
-    the j-th point of the second contains the k-th point of the third; the
-    net axiom makes that point unique.  Component indexings follow the
+    L[i][j] = k where the net line through the i-th point of the first
+    component and the j-th point of the second holds the k-th point of the
+    third, read from the net-line table.  Component indexings follow the
     stored (sorted) order.
     """
-    if not getattr(net, "verified", False):
-        raise ValueError("net must be verified")
     if net.k != 3:
         raise ValueError("latin squares come from 3-nets")
-    p = net.p
-    lam1, lam2, lam3 = net.components
-    index3 = {P: k for k, P in enumerate(lam3)}
-    table = []
-    for P in lam1:
-        row = []
-        for Q in lam2:
-            line = join(P, Q, p)
-            row.append(next(index3[R] for R in lam3 if incident(R, line, p)))
-        table.append(tuple(row))
-    square = tuple(table)
-    assert is_latin(square)
-    return square
+    index = [{P: i for i, P in enumerate(comp)} for comp in net.components]
+    square = [[None] * net.n for _ in range(net.n)]
+    for a, b, c in net.lines.values():
+        square[index[0][a]][index[1][b]] = index[2][c]
+    return tuple(tuple(row) for row in square)
 
 
 def transversal_search(square):

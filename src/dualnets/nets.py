@@ -3,8 +3,12 @@ constant cross-ratio, classification, and 4-net assembly.
 
 A dual k-net of order n is k >= 3 pairwise disjoint components of n points
 each such that every line meeting two distinct components meets each
-component in exactly one point.  The verifier checks the definition by
-exhaustive pair scan; everything downstream requires a verified net.
+component in exactly one point.  The verifier groups the other net points
+by their join with each point of component 0 and checks only the lines
+from component 0 to component 1; a counting argument (in verify) covers
+every other line.  The same pass yields the net-line table, each of the
+n^2 net lines with its k points, which net_lines, crossratio_4net and
+latin.from_net read instead of joining again.
 
 A perspective center T is a point whose lines split the kn net points into
 n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
@@ -15,7 +19,7 @@ find_centers tests only the n^2 meets of one with the other.  The tests
 keep the whole-plane sweep of the definition as the oracle for that search.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import curves
 from .plane import (all_points, cross_ratio, det3, incident, join, meet,
@@ -33,16 +37,20 @@ class NetViolation(Exception):
 
 
 class DualNet:
-    """A verified dual k-net; construct through verify() only."""
+    """A verified dual k-net; construct through verify() only.
 
-    __slots__ = ("p", "components", "k", "n", "verified", "char_exception", "meta")
+    lines maps each of the n^2 net lines to its k points, one per
+    component in component order.
+    """
 
-    def __init__(self, p, components, char_exception, meta=None):
+    __slots__ = ("p", "components", "k", "n", "lines", "char_exception", "meta")
+
+    def __init__(self, p, components, lines, char_exception, meta=None):
         self.p = p
         self.components = components
         self.k = len(components)
         self.n = len(components[0])
-        self.verified = True
+        self.lines = lines
         self.char_exception = char_exception
         self.meta = dict(meta or {})
 
@@ -54,13 +62,29 @@ class DualNet:
 
 
 def verify(components, p, allow_char_exception=False, meta=None):
-    """Check the dual k-net axioms exhaustively and return a DualNet.
+    """Check the dual k-net axioms and return a DualNet with its line table.
 
     components: k >= 3 iterables of point triples (normalized here).
     Raises NetViolation with the offending line and component on failure.
     The convention p > n models nets over characteristic bigger than the
     order; pass allow_char_exception=True for the deliberate n = p
     construction.
+
+    Each point P of component 0 groups the other net points by their join
+    with P; a line through P passes when its group holds one point of each
+    component, P counted in component 0.  That is at most k n^2 joins and
+    no incidence test.
+
+    Only the lines PQ with Q in component 1 are checked.  That suffices:
+    if they all pass, the n of them through one P are distinct and meet
+    component j in n distinct points (two of them share only P), so all of
+    component j lies on them.  Hence each point Q of a component i >= 1
+    lies on one checked line through every P, and these n lines through Q
+    again hold all of component j.  Every line through points of two
+    components is thus a checked line.  A violation anywhere therefore
+    shows on some line PQ, and the first one in (P, Q, component) order is
+    the first that a scan over the pairs of components (0,1), (0,2), ...,
+    (1,2), ... with sorted points meets: that one is reported.
     """
     comps = [tuple(sorted(normalize(P, p) for P in comp)) for comp in components]
     if len(comps) < 3:
@@ -85,34 +109,29 @@ def verify(components, p, allow_char_exception=False, meta=None):
     if not allow_char_exception and p <= n:
         raise NetViolation("p=%d must exceed the order n=%d" % (p, n))
 
-    comp_sets = [set(c) for c in comps]
-    lines_between = set()
-    for i, j in combinations(range(len(comps)), 2):
-        for P in comps[i]:
-            for Q in comps[j]:
-                line = join(P, Q, p)
-                for m, cs in enumerate(comp_sets):
-                    count = sum(1 for R in cs if incident(R, line, p))
-                    if count != 1:
-                        raise NetViolation(
-                            "line %r through components %d,%d meets component %d "
-                            "in %d points" % (line, i, j, m, count),
-                            line=line, component=m, count=count)
-                if i == 0 and j == 1:
-                    lines_between.add(line)
-    if len(lines_between) != n * n:
-        raise NetViolation(
-            "expected %d distinct net lines, found %d" % (n * n, len(lines_between)),
-            count=len(lines_between))
-    return DualNet(p, tuple(comps), allow_char_exception and p <= n, meta)
+    lines = {}
+    for P in comps[0]:
+        # the line through P of every other net point, and the net points
+        # of each such line
+        line_of = {Q: join(P, Q, p) for Q in seen if Q != P}
+        on = {}
+        for Q, line in line_of.items():
+            on.setdefault(line, [P]).append(Q)
+        for Q in comps[1]:
+            line = line_of[Q]
+            held = [[R for R in on[line] if seen[R] == m] for m in range(len(comps))]
+            for m, pts in enumerate(held):
+                if len(pts) != 1:
+                    raise NetViolation(
+                        "line %r through components 0,1 meets component %d in %d points"
+                        % (line, m, len(pts)), line=line, component=m, count=len(pts))
+            lines[line] = tuple(pts[0] for pts in held)
+    return DualNet(p, tuple(comps), lines, allow_char_exception and p <= n, meta)
 
 
 def net_lines(net):
     """The n^2 lines of the net, each meeting every component once."""
-    p = net.p
-    lines = sorted({join(P, Q, p) for P in net.components[0] for Q in net.components[1]})
-    assert len(lines) == net.n * net.n
-    return lines
+    return sorted(net.lines)
 
 
 def lines_through_center(net, T):
@@ -298,22 +317,11 @@ def _try_tetrahedron(net):
                 return False
         return True
 
-    for s1 in all_splits[0]:
-        for s2 in all_splits[1]:
-            for s3 in all_splits[2]:
-                for o1 in (0, 1):
-                    for o2 in (0, 1):
-                        for o3 in (0, 1):
-                            halves = ((s1[o1][0], s1[1 - o1][0]),
-                                      (s2[o2][0], s2[1 - o2][0]),
-                                      (s3[o3][0], s3[1 - o3][0]))
-                            if faces_ok(halves):
-                                return {
-                                    "halves": halves,
-                                    "lines": ((s1[o1][1], s1[1 - o1][1]),
-                                              (s2[o2][1], s2[1 - o2][1]),
-                                              (s3[o3][1], s3[1 - o3][1])),
-                                }
+    for s1, s2, s3, o1, o2, o3 in product(*all_splits, (0, 1), (0, 1), (0, 1)):
+        ordered = [(s[o], s[1 - o]) for s, o in ((s1, o1), (s2, o2), (s3, o3))]
+        halves = tuple((g[0], d[0]) for g, d in ordered)
+        if faces_ok(halves):
+            return {"halves": halves, "lines": tuple((g[1], d[1]) for g, d in ordered)}
     return None
 
 
@@ -426,15 +434,10 @@ def crossratio_4net(net):
     """The constant cross-ratio (l^L1, l^L2, l^L3, l^L4) over all net lines."""
     if net.k != 4:
         raise ValueError("needs a verified 4-net")
-    p = net.p
-    comp_sets = [set(c) for c in net.components]
     kappa = None
     witness = None
     for line in net_lines(net):
-        pts = []
-        for cs in comp_sets:
-            pts.append(next(P for P in cs if incident(P, line, p)))
-        k = cross_ratio(pts[0], pts[1], pts[2], pts[3], p)
+        k = cross_ratio(*net.lines[line], net.p)
         if kappa is None:
             kappa, witness = k, line
         elif k != kappa:

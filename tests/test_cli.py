@@ -245,3 +245,23 @@ def test_huge_primes(capsys, tmp_path):
     assert rc == 2 and out == "" and "2^64" in err and "Traceback" not in err
     rc, out, err = run(capsys, "construct", "hesse4", "--p", str(2 ** 64 + 13))
     assert rc == 2 and out == "" and "2^64" in err
+
+
+def test_root_of_unity_for_a_large_prime():
+    # (p - 1) / 6 is prime here, so factorizing p - 1 by trial division
+    # would stall construct for longer than the timeout; only n = 3 needs
+    # factorizing
+    p = 600000000000007963
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    built = subprocess.run([sys.executable, "-m", "dualnets.cli", "construct", "triangular",
+                            "--n", "3", "--p", str(p)],
+                           capture_output=True, text=True, env=env, timeout=10)
+    assert built.returncode == 0, built.stderr
+    assert json.loads(built.stdout)["p"] == p
+    checked = subprocess.run([sys.executable, "-m", "dualnets.cli", "verify", "-"],
+                             input=built.stdout, capture_output=True, text=True,
+                             env=env, timeout=30)
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"verified": True, "p": p, "k": 3, "n": 3,
+                                          "char_exception": False}

@@ -2,8 +2,8 @@ from dualnets.constructors import (algebraic_fermat, conic_line, hesse_4net,
                                    pencil_char_p, tetrahedron,
                                    triangular_cyclic)
 from dualnets.curves import fermat_cubic
-from dualnets.nets import (NetViolation, classify, constant_cross_ratio,
-                           find_centers, verify)
+from dualnets.nets import (DualNet, NetViolation, classify,
+                           constant_cross_ratio, find_centers, verify)
 from dualnets.plane import incident
 from util import (dual_net_partitions_brute, fermat_points_brute,
                   is_center_brute)
@@ -11,7 +11,7 @@ from util import (dual_net_partitions_brute, fermat_points_brute,
 
 def test_triangular_cyclic_carriers():
     net = triangular_cyclic(5, 11)
-    assert net.verified and net.n == 5
+    assert isinstance(net, DualNet) and net.n == 5
     assert net.meta["family"] == "triangular"
     carriers = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
     for comp, line in zip(net.components, carriers):
@@ -25,7 +25,7 @@ def test_triangular_cyclic_c_parameter():
     net2 = triangular_cyclic(5, 11, 2)
     assert net1.components[0] == net2.components[0]
     assert net1.components[1] != net2.components[1]
-    assert net2.verified
+    assert isinstance(net2, DualNet)
 
 
 def test_triangular_cyclic_errors():
@@ -58,7 +58,7 @@ def test_pencil_char_p():
 def test_conic_line_membership():
     for n, p, c in ((5, 11, 1), (7, 29, 2), (9, 19, 1)):
         net = conic_line(n, p, c)
-        assert net.verified and net.n == n
+        assert isinstance(net, DualNet) and net.n == n
         # first component on the line z = 0
         for P in net.components[0]:
             assert P[2] == 0
@@ -140,7 +140,7 @@ def test_algebraic_fermat_parameter_errors():
 
 def test_tetrahedron_structure():
     net = tetrahedron(2, 13)
-    assert net.n == 4 and net.verified
+    assert net.n == 4 and isinstance(net, DualNet)
     params = net.meta["parameters"]
     assert params == {"alpha": 1, "beta": 1, "gamma": 12, "d1": 2, "d2": 2, "d3": 11}
     # each component splits over an opposite edge pair of the frame

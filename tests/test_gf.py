@@ -1,5 +1,5 @@
 from dualnets.gf import (PRIME_LIMIT, factorize, find_prime, is_prime, legendre,
-                         nth_root_of_unity, primitive_root, sqrt_mod)
+                         nth_root_of_unity, sqrt_mod)
 from util import is_prime_brute
 
 
@@ -41,11 +41,14 @@ def test_factorize():
     assert factorize(1) == {}
 
 
-def test_primitive_root_orders():
-    for p in (7, 11, 13, 101):
-        g = primitive_root(p)
-        powers = {pow(g, k, p) for k in range(1, p)}
-        assert len(powers) == p - 1
+def test_nth_root_of_unity_generates_the_roots():
+    # the powers of the root are exactly the n-th roots of unity in GF(p),
+    # for every odd prime below 400 and every divisor n of p - 1
+    for p in filter(is_prime_brute, range(3, 400)):
+        for n in (d for d in range(1, p) if (p - 1) % d == 0):
+            xi = nth_root_of_unity(p, n)
+            assert {pow(xi, i, p) for i in range(n)} == \
+                {x for x in range(1, p) if pow(x, n, p) == 1}, (p, n)
 
 
 def test_sqrt_mod_13_frozen():

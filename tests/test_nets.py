@@ -1,12 +1,13 @@
 import random
 
-from dualnets import constructors, curves, nets
+from dualnets import constructors, curves, latin, nets
 from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
                            lines_through_center, net_lines, verify)
 from dualnets.plane import PValue, all_points, anharmonic_orbit, incident, join
-from util import is_center_brute, is_dual_net_brute, partitions_brute
+from util import (is_center_brute, is_dual_net_brute, partitions_brute,
+                  verify_pairs_brute)
 
 
 def test_verify_accepts_and_normalizes():
@@ -16,7 +17,7 @@ def test_verify_accepts_and_normalizes():
               for comp in raw.components]
     net = verify(scaled, 11)
     assert net.components == raw.components
-    assert net.k == 3 and net.n == 5 and net.verified
+    assert net.k == 3 and net.n == 5 and isinstance(net, DualNet)
     assert not net.char_exception
 
 
@@ -77,12 +78,14 @@ def test_verify_line_axiom_violation_reports_line():
 
 
 def test_net_lines_count_and_coverage():
-    net = constructors.conic_line(5, 11)
-    lines = net_lines(net)
-    assert len(lines) == 25
-    for line in lines:
-        for comp in net.components:
-            assert sum(1 for P in comp if incident(P, line, 11)) == 1
+    for net in (constructors.conic_line(5, 11), constructors.hesse_4net(7)):
+        lines = net_lines(net)
+        assert len(lines) == net.n ** 2
+        assert lines == sorted(net.lines)
+        # the table holds, for each component, the one point the line meets
+        for line in lines:
+            for comp, P in zip(net.components, net.lines[line]):
+                assert [Q for Q in comp if incident(Q, line, net.p)] == [P]
 
 
 def test_perspective_center_conic_line():
@@ -104,7 +107,7 @@ def test_perspective_center_conic_line():
     # n lines through T that cover every point but repeat a component are
     # no center (the lines Y = 0 and Y = X through (0,0,1), over GF(7))
     fake = DualNet(7, (((1, 0, 1), (1, 0, 2)), ((1, 0, 3), (1, 1, 1)),
-                       ((1, 1, 2), (1, 1, 3))), False)
+                       ((1, 1, 2), (1, 1, 3))), {}, False)
     assert lines_through_center(fake, (0, 0, 1)) is None
 
 
@@ -319,6 +322,85 @@ def test_brute_oracles_agree_with_verify_and_find_centers():
         comps[rng.randrange(net.k)][rng.randrange(net.n)] = rng.choice(
             [Q for Q in plane if Q not in pts])
         assert not is_dual_net_brute(comps, p)
+
+
+def _mutant(net, rng, points):
+    """Components of net with one to three points replaced by points off
+    the net, or with two points of different components swapped."""
+    comps = [list(c) for c in net.components]
+    kind = rng.randrange(4)
+    if kind == 0:
+        i, j = rng.sample(range(net.k), 2)
+        a, b = rng.randrange(net.n), rng.randrange(net.n)
+        comps[i][a], comps[j][b] = comps[j][b], comps[i][a]
+        return comps
+    pts = set(net.all_net_points())
+    fresh = rng.sample([Q for Q in points if Q not in pts], kind)
+    slots = rng.sample([(c, i) for c in range(net.k) for i in range(net.n)], kind)
+    for (c, i), Q in zip(slots, fresh):
+        comps[c][i] = Q
+    return comps
+
+
+def test_verify_matches_pair_scan_on_mutants():
+    # verify checks only the lines from component 0 to component 1; the
+    # scan over all pairs of components must give the same verdict and the
+    # same first witness
+    families = [
+        constructors.triangular_cyclic(5, 11),
+        constructors.conic_line(7, 29, 3),
+        constructors.algebraic_fermat(3, 19),
+        constructors.tetrahedron(2, 13),
+        constructors.tetrahedron(3, 13),
+        constructors.hesse_4net(7),
+        constructors.hesse_4net(13),
+        constructors.pencil_char_p(7),
+    ]
+    rng = random.Random(2024)
+    checked = accepted = 0
+    for net in families:
+        points = all_points(net.p)
+        for _ in range(260):
+            comps = _mutant(net, rng, points)
+            try:
+                verify(comps, net.p, allow_char_exception=net.char_exception)
+                got = None
+            except NetViolation as exc:
+                got = (str(exc), exc.line, exc.component, exc.count)
+            assert got == verify_pairs_brute(comps, net.p), (net, comps)
+            assert (got is None) == is_dual_net_brute(comps, net.p), (net, comps)
+            checked += 1
+            accepted += got is None
+    assert checked >= 2000 and accepted < checked
+
+
+def test_verify_work_bound(monkeypatch):
+    # verify joins each point of component 0 with the other kn - 1 points
+    # once and tests no incidence; from_net, net_lines and crossratio_4net
+    # only read the line table (cross_ratio itself may check collinearity)
+    nets_in = [constructors.pencil_char_p(19), constructors.triangular_cyclic(15, 181)]
+    h4 = constructors.hesse_4net(13)
+    calls = {"join": 0, "incident": 0}
+    for name, real in (("join", join), ("incident", incident)):
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        # raising=False: a module that does not import the name stays guarded
+        for module in (nets, latin):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    for net in nets_in:
+        calls.update(join=0, incident=0)
+        again = verify(net.components, net.p, allow_char_exception=net.char_exception)
+        assert calls["incident"] == 0, net
+        assert 0 < calls["join"] <= 2 * net.k * net.n ** 2, (net, calls)
+        assert again.lines == net.lines
+    calls.update(join=0, incident=0)
+    for net in nets_in:
+        latin.from_net(net)
+        net_lines(net)
+    crossratio_4net(h4)
+    assert calls == {"join": 0, "incident": 0}
 
 
 def test_center_search_and_classify_work_bounds(monkeypatch):

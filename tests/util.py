@@ -2,7 +2,7 @@
 
 from itertools import combinations, permutations
 
-from dualnets.plane import all_points
+from dualnets.plane import all_points, incident, join, normalize
 
 
 def quadrangle_criterion(square):
@@ -82,6 +82,26 @@ def is_dual_net_brute(comps, p):
                     if sum(1 for R in comp if _collinear(P, Q, R, p)) != 1:
                         return False
     return True
+
+
+def verify_pairs_brute(comps, p):
+    """The first violation of the dual-net axiom that a scan over all pairs
+    of components meets, as (message, line, component, count), or None.
+    Pairs (i, j), i < j, in order, P of component i and Q of component j
+    in sorted order, every component counted on the line PQ: O(k^3 n^3)
+    incidence tests.  Takes components that pass verify's size and
+    disjointness checks."""
+    comps = [sorted(normalize(P, p) for P in comp) for comp in comps]
+    for i, j in combinations(range(len(comps)), 2):
+        for P in comps[i]:
+            for Q in comps[j]:
+                line = join(P, Q, p)
+                for m, comp in enumerate(comps):
+                    count = sum(1 for R in comp if incident(R, line, p))
+                    if count != 1:
+                        return ("line %r through components %d,%d meets component %d "
+                                "in %d points" % (line, i, j, m, count), line, m, count)
+    return None
 
 
 def is_center_brute(comps, T, p):
