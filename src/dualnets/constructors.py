@@ -9,7 +9,7 @@ raise instead of degrading.
 from itertools import product
 
 from .cubic_group import CurveGroup
-from .curves import HomPoly, rational_lines, singular_points
+from .curves import HomPoly, rational_lines
 from .gf import nth_root_of_unity
 from .nets import NetViolation, verify
 
@@ -188,28 +188,28 @@ def tetrahedron(m, p):
 def hesse_4net(p):
     """The dual 4-net of order 3 dual to the Hesse pencil's four triangles.
 
-    Scans the pencil lambda(X^3+Y^3+Z^3) + mu XYZ for its singular members
-    (XYZ itself plus three others), splits each into its three lines, and
-    reads the line coefficient triples as points of the dual plane.
+    The singular members of the pencil lambda(X^3+Y^3+Z^3) + mu XYZ are
+    XYZ, at (lambda:mu) = (0:1), and the three members (1:mu) with
+    mu^3 = -27, that is mu = -3 eps^i for a primitive cube root of unity
+    eps (Artebani and Dolgachev, "The Hesse pencil of plane cubic curves",
+    L'Enseignement Math. 55 (2009)).  Each is a triangle of rational lines
+    when p = 1 (mod 3).  The members are taken in the order (0:1), then mu
+    ascending; each is split into its three lines, and the line coefficient
+    triples are read as points of the dual plane.
     """
     if p % 3 != 1:
         raise ValueError("p must be 1 mod 3")
     fermat = HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, p)
     xyz = HomPoly(3, {(1, 1, 1): 1}, p)
+    eps = nth_root_of_unity(p, 3)
+    params = [(0, 1)] + [(1, mu) for mu in sorted(-3 * pow(eps, i, p) % p for i in range(3))]
     duals = []
-    params = []
-    for lam, mu in [(0, 1)] + [(1, mu) for mu in range(p)]:
-        member = fermat * lam + xyz * mu
-        if not singular_points(member):
-            continue
-        lines = rational_lines(member)
+    for lam, mu in params:
+        lines = rational_lines(fermat * lam + xyz * mu)
         if len(lines) != 3:
             raise ValueError(
                 "singular pencil member at (%d:%d) splits into %d rational "
                 "lines, expected 3" % (lam, mu, len(lines)))
         duals.append(lines)
-        params.append((lam, mu))
-    if len(duals) != 4:
-        raise ValueError("expected 4 singular pencil members, found %d" % len(duals))
     meta = {"family": "hesse", "n": 3, "p": p, "pencil_parameters": params}
     return verify(duals, p, meta=meta)

@@ -7,9 +7,9 @@ group, and u-invariant subgroups H yield the coset triples
 with center (0,0,1).
 """
 
-from .curves import fermat_cubic, restrict, tangent_line
+from .curves import curve_points, fermat_cubic, restrict, tangent_line
 from .gf import is_prime, nth_root_of_unity
-from .plane import all_points, line_points, normalize
+from .plane import line_points, normalize
 
 
 class CurveGroup:
@@ -21,7 +21,7 @@ class CurveGroup:
         self.p = p
         self.curve = fermat_cubic(p)
         self.O = normalize((1, -1, 0), p)
-        self.points = tuple(sorted(P for P in all_points(p) if self.curve.eval_at(P) == 0))
+        self.points = tuple(sorted(curve_points(self.curve)))
         r = nth_root_of_unity(p, 3)
         # smallest primitive cube root of unity, fixed per field for determinism
         self.epsilon = min(r, r * r % p)

@@ -3,6 +3,7 @@ Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
 and the polynomial identities behind the j=0 center criterion.
 """
 
+from itertools import combinations
 from math import comb
 
 from .gf import sqrt_mod
@@ -239,14 +240,18 @@ def fermat_cubic(p):
     return HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): -1}, p)
 
 
+def curve_points(F):
+    """The points of PG(2,p) on F = 0, in all_points order (a plane scan).
+
+    Every routine that needs the points of a curve asks this function, so
+    a faster way to list them changes this body only.
+    """
+    return [P for P in all_points(F.p) if F.eval_at(P) == 0]
+
+
 def singular_points(F):
-    """All points of PG(2,p) where F and its gradient vanish (full scan)."""
-    p = F.p
-    out = set()
-    for P in all_points(p):
-        if F.eval_at(P) == 0 and F.gradient(P) == (0, 0, 0):
-            out.add(P)
-    return out
+    """The set of points of F = 0 where the gradient of F vanishes."""
+    return {P for P in curve_points(F) if F.gradient(P) == (0, 0, 0)}
 
 
 def singular_type(F, P):
@@ -256,10 +261,11 @@ def singular_type(F, P):
     discriminant) is a cusp, distinct roots (over the closure) a node.
     """
     p = F.p
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    cols = [b for b in basis if b != P][:2]
-    M = tuple(tuple(row) for row in zip(cols[0], cols[1], P))
-    assert det3(M, p) != 0
+    # frame: P as third column, the first pair of basis vectors (in
+    # combinations order) that completes it to a basis as the other two
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    M = next(M for M in (tuple(zip(A, B, P)) for A, B in combinations(basis, 2))
+             if det3(M, p) != 0)
     G = compose(F, M)
     d = F.degree
     A = G.coeffs.get((2, 0, d - 2), 0)
@@ -304,13 +310,9 @@ def j_invariant(c, p):
 
 
 def inflection_points(F):
-    """Nonsingular points of F where the Hessian vanishes."""
+    """Nonsingular points of F where the Hessian vanishes, in all_points order."""
     H = hessian(F)
-    out = []
-    for P in all_points(F.p):
-        if F.eval_at(P) == 0 and H.eval_at(P) == 0 and F.gradient(P) != (0, 0, 0):
-            out.append(P)
-    return out
+    return [P for P in curve_points(F) if H.eval_at(P) == 0 and F.gradient(P) != (0, 0, 0)]
 
 
 def j_of_cubic(F):
@@ -365,11 +367,6 @@ def j_of_cubic(F):
     return PValue(num, den, p)
 
 
-def pencil_common_points(F, G):
-    p = F.p
-    return [P for P in all_points(p) if F.eval_at(P) == 0 and G.eval_at(P) == 0]
-
-
 def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):
     """Tangent cross-ratio over the base points of the pencil spanned by F and G.
 
@@ -387,7 +384,7 @@ def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):
     n = F.degree
     if G.degree != n:
         raise ValueError("degree mismatch in pencil")
-    common = pencil_common_points(F, G)
+    common = [P for P in curve_points(F) if G.eval_at(P) == 0]
     if len(common) != n * n:
         raise ValueError("expected %d common points, found %d" % (n * n, len(common)))
     H = alpha * F + beta * G

@@ -6,14 +6,6 @@ normalized with identity 0.
 """
 
 
-def is_latin(square):
-    n = len(square)
-    syms = set(range(n))
-    if any(len(row) != n or set(row) != syms for row in square):
-        return False
-    return all({row[j] for row in square} == syms for j in range(n))
-
-
 def from_net(net):
     """Coordinatize a verified 3-net as a latin square.
 

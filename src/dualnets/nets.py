@@ -15,15 +15,15 @@ n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
 the net line through A and on the net line through B, and these differ,
 because a net line holds one point of component 0 only.  The net lines
 through A are the n joins of A with component 1, and likewise for B, so
-find_centers tests only the n^2 meets of one with the other.  The tests
-keep the whole-plane sweep of the definition as the oracle for that search.
+find_centers tests only the n^2 meets of one with the other.  For n = 1
+the centers are the points of the one net line off the net.  The tests
+keep the whole-plane sweep of the definition as the oracle for both.
 """
 
 from itertools import combinations, product
 
 from . import curves
-from .plane import (all_points, cross_ratio, det3, incident, join, meet,
-                    normalize)
+from .plane import cross_ratio, det3, incident, join, line_points, meet, normalize
 
 
 class NetViolation(Exception):
@@ -169,17 +169,18 @@ def find_centers(net):
     lines differ, since no net line holds two points of one component.
     Each is a join with a point of component 1, so the n^2 meets of the n
     lines through A with the n lines through B are a complete candidate
-    set.  Only n = 1 needs the whole plane.  The tests compare the result
+    set.  For n = 1 the k net points span the one net line, and every
+    other point of that line is a center.  The tests compare the result
     with a whole-plane sweep of the definition.
     """
     p = net.p
     if net.n == 1:
-        candidates = all_points(p)
-    else:
-        A, B = net.components[0][:2]
-        through_a = [join(A, Q, p) for Q in net.components[1]]
-        through_b = [join(B, Q, p) for Q in net.components[1]]
-        candidates = {meet(la, lb, p) for la in through_a for lb in through_b}
+        (line,) = net.lines
+        return set(line_points(line, p)) - set(net.all_net_points())
+    A, B = net.components[0][:2]
+    through_a = [join(A, Q, p) for Q in net.components[1]]
+    through_b = [join(B, Q, p) for Q in net.components[1]]
+    candidates = {meet(la, lb, p) for la in through_a for lb in through_b}
     return {T for T in candidates if is_perspective_center(net, T)}
 
 
@@ -380,18 +381,16 @@ def classify(net):
     if irreducible:
         F = irreducible[0]
         sing = sorted(curves.singular_points(F))
+        js = [curves.j_of_cubic(G) for G in irreducible]
         info = {
             "tag": "proper-algebraic",
             "cubic": sorted(F.coeffs.items()),
             "cubic_space_dim": len(basis),
             "singular": sing,
-            "j_values": sorted({str(j) for j in
-                                (curves.j_of_cubic(G) for G in irreducible)
-                                if j is not None}),
+            "j_values": sorted({str(j) for j in js if j is not None}),
         }
-        j = curves.j_of_cubic(F)
-        if j is not None:
-            info["j"] = j
+        if js[0] is not None:
+            info["j"] = js[0]
         if len(sing) == 1:
             info["singular_type"] = curves.singular_type(F, sing[0])
         return info

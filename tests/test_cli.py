@@ -247,21 +247,50 @@ def test_huge_primes(capsys, tmp_path):
     assert rc == 2 and out == "" and "2^64" in err
 
 
+def _run_module(*argv, stdin=None, timeout=10):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "dualnets.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_root_of_unity_for_a_large_prime():
     # (p - 1) / 6 is prime here, so factorizing p - 1 by trial division
     # would stall construct for longer than the timeout; only n = 3 needs
     # factorizing
     p = 600000000000007963
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    built = subprocess.run([sys.executable, "-m", "dualnets.cli", "construct", "triangular",
-                            "--n", "3", "--p", str(p)],
-                           capture_output=True, text=True, env=env, timeout=10)
+    built = _run_module("construct", "triangular", "--n", "3", "--p", str(p))
     assert built.returncode == 0, built.stderr
     assert json.loads(built.stdout)["p"] == p
-    checked = subprocess.run([sys.executable, "-m", "dualnets.cli", "verify", "-"],
-                             input=built.stdout, capture_output=True, text=True,
-                             env=env, timeout=30)
+    checked = _run_module("verify", "-", stdin=built.stdout, timeout=30)
     assert checked.returncode == 0, checked.stderr
     assert json.loads(checked.stdout) == {"verified": True, "p": p, "k": 3, "n": 3,
                                           "char_exception": False}
+
+
+def test_centers_of_an_order_1_net_over_a_large_field():
+    # the centers are the other p - 1 points of the one net line; a sweep of
+    # the p^2 + p + 1 points of the plane does not finish within the timeout
+    doc = json.dumps({"p": 100003, "components": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]]]})
+    done = _run_module("centers", "-", stdin=doc)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["count"] == 100001
+    assert report["centers"][:2] == [[1, 2, 0], [1, 3, 0]]
+    assert report["centers"][-1] == [1, 100002, 0]
+
+
+def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
+    # a nodal-cubic coset net moved by a projectivity: its node (1, 17, 0)
+    # lies on Z = 0 but is no vertex of the coordinate triangle
+    doc = {"p": 19, "components": [[[1, 0, 15], [1, 1, 1], [1, 16, 10]],
+                                   [[1, 5, 9], [1, 6, 2], [1, 11, 15]],
+                                   [[1, 2, 5], [1, 8, 15], [1, 10, 6]]]}
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["tag"] == "proper-algebraic"
+    assert report["singular"] == [[1, 17, 0]]
+    assert report["singular_type"] == "node"

@@ -1,10 +1,10 @@
 import random
 
 from dualnets.curves import (HomPoly, compose, corners_legendre,
-                             cubic_j0_identities, fermat_cubic, hessian,
-                             inflection_points, intersection_multiplicity,
-                             j_invariant, j_of_cubic, legendre_cubic,
-                             line_on_curve, pencil_common_points,
+                             cubic_j0_identities, curve_points, fermat_cubic,
+                             hessian, inflection_points,
+                             intersection_multiplicity, j_invariant,
+                             j_of_cubic, legendre_cubic, line_on_curve,
                              pencil_crossratio_check, proportional,
                              rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
@@ -12,7 +12,8 @@ from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
 from dualnets.plane import (PValue, all_points, line_points, mat_inv, apply_point,
                             normalize)
-from util import intersection_multiplicity_brute, line_on_curve_brute
+from util import (hesse_4net_brute, intersection_multiplicity_brute,
+                  line_on_curve_brute)
 
 
 def xyz_poly(p):
@@ -142,6 +143,14 @@ def test_line_routines_match_plane_scan_oracles():
         for F in cubics:
             assert rational_lines(F) == sorted(
                 line for line in all_points(p) if line_on_curve_brute(F, line, p)), (p, F)
+            # the point lists against direct filters of the plane
+            on = [P for P in all_points(p) if F.eval_at(P) == 0]
+            singular = [P for P in on if F.gradient(P) == (0, 0, 0)]
+            H = hessian(F)
+            assert curve_points(F) == on, (p, F)
+            assert singular_points(F) == set(singular), (p, F)
+            assert inflection_points(F) == [P for P in on if H.eval_at(P) == 0
+                                            and P not in singular], (p, F)
     p = 13
     assert rational_lines(xyz_poly(p)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert rational_lines(fermat_cubic(p)) == []
@@ -176,6 +185,21 @@ def test_no_plane_scan_inside_line_routines(monkeypatch):
     for P in group.points:
         group.scalar_mul(7, P)
     assert calls == []
+    # the Hesse singular members are built in closed form, and the centers
+    # of an order-1 net are read off its one line
+    for p in (7, 13, 61):
+        constructors.hesse_4net(p)
+    assert nets.find_centers(nets.verify([[(1, 0, 0)], [(0, 1, 0)], [(1, 1, 0)]], 7)) \
+        == {(1, t, 0) for t in range(2, 7)}
+    assert calls == []
+
+
+def test_hesse_4net_matches_pencil_scan():
+    for p in (7, 13, 19, 31, 37, 43):
+        net, oracle = constructors.hesse_4net(p), hesse_4net_brute(p)
+        assert net.components == oracle.components, p
+        assert net.lines == oracle.lines, p
+        assert net.meta == oracle.meta, p
 
 
 def test_hessian_of_fermat_is_triangle():
@@ -287,6 +311,14 @@ def test_singular_points_and_types():
     assert singular_points(legendre_cubic(1, p)) == {(1, 0, 1)}
     assert singular_points(fermat_cubic(p)) == set()
     assert j_of_cubic(node).is_infinity
+    # a singular point (x, y, 0) off the vertices: the frame must skip the
+    # basis pair (1,0,0), (0,1,0), which does not complete it to a basis
+    N = ((1, 0, 1), (0, 0, 2), (0, 1, 0))  # columns (1,0,0), (0,0,1), (1,2,0)
+    moved = compose(cusp, mat_inv(N, p))
+    assert singular_points(moved) == {(1, 2, 0)}
+    assert singular_type(moved, (1, 2, 0)) == "cusp"
+    moved = compose(node, mat_inv(N, p))
+    assert singular_type(moved, (1, 2, 0)) == "node"
 
 
 def test_inflection_points_of_fermat():
@@ -304,7 +336,6 @@ def test_pencil_crossratio_check_fermat_triangle():
     p = 13
     F = HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, p)
     G = xyz_poly(p)
-    assert len(pencil_common_points(F, G)) == 9
     rng = random.Random(4)
     for _ in range(5):
         while True:

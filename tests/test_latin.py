@@ -4,11 +4,11 @@ from dualnets import constructors, nets
 from dualnets.latin import (complete_mapping_exists, cyclic_group,
                             dihedral_group, direct_product, element_orders,
                             from_net, group_catalog, hall_paige_criterion,
-                            is_group_coordinatizable, is_latin, isomorphic,
+                            is_group_coordinatizable, isomorphic,
                             transversal_search)
 from dualnets.plane import incident, join
 
-from util import count_transversals_brute, quadrangle_criterion
+from util import count_transversals_brute, is_latin, quadrangle_criterion
 
 # a latin square of order 5 that is not isotopic to Z5
 NONGROUP_5 = [

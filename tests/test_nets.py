@@ -309,6 +309,7 @@ def test_brute_oracles_agree_with_verify_and_find_centers():
         constructors.triangular_cyclic(7, 29),
         constructors.conic_line(7, 29),
         derived_net(constructors.hesse_4net(7), 3),
+        verify([[(1, 0, 0)], [(0, 1, 0)], [(1, 1, 0)]], 7),
     ]
     rng = random.Random(12)
     for net in families:

@@ -2,7 +2,17 @@
 
 from itertools import combinations, permutations
 
-from dualnets.plane import all_points, incident, join, normalize
+from dualnets.nets import verify
+from dualnets.plane import all_points, incident, join, line_points, normalize
+
+
+def is_latin(square):
+    """Every row and every column of the n x n square holds 0..n-1 once."""
+    n = len(square)
+    syms = set(range(n))
+    if any(len(row) != n or set(row) != syms for row in square):
+        return False
+    return all({row[j] for row in square} == syms for j in range(n))
 
 
 def quadrangle_criterion(square):
@@ -165,3 +175,29 @@ def is_prime_brute(n):
             return False
         d += 1
     return True
+
+
+def hesse_4net_brute(p):
+    """The Hesse 4-net by scanning the pencil lambda(X^3+Y^3+Z^3) + mu XYZ,
+    members (0:1), (1:0), ..., (1:p-1) in that order.  A member is singular
+    when F and its three partials vanish at some point of the plane; it is
+    split into the lines of the plane on which F vanishes identically."""
+    def member_is_zero(lam, mu, P):
+        x, y, z = P
+        return (lam * (x ** 3 + y ** 3 + z ** 3) + mu * x * y * z) % p == 0
+
+    def is_singular_at(lam, mu, P):
+        x, y, z = P
+        # the partials 3 lam a^2 + mu b c for (a, b, c) = (x, y, z), (y, x, z), (z, x, y)
+        return member_is_zero(lam, mu, P) and all(
+            (3 * lam * a * a + mu * b * c) % p == 0
+            for a, b, c in ((x, y, z), (y, x, z), (z, x, y)))
+
+    plane = all_points(p)
+    duals, params = [], []
+    for lam, mu in [(0, 1)] + [(1, mu) for mu in range(p)]:
+        if any(is_singular_at(lam, mu, P) for P in plane):
+            duals.append([L for L in plane
+                          if all(member_is_zero(lam, mu, P) for P in line_points(L, p))])
+            params.append((lam, mu))
+    return verify(duals, p, meta={"family": "hesse", "n": 3, "p": p, "pencil_parameters": params})
