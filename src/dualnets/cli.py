@@ -100,13 +100,13 @@ def _violation_report(exc):
     return report
 
 
-def _load_net(args):
-    """Shared loader for the inspection commands.
+def _load_net(path):
+    """The loader in front of every inspection command.
 
     Returns (net, exit_code); exactly one of the two is None.
     """
     try:
-        text = _read_input(args.netfile)
+        text = _read_input(path)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return None, 2
@@ -152,19 +152,13 @@ def cmd_construct(args):
     return 0
 
 
-def cmd_verify(args):
-    net, code = _load_net(args)
-    if net is None:
-        return code
+def cmd_verify(net):
     _emit({"verified": True, "p": net.p, "k": net.k, "n": net.n,
            "char_exception": net.char_exception})
     return 0
 
 
-def cmd_classify(args):
-    net, code = _load_net(args)
-    if net is None:
-        return code
+def cmd_classify(net):
     if net.k == 3:
         _emit(nets.classify(net))
     else:
@@ -174,10 +168,7 @@ def cmd_classify(args):
     return 0
 
 
-def cmd_centers(args):
-    net, code = _load_net(args)
-    if net is None:
-        return code
+def cmd_centers(net):
     centers = sorted(nets.find_centers(net))
     _emit({"centers": [list(T) for T in centers], "count": len(centers)})
     return 0
@@ -195,10 +186,7 @@ def _kappa_entry(kappa, p):
     return entry
 
 
-def cmd_crossratio(args):
-    net, code = _load_net(args)
-    if net is None:
-        return code
+def cmd_crossratio(net):
     if net.k == 3:
         rows = []
         for T in sorted(nets.find_centers(net)):
@@ -355,7 +343,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    if not hasattr(args, "netfile"):
+        return args.func(args)
+    net, code = _load_net(args.netfile)
+    return code if net is None else args.func(net)
 
 
 if __name__ == "__main__":

@@ -148,8 +148,8 @@ def tetrahedron(m, p):
     the face laws then reduce to alpha*beta*gamma in -S, -alpha*d2 in d3*S
     and -beta*d3 in d1*S (the fourth condition follows), so gamma, d3, d1
     are determined up to S and the search runs over coset representatives
-    (alpha, beta, d2).  The full verifier is the final oracle for each
-    candidate.
+    (alpha, beta, d2).  The verifier decides each candidate, and rejects
+    one whose Gamma and Delta halves share a point as a repeated point.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -168,8 +168,6 @@ def tetrahedron(m, p):
         dl2 = [(1, (1 + d2 * x) % p, 1) for x in S]
         dl3 = [(1, 1, (1 + d3 * x) % p) for x in S]
         comps = [g1 + dl1, g2 + dl2, g3 + dl3]
-        if any(len(set(comp)) != n for comp in comps):
-            continue
         meta = {
             "family": "tetrahedron",
             "m": m,

@@ -9,7 +9,9 @@ with center (0,0,1).
 
 from .curves import curve_points, fermat_cubic, restrict, tangent_line
 from .gf import is_prime, nth_root_of_unity
-from .plane import line_points, normalize
+from .plane import _base_points, normalize
+
+FERMAT_PRIME_SCAN_CAP = 500
 
 
 class CurveGroup:
@@ -36,8 +38,8 @@ class CurveGroup:
         """
         p = self.p
         if P == Q:
-            t = tangent_line(self.curve, P)
-            Q2 = next(R for R in line_points(t, p) if R != P)
+            B1, B2 = _base_points(tangent_line(self.curve, P), p)
+            Q2 = B2 if B1 == P else B1
             g = restrict(self.curve, P, Q2)
             assert g[0] == 0 and g[1] == 0, "tangent restriction must vanish doubly"
             return normalize(tuple((g[3] * P[i] - g[2] * Q2[i]) % p for i in range(3)), p)
@@ -108,28 +110,23 @@ class CurveGroup:
     def coset_net(self, H, P):
         """The coset triple (H+P, H+u(P), H+u^2(P)) as sorted point tuples.
 
-        Requires P - u(P) not in H, which makes all three cosets pairwise
-        disjoint; violating it raises a coset collision error.
+        Raises a coset collision error when D = P - u(P) lies in H.  That
+        test decides disjointness: the other differences are u(D) and
+        u^2(D), in the u-invariant H only when D is.  algebraic_fermat's
+        verifier checks the net itself.
         """
         uP = self.u_auto(P)
         u2P = self.u_auto(uP)
         if self.add(P, self.neg(uP)) in H:
             raise ValueError("coset collision: P - u(P) lies in H")
-        comps = tuple(tuple(sorted(self.add(h, Q) for h in H)) for Q in (P, uP, u2P))
-        seen = set()
-        for comp in comps:
-            for pt in comp:
-                if pt in seen:
-                    raise ValueError("coset collision: components overlap at %r" % (pt,))
-                seen.add(pt)
-        return comps
+        return tuple(tuple(sorted(self.add(h, Q) for h in H)) for Q in (P, uP, u2P))
 
 
-def find_fermat_prime_for_order(n, cap=500):
+def find_fermat_prime_for_order(n):
     """Smallest prime p = 1 (mod 3), p > n, whose Fermat cubic has a
-    u-invariant subgroup of order n with a valid base point; None if the
-    scan cap is passed."""
-    for p in range(max(n + 1, 7), cap + 1):
+    u-invariant subgroup of order n with a valid base point; None if no
+    prime up to FERMAT_PRIME_SCAN_CAP has one."""
+    for p in range(max(n + 1, 7), FERMAT_PRIME_SCAN_CAP + 1):
         if p % 3 != 1 or not is_prime(p):
             continue
         grp = CurveGroup(p)

@@ -216,7 +216,8 @@ def rational_lines(F):
 
 def intersection_multiplicity(F, line, P, p):
     """Multiplicity of F restricted to the line at P (d+1 means containment)."""
-    Q = next(R for R in line_points(line, p) if R != P)
+    B1, B2 = _base_points(normalize(line, p), p)
+    Q = B2 if B1 == P else B1
     g = restrict(F, P, Q)
     for i, c in enumerate(g):
         if c != 0:
@@ -330,10 +331,11 @@ def j_of_cubic(F):
         return None
     O = infl[0]
     T = tangent_line(F, O)
-    # frame: second column O, first column another point of the tangent,
-    # third column the first point of the plane off the tangent: one of the
-    # three below, since a line through (1,0,0) and (1,0,1) is Y = 0
-    P1 = next(Q for Q in line_points(T, p) if Q != O)
+    # frame: second column O, first column a base point of the tangent other
+    # than O, third column the first point of the plane off the tangent: one
+    # of the three below, since a line through (1,0,0) and (1,0,1) is Y = 0
+    B1, B2 = _base_points(T, p)
+    P1 = B2 if B1 == O else B1
     N = next(M for M in (tuple(zip(P1, O, P2)) for P2 in ((1, 0, 0), (1, 0, 1), (1, 1, 0)))
              if det3(M, p) != 0)
     G = compose(F, N)

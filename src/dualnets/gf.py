@@ -10,6 +10,8 @@ modulus explicitly.
 PRIME_LIMIT = 1 << 64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+PRIME_SCAN_CAP = 200000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 2^64; ValueError above."""
@@ -110,18 +112,18 @@ def nth_root_of_unity(p: int, n: int) -> int:
     raise ValueError("no element of order %d found for p=%d" % (n, p))
 
 
-def find_prime(n: int, require_cubic: bool = False, cap: int = 200000) -> int:
+def find_prime(n: int, require_cubic: bool = False) -> int:
     """Smallest prime p > n with p = 1 (mod n), and p = 1 (mod 3) if require_cubic.
 
     The congruence p = 1 (mod n) guarantees an n-th root of unity exists,
-    so order-n cyclic constructions work over GF(p).  A scan cap guards
-    against runaway loops; hitting it raises.
+    so order-n cyclic constructions work over GF(p).  The scan stops at
+    PRIME_SCAN_CAP and raises there, so no loop runs away.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     p = n + 1
-    while p <= cap:
+    while p <= PRIME_SCAN_CAP:
         if p % n == 1 and (not require_cubic or p % 3 == 1) and is_prime(p):
             return p
         p += 1
-    raise ValueError("no prime found below cap=%d for n=%d" % (cap, n))
+    raise ValueError("no prime found below cap=%d for n=%d" % (PRIME_SCAN_CAP, n))

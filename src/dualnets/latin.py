@@ -26,13 +26,13 @@ def from_net(net):
 def transversal_search(square):
     """n cells, one per row and column, carrying n distinct symbols.
 
-    Returns the cell list or None; exhaustive backtracking, meant for
-    n <= 9 or so.
+    Returns the cells (i, j) in row order, or None; exhaustive backtracking
+    trying columns in increasing order, meant for n <= 12 or so.
     """
     n = len(square)
     cols_used = [False] * n
     syms_used = [False] * n
-    cells = []
+    col = [None] * n
 
     def rec(i):
         if i == n:
@@ -44,14 +44,13 @@ def transversal_search(square):
             if syms_used[s]:
                 continue
             cols_used[j] = syms_used[s] = True
-            cells.append((i, j))
+            col[i] = j
             if rec(i + 1):
                 return True
-            cells.pop()
             cols_used[j] = syms_used[s] = False
         return False
 
-    return list(cells) if rec(0) else None
+    return list(enumerate(col)) if rec(0) else None
 
 
 def _commutator_subgroup(table):
@@ -103,43 +102,18 @@ def complete_mapping_exists(table):
     """Search for a complete mapping of a group table.
 
     A complete mapping is a permutation theta with g -> g*theta(g) also a
-    permutation.  Returns (True, theta) or (False, None).  The search fixes
-    theta(0) = 0 (right-translating any complete mapping by theta(0)^-1
-    yields one fixing the identity, so the normalization loses nothing) and
-    prunes with the abelianized counting obstruction, which empties the
-    whole tree whenever it holds; otherwise the backtracking runs until a
-    witness appears or the space is exhausted.  Intended for |G| <= 16.
+    permutation: the columns of a transversal of the table, theta(g) in
+    row g.  Returns (True, theta) or (False, None).  The abelianized
+    counting obstruction says no when it holds; otherwise transversal_search
+    decides.  Right-translating by theta(0)^-1 makes any complete mapping
+    fix 0, and the search tries column 0 first, so the witness fixes 0.
     """
-    n = len(table)
-    if n > 1 and _counting_obstruction(table):
+    if len(table) > 1 and _counting_obstruction(table):
         return False, None
-    theta = [None] * n
-    used = [False] * n
-    prod_used = [False] * n
-    theta[0] = 0
-    used[0] = True
-    prod_used[0] = True
-
-    def rec(g):
-        if g == n:
-            return True
-        for h in range(n):
-            if used[h]:
-                continue
-            pr = table[g][h]
-            if prod_used[pr]:
-                continue
-            theta[g] = h
-            used[h] = prod_used[pr] = True
-            if rec(g + 1):
-                return True
-            used[h] = prod_used[pr] = False
-        theta[g] = None
-        return False
-
-    if n == 1 or rec(1):
-        return True, list(theta)
-    return False, None
+    cells = transversal_search(table)
+    if cells is None:
+        return False, None
+    return True, [j for _, j in cells]
 
 
 def element_orders(table):

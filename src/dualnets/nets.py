@@ -194,15 +194,19 @@ def constant_cross_ratio(net, T):
     if classes is None:
         raise ValueError("%r is not a perspective center" % (T,))
     p = net.p
-    kappa = None
-    witness = None
-    for line, pts in classes.items():
-        k = cross_ratio(T, pts[0], pts[1], pts[2], p)
+    return _constant_value(((line, cross_ratio(T, pts[0], pts[1], pts[2], p))
+                            for line, pts in classes.items()), "cross-ratio")
+
+
+def _constant_value(values, what):
+    """The value shared by all (line, value) pairs, else AssertionError."""
+    kappa = witness = None
+    for line, k in values:
         if kappa is None:
             kappa, witness = k, line
         elif k != kappa:
             raise AssertionError(
-                "non-constant cross-ratio: %r on %r vs %r on %r" % (kappa, witness, k, line))
+                "non-constant %s: %r on %r vs %r on %r" % (what, kappa, witness, k, line))
     return kappa
 
 
@@ -280,15 +284,13 @@ def _collinear_splits(comp, p):
     m = n // 2
     out = []
     rest_all = set(comp)
-    first = comp[0]
-    for half in combinations(comp, m):
-        if first not in half:
-            continue
-        l1 = _component_line(list(half), p)
+    for rest in combinations(comp[1:], m - 1):
+        half = (comp[0],) + rest
+        l1 = _component_line(half, p)
         if l1 is None:
             continue
         other = tuple(sorted(rest_all - set(half)))
-        l2 = _component_line(list(other), p)
+        l2 = _component_line(other, p)
         if l2 is None or l1 == l2:
             continue
         out.append(((tuple(sorted(half)), l1), (other, l2)))
@@ -342,7 +344,7 @@ def classify(net):
     if net.k != 3:
         raise ValueError("classification is defined for 3-nets")
     p = net.p
-    comp_lines = [_component_line(list(c), p) for c in net.components]
+    comp_lines = [_component_line(c, p) for c in net.components]
     if all(l is not None for l in comp_lines):
         if len(set(comp_lines)) < 3:
             return {"tag": "unknown", "reason": "repeated carrier lines"}
@@ -368,12 +370,13 @@ def classify(net):
                 }
 
     pts = net.all_net_points()
-    basis = _fit_forms(pts, [m for m in curves.monomials(3)], p)
+    cubic_monomials = curves.monomials(3)
+    basis = _fit_forms(pts, cubic_monomials, p)
     if len(basis) > 2:
         return {"tag": "unknown", "reason": "cubic fit dimension %d" % len(basis)}
     irreducible = []
     for v in _proj_combinations(basis, p):
-        F = curves.HomPoly(3, dict(zip(curves.monomials(3), v)), p)
+        F = curves.HomPoly(3, dict(zip(cubic_monomials, v)), p)
         if F.is_zero:
             continue
         if not curves.rational_lines(F):
@@ -402,21 +405,20 @@ def classify(net):
 
 
 def extend_to_4net(net):
-    """4-net assembly: succeeds when there are exactly n centers and every
-    line through two of them avoids the net points; None otherwise."""
+    """4-net assembly: the n centers as a fourth component, else None.
+
+    verify decides; it accepts n centers exactly when no line through two
+    of them meets a net point."""
     if net.k != 3:
         raise ValueError("extension starts from a 3-net")
     centers = find_centers(net)
     if len(centers) != net.n:
         return None
-    p = net.p
-    pts = set(net.all_net_points())
-    for T1, T2 in combinations(sorted(centers), 2):
-        line = join(T1, T2, p)
-        if any(incident(P, line, p) for P in pts):
-            return None
     comps = list(net.components) + [tuple(sorted(centers))]
-    return verify(comps, p, allow_char_exception=net.char_exception)
+    try:
+        return verify(comps, net.p, allow_char_exception=net.char_exception)
+    except NetViolation:
+        return None
 
 
 def derived_net(net, drop):
@@ -433,14 +435,5 @@ def crossratio_4net(net):
     """The constant cross-ratio (l^L1, l^L2, l^L3, l^L4) over all net lines."""
     if net.k != 4:
         raise ValueError("needs a verified 4-net")
-    kappa = None
-    witness = None
-    for line in net_lines(net):
-        k = cross_ratio(*net.lines[line], net.p)
-        if kappa is None:
-            kappa, witness = k, line
-        elif k != kappa:
-            raise AssertionError(
-                "non-constant 4-net cross-ratio: %r on %r vs %r on %r"
-                % (kappa, witness, k, line))
-    return kappa
+    return _constant_value(((line, cross_ratio(*net.lines[line], net.p))
+                            for line in net_lines(net)), "4-net cross-ratio")

@@ -140,8 +140,11 @@ def test_document_loading_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(pairs))
     assert rc == 2 and "triples" in err
 
-    rc, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
-    assert rc == 2 and "error" in err
+    for command in ("verify", "classify", "centers", "crossratio"):
+        rc, out, err = run(capsys, command, str(tmp_path / "missing.json"))
+        assert rc == 2 and "error" in err and out == "", command
+        rc, out, err = run(capsys, command, str(junk))
+        assert rc == 2 and "invalid JSON" in err and out == "", command
 
     # "meta" is an object, absent or null; "char_exception" a JSON boolean
     _, doc = construct(capsys, tmp_path, "pc", "pencil", "--p", "5")

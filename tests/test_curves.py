@@ -161,30 +161,40 @@ def test_line_routines_match_plane_scan_oracles():
 
 def test_no_plane_scan_inside_line_routines(monkeypatch):
     calls = []
+    line_calls = []
     real = plane.all_points
+    real_line_points = plane.line_points
 
     def counted(p):
         calls.append(p)
         return real(p)
 
-    # raising=False: a module that no longer imports all_points stays guarded
+    def counted_line_points(line, p):
+        line_calls.append(line)
+        return real_line_points(line, p)
+
+    # raising=False: a module that no longer imports a scan stays guarded
     for module in (plane, curves, cubic_group, nets, constructors):
         monkeypatch.setattr(module, "all_points", counted, raising=False)
+        monkeypatch.setattr(module, "line_points", counted_line_points, raising=False)
     p = 13
     F = fermat_cubic(p)
     lines = real(p)
     for line in lines:
-        pts = line_points(line, p)
+        pts = real_line_points(line, p)
         line_on_curve(F, line, p)
-        intersection_multiplicity(F, line, pts[0], p)
+        for P in pts:
+            intersection_multiplicity(F, line, P, p)
+    assert line_calls == []
     for G in (F, xyz_poly(p), F + xyz_poly(p) * 4):
         rational_lines(G)
     assert calls == []
     group = CurveGroup(19)
     calls.clear()
+    line_calls.clear()
     for P in group.points:
         group.scalar_mul(7, P)
-    assert calls == []
+    assert calls == [] and line_calls == []
     # the Hesse singular members are built in closed form, and the centers
     # of an order-1 net are read off its one line
     for p in (7, 13, 61):

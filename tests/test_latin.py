@@ -108,6 +108,7 @@ def test_complete_mapping_matches_hall_paige_on_catalog():
         assert exists == hall_paige_criterion(table), name
         if exists:
             n = len(table)
+            assert theta[0] == 0, name
             assert sorted(theta) == list(range(n)), name
             assert sorted(table[g][theta[g]] for g in range(n)) == list(range(n)), name
 

@@ -195,18 +195,39 @@ def test_classify_rejects_4nets():
 
 
 def test_extend_to_4net_from_hesse_derived():
-    h4 = constructors.hesse_4net(13)
-    for drop in range(4):
-        three = derived_net(h4, drop)
-        ext = extend_to_4net(three)
-        assert ext is not None
-        assert ext.k == 4
-        assert set(ext.components[3]) == set(h4.components[drop])
+    for p in (7, 13, 19, 31):
+        h4 = constructors.hesse_4net(p)
+        for drop in range(4):
+            three = derived_net(h4, drop)
+            ext = extend_to_4net(three)
+            assert ext is not None, (p, drop)
+            assert ext.k == 4
+            assert set(ext.components[3]) == set(h4.components[drop])
+    # the order-3 Fermat coset net extends by the corners of the triangle
+    ext = extend_to_4net(constructors.algebraic_fermat(3, 19))
+    assert ext is not None
+    assert ext.components[3] == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_extend_to_4net_fails_for_conic_line():
     assert extend_to_4net(constructors.conic_line(5, 11)) is None
     assert extend_to_4net(constructors.triangular_cyclic(5, 11)) is None
+
+
+def test_extend_to_4net_rejects_n_centers_collinear_with_a_net_point(monkeypatch):
+    # n points off the net, two of them on a line through a net point: the
+    # verifier rejects the fourth component, and the extension is None
+    net = derived_net(constructors.hesse_4net(13), 3)
+    p = net.p
+    pts = set(net.all_net_points())
+    P = net.components[0][0]
+    line = next(l for l in all_points(p)
+                if incident(P, l, p) and sum(incident(Q, l, p) for Q in pts) == 1)
+    T1, T2 = [T for T in all_points(p) if incident(T, line, p) and T not in pts][:2]
+    T3 = next(T for T in all_points(p)
+              if T not in pts and not incident(T, line, p))
+    monkeypatch.setattr(nets, "find_centers", lambda _: {T1, T2, T3})
+    assert extend_to_4net(net) is None
 
 
 def test_derived_net_errors():
