@@ -364,9 +364,11 @@ def j_of_cubic(F):
     inv3 = pow(3, -1, p)
     A = (g * e - f * f * inv3) % p
     B = (h * e * e - f * g * e * inv3 + 2 * pow(f, 3, p) * pow(27, -1, p)) % p
-    num = 1728 * 4 * pow(A, 3, p) % p
     den = (4 * pow(A, 3, p) + 27 * B * B) % p
-    return PValue(num, den, p)
+    if den == 0:
+        # a singular cubic: a cusp has A = B = 0, where the ratio reads 0/0
+        return PValue.infinity(p)
+    return PValue(1728 * 4 * pow(A, 3, p), den, p)
 
 
 def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):

@@ -26,9 +26,23 @@ def from_net(net):
 def transversal_search(square):
     """n cells, one per row and column, carrying n distinct symbols.
 
-    Returns the cells (i, j) in row order, or None; exhaustive backtracking
-    trying columns in increasing order, meant for n <= 12 or so.
+    Returns the cells (i, j) in row order, or None.  A latin square that is
+    isotopic to a group table T has no transversal when the counting
+    obstruction holds for T: an isotopy (permuting rows, columns and
+    symbols) carries transversals to transversals, and a transversal of a
+    Cayley table is a complete mapping, theta(g) in row g.  Every other
+    square goes to exhaustive backtracking, trying columns in increasing
+    order.
     """
+    if len(square) > 1:
+        table = is_group_coordinatizable(square)
+        if table is not None and _counting_obstruction(table):
+            return None
+    return _backtrack_transversal(square)
+
+
+def _backtrack_transversal(square):
+    """The first transversal in column order, as cells (i, j), or None."""
     n = len(square)
     cols_used = [False] * n
     syms_used = [False] * n
@@ -104,13 +118,14 @@ def complete_mapping_exists(table):
     A complete mapping is a permutation theta with g -> g*theta(g) also a
     permutation: the columns of a transversal of the table, theta(g) in
     row g.  Returns (True, theta) or (False, None).  The abelianized
-    counting obstruction says no when it holds; otherwise transversal_search
-    decides.  Right-translating by theta(0)^-1 makes any complete mapping
-    fix 0, and the search tries column 0 first, so the witness fixes 0.
+    counting obstruction says no when it holds; otherwise the backtracking
+    transversal search decides.  Right-translating by theta(0)^-1 makes any
+    complete mapping fix 0, and the search tries column 0 first, so the
+    witness fixes 0.
     """
     if len(table) > 1 and _counting_obstruction(table):
         return False, None
-    cells = transversal_search(table)
+    cells = _backtrack_transversal(table)
     if cells is None:
         return False, None
     return True, [j for _, j in cells]

@@ -4,7 +4,7 @@ from dualnets.curves import (HomPoly, compose, corners_legendre,
                              cubic_j0_identities, curve_points, fermat_cubic,
                              hessian, inflection_points,
                              intersection_multiplicity, j_invariant,
-                             j_of_cubic, legendre_cubic, line_on_curve,
+                             j_of_cubic, legendre_cubic, line_on_curve, monomials,
                              pencil_crossratio_check, proportional,
                              rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
@@ -14,6 +14,17 @@ from dualnets.plane import (PValue, all_points, line_points, mat_inv, apply_poin
                             normalize)
 from util import (hesse_4net_brute, intersection_multiplicity_brute,
                   line_on_curve_brute)
+
+
+def random_projectivity(rng, p):
+    """A random invertible 3x3 matrix over GF(p)."""
+    while True:
+        M = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
+        try:
+            mat_inv(M, p)
+            return M
+        except ValueError:
+            pass
 
 
 def xyz_poly(p):
@@ -63,14 +74,7 @@ def test_compose_is_substitution():
     F = fermat_cubic(p)
     rng = random.Random(7)
     for _ in range(5):
-        M = None
-        while M is None:
-            cand = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
-            try:
-                mat_inv(cand, p)
-                M = cand
-            except ValueError:
-                pass
+        M = random_projectivity(rng, p)
         G = compose(F, M)
         for P in ((1, 2, 3), (0, 1, 5), (1, 0, 0)):
             img = tuple(sum(M[i][j] * P[j] for j in range(3)) % p for i in range(3))
@@ -222,14 +226,7 @@ def test_hessian_covariance():
     p = 13
     F = legendre_cubic(3, p)
     rng = random.Random(2)
-    M = None
-    while M is None:
-        cand = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
-        try:
-            mat_inv(cand, p)
-            M = cand
-        except ValueError:
-            pass
+    M = random_projectivity(rng, p)
     assert proportional(hessian(compose(F, M)), compose(hessian(F), M))
 
 
@@ -299,15 +296,36 @@ def test_j_of_cubic_invariance_under_projectivities():
     j = j_of_cubic(F)
     rng = random.Random(9)
     for _ in range(3):
-        M = None
-        while M is None:
-            cand = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
-            try:
-                mat_inv(cand, p)
-                M = cand
-            except ValueError:
-                pass
+        M = random_projectivity(rng, p)
         assert j_of_cubic(compose(F, M)) == j
+
+
+def test_j_of_cubic_cusp_is_infinity():
+    # A = B = 0 in the Weierstrass form, so 1728 * 4A^3 / (4A^3 + 27B^2) is 0/0
+    for p in (7, 13):
+        cusp = HomPoly(3, {(3, 0, 0): 1, (0, 2, 1): -1}, p)  # Y^2 Z = X^3
+        assert j_of_cubic(cusp) == PValue.infinity(p)
+
+
+def test_j_of_cubic_singular_scan():
+    # Z q(X, Y) + c(X, Y) is singular at (0,0,1); a random projectivity moves
+    # it.  With a rational flex, j is inf unless the cubic holds a line: then
+    # the flex lies on that line, its tangent, and the frame degenerates.
+    rng = random.Random(1601)
+    irreducible = 0
+    for p in (5, 7, 11, 13):
+        for _ in range(40):
+            F = HomPoly(3, {m: rng.randrange(p) for m in monomials(3) if m[2] <= 1}, p)
+            F = compose(F, random_projectivity(rng, p))
+            if F.is_zero or not inflection_points(F):
+                continue
+            assert singular_points(F)
+            if rational_lines(F):
+                assert j_of_cubic(F) is None
+            else:
+                assert j_of_cubic(F) == PValue.infinity(p)
+                irreducible += 1
+    assert irreducible >= 50
 
 
 def test_singular_points_and_types():

@@ -1,4 +1,5 @@
 import random
+import time
 
 from dualnets import constructors, nets
 from dualnets.latin import (complete_mapping_exists, cyclic_group,
@@ -8,7 +9,8 @@ from dualnets.latin import (complete_mapping_exists, cyclic_group,
                             transversal_search)
 from dualnets.plane import incident, join
 
-from util import count_transversals_brute, is_latin, quadrangle_criterion
+from util import (count_transversals_brute, is_latin, quadrangle_criterion,
+                  transversal_search_brute)
 
 # a latin square of order 5 that is not isotopic to Z5
 NONGROUP_5 = [
@@ -30,6 +32,30 @@ def shuffled_isotope(square, seed):
     rng.shuffle(cols)
     rng.shuffle(syms)
     return [[syms[square[rows[i]][cols[j]]] for j in range(n)] for i in range(n)]
+
+
+def random_latin_square(n, rng):
+    """A latin square of order n filled cell by cell in row order, each cell
+    trying the symbols in a random order and backtracking at a dead end."""
+    square = [[None] * n for _ in range(n)]
+
+    def fill(c):
+        if c == n * n:
+            return True
+        i, j = divmod(c, n)
+        symbols = list(range(n))
+        rng.shuffle(symbols)
+        for s in symbols:
+            if s in square[i][:j] or any(square[r][j] == s for r in range(i)):
+                continue
+            square[i][j] = s
+            if fill(c + 1):
+                return True
+        square[i][j] = None
+        return False
+
+    fill(0)
+    return square
 
 
 def test_is_latin():
@@ -100,6 +126,53 @@ def test_transversal_search_agrees_with_brute_force():
     for square in squares:
         found = transversal_search(square) is not None
         assert found == (count_transversals_brute(square) > 0)
+
+
+def test_transversal_search_matches_backtracking_oracle():
+    # the counting shortcut answers for group isotopes; every answer must be
+    # the cells the plain backtracking finds.  The oracle is skipped on the
+    # negative squares of order >= 12, where it needs seconds to minutes;
+    # Hall-Paige (a cyclic nontrivial Sylow 2-subgroup) decides those.
+    squares = []
+    for name, table in sorted(group_catalog(16).items()):
+        slow = len(table) >= 12 and not hall_paige_criterion(table)
+        squares.append((name, table, slow))
+        for seed in range(3):
+            squares.append(("%s~%d" % (name, seed), shuffled_isotope(table, seed), slow))
+    for n in range(1, 11):
+        squares.append(("cyclic%d" % n, cyclic_group(n), False))
+    rng = random.Random(2016)
+    non_group = 0
+    for n in range(2, 9):
+        for v in range(30):
+            square = random_latin_square(n, rng)
+            assert is_latin(square)
+            non_group += is_group_coordinatizable(square) is None
+            squares.append(("random%d#%d" % (n, v), square, False))
+    assert non_group >= 50
+    for name, square, slow in squares:
+        cells = transversal_search(square)
+        if slow:
+            assert cells is None, name
+        else:
+            assert cells == transversal_search_brute(square), name
+    for name, table in group_catalog(16).items():
+        exists, theta = complete_mapping_exists(table)
+        if exists:
+            assert theta[0] == 0, name
+            assert theta == [j for _, j in transversal_search_brute(table)], name
+
+
+def test_transversal_search_negative_group_isotopes_are_fast():
+    # exhaustive backtracking took about two minutes on D7 and on Z14
+    catalog = group_catalog(16)
+    squares = [cyclic_group(12), catalog["D7"], catalog["Z14"],
+               shuffled_isotope(catalog["Z16"], 5)]
+    for square in squares:
+        t0 = time.monotonic()
+        assert transversal_search(square) is None
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, "took %.2fs, bound is 1s" % elapsed
 
 
 def test_complete_mapping_matches_hall_paige_on_catalog():

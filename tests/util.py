@@ -51,6 +51,33 @@ def count_transversals_brute(square):
     return count
 
 
+def transversal_search_brute(square):
+    """The first transversal in column order, as cells (i, j) in row order,
+    or None: exhaustive backtracking over rows, with no shortcut."""
+    n = len(square)
+    cols_used = [False] * n
+    syms_used = [False] * n
+    col = [None] * n
+
+    def rec(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if cols_used[j]:
+                continue
+            s = square[i][j]
+            if syms_used[s]:
+                continue
+            cols_used[j] = syms_used[s] = True
+            col[i] = j
+            if rec(i + 1):
+                return True
+            cols_used[j] = syms_used[s] = False
+        return False
+
+    return list(enumerate(col)) if rec(0) else None
+
+
 def _collinear(P, Q, R, p):
     """Three points of PG(2,p) are collinear iff their determinant vanishes."""
     det = (P[0] * (Q[1] * R[2] - Q[2] * R[1])
