@@ -3,6 +3,14 @@ search, complete mappings, and the group-coordinatizability test.
 
 Tables are tuples of row tuples over symbols 0..n-1.  Group tables are
 normalized with identity 0.
+
+One backtracking search finds transversals.  For a group table it is
+pruned by index-2 quotient counting: a homomorphism chi of G onto Z/2 has
+chi(g*h) = chi(g) + chi(h), so a transversal, which meets each row, column
+and symbol once, holds n/4 cells of each type (chi(row), chi(column)); a
+partial transversal with no room left for a type under some chi is cut.
+The count is necessary for a completion, so the search returns the same
+first transversal as without it, only sooner.
 """
 
 
@@ -41,12 +49,33 @@ def transversal_search(square):
     return _backtrack_transversal(square)
 
 
-def _backtrack_transversal(square):
-    """The first transversal in column order, as cells (i, j), or None."""
+def _backtrack_transversal(square, characters=()):
+    """The first transversal in column order, as cells (i, j), or None.
+
+    characters, for a group table with identity 0, are onto homomorphisms
+    chi: G -> Z/2 as 0/1 lists over the elements, labelling rows, columns
+    and symbols alike.  Every cell has chi(i*j) = chi(i) + chi(j), so its
+    type (chi(i), chi(j)) also fixes chi of its symbol.  Say m cells are
+    left to place, and a, b, c of the free rows, columns and symbols have
+    chi = 0.  A completion with x cells of type (0, 0) has a - x of type
+    (0, 1), b - x of type (1, 0) and c - x of type (1, 1), and these add
+    up to m, so x = (a + b + c - m)/2 must be a whole number with
+    0 <= x <= min(a, b, c).  Placing a cell of one type lowers that type's
+    count by one and leaves the other three, so at the root (a = b = c =
+    n/2) every type needs n/4 cells, none when 4 does not divide n, and the
+    search skips a cell as soon as some character has no room left for
+    its type.  The test is only a necessary condition for a completion,
+    so it cuts dead subtrees and nothing else: the first transversal found
+    is the same as without it.
+    """
     n = len(square)
+    if characters and n % 4:
+        return None
     cols_used = [False] * n
     syms_used = [False] * n
     col = [None] * n
+    # per character, the cells of type 2*chi(i) + chi(j) still open
+    cuts = [(chi, [n // 4] * 4) for chi in characters]
 
     def rec(i):
         if i == n:
@@ -57,35 +86,65 @@ def _backtrack_transversal(square):
             s = square[i][j]
             if syms_used[s]:
                 continue
-            cols_used[j] = syms_used[s] = True
-            col[i] = j
-            if rec(i + 1):
-                return True
-            cols_used[j] = syms_used[s] = False
+            for chi, left in cuts:
+                if not left[2 * chi[i] + chi[j]]:
+                    break
+            else:
+                cols_used[j] = syms_used[s] = True
+                col[i] = j
+                for chi, left in cuts:
+                    left[2 * chi[i] + chi[j]] -= 1
+                if rec(i + 1):
+                    return True
+                for chi, left in cuts:
+                    left[2 * chi[i] + chi[j]] += 1
+                cols_used[j] = syms_used[s] = False
         return False
 
     return list(enumerate(col)) if rec(0) else None
 
 
+def _generated_subgroup(table, gens):
+    """The subgroup generated by gens: products of generators from the
+    identity 0 (in a finite group every inverse is a positive power)."""
+    sub = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table[x][g]
+            if y not in sub:
+                sub.add(y)
+                frontier.append(y)
+    return sub
+
+
 def _commutator_subgroup(table):
     n = len(table)
-    gens = set()
+    inv = [table[g].index(0) for g in range(n)]
+    return _generated_subgroup(table, {table[table[table[g][h]][inv[g]]][inv[h]]
+                                       for g in range(n) for h in range(n)})
+
+
+def _index2_characters(table):
+    """Every onto homomorphism G -> Z/2, as a 0/1 list over the elements.
+
+    They factor through G/S, S the subgroup generated by the squares,
+    which is elementary abelian: label S with 0, then, while some g is
+    unlabelled, give g a new basis bit and each labelled h the label of
+    h*g.  The characters are the nonzero F2-linear forms on the labels.
+    """
+    n = len(table)
+    label = [None] * n
+    for h in _generated_subgroup(table, {table[g][g] for g in range(n)}):
+        label[h] = 0
+    rank = 0
     for g in range(n):
-        gi = table[g].index(0)
-        for h in range(n):
-            hi = table[h].index(0)
-            gens.add(table[table[table[g][h]][gi]][hi])
-    sub = {0} | gens
-    changed = True
-    while changed:
-        changed = False
-        for x in list(sub):
-            for y in list(sub):
-                z = table[x][y]
-                if z not in sub:
-                    sub.add(z)
-                    changed = True
-    return sub
+        if label[g] is None:
+            for h in [h for h in range(n) if label[h] is not None]:
+                label[table[h][g]] = label[h] | 1 << rank
+            rank += 1
+    return [[(u & v).bit_count() % 2 for v in label] for u in range(1, 1 << rank)]
 
 
 def _counting_obstruction(table):
@@ -119,13 +178,18 @@ def complete_mapping_exists(table):
     permutation: the columns of a transversal of the table, theta(g) in
     row g.  Returns (True, theta) or (False, None).  The abelianized
     counting obstruction says no when it holds; otherwise the backtracking
-    transversal search decides.  Right-translating by theta(0)^-1 makes any
+    transversal search decides, pruned by counting cells over every index-2
+    character (for even n; odd-order groups have none).  That count only
+    cuts subtrees holding no transversal, so theta is the first transversal
+    in column order either way.  Right-translating by theta(0)^-1 makes any
     complete mapping fix 0, and the search tries column 0 first, so the
     witness fixes 0.
     """
-    if len(table) > 1 and _counting_obstruction(table):
+    n = len(table)
+    if n > 1 and _counting_obstruction(table):
         return False, None
-    cells = _backtrack_transversal(table)
+    characters = _index2_characters(table) if n % 2 == 0 else ()
+    cells = _backtrack_transversal(table, characters)
     if cells is None:
         return False, None
     return True, [j for _, j in cells]

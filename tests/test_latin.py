@@ -2,15 +2,15 @@ import random
 import time
 
 from dualnets import constructors, nets
-from dualnets.latin import (complete_mapping_exists, cyclic_group,
-                            dihedral_group, direct_product, element_orders,
-                            from_net, group_catalog, hall_paige_criterion,
-                            is_group_coordinatizable, isomorphic,
-                            transversal_search)
+from dualnets.latin import (_index2_characters, complete_mapping_exists,
+                            cyclic_group, dihedral_group, direct_product,
+                            element_orders, from_net, group_catalog,
+                            hall_paige_criterion, is_group_coordinatizable,
+                            isomorphic, transversal_search)
 from dualnets.plane import incident, join
 
-from util import (count_transversals_brute, is_latin, quadrangle_criterion,
-                  transversal_search_brute)
+from util import (count_transversals_brute, index2_subgroups_brute, is_latin,
+                  quadrangle_criterion, transversal_search_brute)
 
 # a latin square of order 5 that is not isotopic to Z5
 NONGROUP_5 = [
@@ -171,6 +171,70 @@ def test_transversal_search_negative_group_isotopes_are_fast():
     for square in squares:
         t0 = time.monotonic()
         assert transversal_search(square) is None
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, "took %.2fs, bound is 1s" % elapsed
+
+
+def relabelled(table, seed):
+    """G with its elements renamed by a seeded permutation fixing 0."""
+    n = len(table)
+    rng = random.Random(seed)
+    pi = [0] + rng.sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[pi[a]][pi[b]] = pi[table[a][b]]
+    return tuple(map(tuple, out))
+
+
+ORDER_20 = {
+    "D10": (dihedral_group(10),
+            [0, 1, 2, 3, 4, 10, 12, 11, 15, 17, 9, 14, 8, 18, 13, 6, 7, 5, 19, 16]),
+    "Z2xZ10": (direct_product(cyclic_group(2), cyclic_group(10)),
+               [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 6, 7, 8, 9, 15, 16, 17, 18, 19, 5]),
+}
+
+
+def test_index2_characters_match_brute_subgroups():
+    for name, table in group_catalog(16).items():
+        n = len(table)
+        characters = _index2_characters(table)
+        for chi in characters:
+            assert sorted(set(chi)) == [0, 1], name
+            for a in range(n):
+                for b in range(n):
+                    assert chi[table[a][b]] == (chi[a] + chi[b]) % 2, name
+        kernels = [frozenset(g for g in range(n) if chi[g] == 0) for chi in characters]
+        assert len(set(kernels)) == len(kernels), name
+        assert set(kernels) == set(index2_subgroups_brute(table)), name
+
+
+def test_complete_mapping_witness_is_first_transversal_on_relabellings():
+    # the index-2 counting cuts only dead subtrees, so the witness stays the
+    # first transversal in column order
+    for name, table in sorted(group_catalog(16).items()):
+        if not hall_paige_criterion(table):
+            continue
+        for seed in range(3):
+            G = relabelled(table, "%s:%d" % (name, seed))
+            exists, theta = complete_mapping_exists(G)
+            assert exists, name
+            assert theta == [j for _, j in transversal_search_brute(G)], (name, seed)
+    # the plain search takes about 7 s on each of these; theta was computed
+    # with it once
+    for name, (table, theta) in ORDER_20.items():
+        assert complete_mapping_exists(table) == (True, theta), name
+
+
+def test_complete_mapping_positive_groups_are_fast():
+    # plain backtracking took 40-60 ms on the order-16 groups and about 7 s
+    # on the order-20 ones
+    catalog = group_catalog(16)
+    tables = [catalog["D8"], catalog["Z2xZ8"], catalog["Z2xZ2xZ4"]]
+    tables += [table for table, _ in ORDER_20.values()]
+    for table in tables:
+        t0 = time.monotonic()
+        assert complete_mapping_exists(table)[0]
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, "took %.2fs, bound is 1s" % elapsed
 

@@ -78,6 +78,20 @@ def transversal_search_brute(square):
     return list(enumerate(col)) if rec(0) else None
 
 
+def index2_subgroups_brute(table):
+    """Every subgroup of index 2 of a group table with identity 0: each
+    subset of size n/2 holding 0 and closed under the product."""
+    n = len(table)
+    if n % 2:
+        return []
+    found = []
+    for rest in combinations(range(1, n), n // 2 - 1):
+        sub = {0, *rest}
+        if all(table[x][y] in sub for x in sub for y in sub):
+            found.append(frozenset(sub))
+    return found
+
+
 def _collinear(P, Q, R, p):
     """Three points of PG(2,p) are collinear iff their determinant vanishes."""
     det = (P[0] * (Q[1] * R[2] - Q[2] * R[1])
