@@ -62,15 +62,14 @@ def _backtrack_transversal(square, characters=()):
     up to m, so x = (a + b + c - m)/2 must be a whole number with
     0 <= x <= min(a, b, c).  Placing a cell of one type lowers that type's
     count by one and leaves the other three, so at the root (a = b = c =
-    n/2) every type needs n/4 cells, none when 4 does not divide n, and the
-    search skips a cell as soon as some character has no room left for
-    its type.  The test is only a necessary condition for a completion,
-    so it cuts dead subtrees and nothing else: the first transversal found
-    is the same as without it.
+    n/2) every type needs n/4 cells, and the search skips a cell as soon as
+    some character has no room left for its type.  (When 4 does not divide
+    n there is no transversal, and rooms of n // 4 cells hold fewer than n.)
+    The test is only a necessary condition for a completion, so it cuts
+    dead subtrees and nothing else: the first transversal found is the
+    same as without it.
     """
     n = len(square)
-    if characters and n % 4:
-        return None
     cols_used = [False] * n
     syms_used = [False] * n
     col = [None] * n

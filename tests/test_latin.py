@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import permutations
 
 from dualnets import constructors, nets
 from dualnets.latin import (_index2_characters, complete_mapping_exists,
@@ -195,8 +196,19 @@ ORDER_20 = {
 }
 
 
+def alternating_group_4():
+    """A4 on its even permutations, identity first.  Its squares (the
+    identity and the eight 3-cycles) do not form a subgroup."""
+    perms = [p for p in permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    index = {p: k for k, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(a[b[i]] for i in range(4))] for b in perms)
+                 for a in perms)
+
+
 def test_index2_characters_match_brute_subgroups():
-    for name, table in group_catalog(16).items():
+    tables = dict(group_catalog(16), A4=alternating_group_4())
+    for name, table in tables.items():
         n = len(table)
         characters = _index2_characters(table)
         for chi in characters:
