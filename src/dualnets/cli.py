@@ -69,9 +69,12 @@ def load_document(text):
     char_exception = meta.get("char_exception", False)
     if not isinstance(char_exception, bool):
         raise ValueError('"char_exception" must be true or false')
+    # exact ints only: int() would truncate 1.9 and accept "1" and true
     try:
-        comps = [[tuple(int(x) for x in P) for P in comp] for comp in comps]
-    except (TypeError, ValueError):
+        comps = [[tuple(P) for P in comp] for comp in comps]
+    except TypeError:
+        raise ValueError("components must be lists of integer triples")
+    if any(type(x) is not int for comp in comps for P in comp for x in P):
         raise ValueError("components must be lists of integer triples")
     if any(len(P) != 3 for comp in comps for P in comp):
         raise ValueError("points must be coordinate triples")

@@ -4,8 +4,11 @@ search, complete mappings, and the group-coordinatizability test.
 Tables are tuples of row tuples over symbols 0..n-1.  Group tables are
 normalized with identity 0.
 
-One backtracking search finds transversals.  For a group table it is
-pruned by index-2 quotient counting: a homomorphism chi of G onto Z/2 has
+A group table has no transversal when its Sylow 2-subgroup is nontrivial
+cyclic (Hall and Paige), which one scan of element orders decides; both
+searches answer no from that scan.  Otherwise one backtracking search
+finds transversals.  For a group table it is pruned by index-2 quotient
+counting: a homomorphism chi of G onto Z/2 has
 chi(g*h) = chi(g) + chi(h), so a transversal, which meets each row, column
 and symbol once, holds n/4 cells of each type (chi(row), chi(column)); a
 partial transversal with no room left for a type under some chi is cut.
@@ -35,16 +38,16 @@ def transversal_search(square):
     """n cells, one per row and column, carrying n distinct symbols.
 
     Returns the cells (i, j) in row order, or None.  A latin square that is
-    isotopic to a group table T has no transversal when the counting
-    obstruction holds for T: an isotopy (permuting rows, columns and
-    symbols) carries transversals to transversals, and a transversal of a
-    Cayley table is a complete mapping, theta(g) in row g.  Every other
-    square goes to exhaustive backtracking, trying columns in increasing
-    order.
+    isotopic to a group table T has no transversal when T fails
+    hall_paige_criterion, the Sylow-2 order scan: an isotopy (permuting
+    rows, columns and symbols) carries transversals to transversals, and a
+    transversal of a Cayley table is a complete mapping, theta(g) in row g.
+    Every other square goes to exhaustive backtracking, trying columns in
+    increasing order.
     """
     if len(square) > 1:
         table = is_group_coordinatizable(square)
-        if table is not None and _counting_obstruction(table):
+        if table is not None and not hall_paige_criterion(table):
             return None
     return _backtrack_transversal(square)
 
@@ -118,13 +121,6 @@ def _generated_subgroup(table, gens):
     return sub
 
 
-def _commutator_subgroup(table):
-    n = len(table)
-    inv = [table[g].index(0) for g in range(n)]
-    return _generated_subgroup(table, {table[table[table[g][h]][inv[g]]][inv[h]]
-                                       for g in range(n) for h in range(n)})
-
-
 def _index2_characters(table):
     """Every onto homomorphism G -> Z/2, as a 0/1 list over the elements.
 
@@ -146,46 +142,22 @@ def _index2_characters(table):
     return [[(u & v).bit_count() % 2 for v in label] for u in range(1, 1 << rank)]
 
 
-def _counting_obstruction(table):
-    """True when the product of all elements is nonzero in the abelianization.
-
-    If theta is a complete mapping then g, theta(g) and g*theta(g) each run
-    through the whole group, so in G/[G,G] the total sum s satisfies
-    s + s = s, forcing s = 0.  A nonzero s therefore rules every candidate
-    out at the root.  (s != 0 happens exactly when the Sylow 2-subgroup is
-    nontrivial cyclic.)
-    """
-    n = len(table)
-    comm = _commutator_subgroup(table)
-    rep = [0] * n
-    seen = {}
-    for g in range(n):
-        coset = frozenset(table[g][k] for k in comm)
-        if coset not in seen:
-            seen[coset] = min(coset)
-        rep[g] = seen[coset]
-    acc = 0
-    for g in range(n):
-        acc = rep[table[acc][g]]
-    return acc != 0
-
-
 def complete_mapping_exists(table):
     """Search for a complete mapping of a group table.
 
     A complete mapping is a permutation theta with g -> g*theta(g) also a
     permutation: the columns of a transversal of the table, theta(g) in
-    row g.  Returns (True, theta) or (False, None).  The abelianized
-    counting obstruction says no when it holds; otherwise the backtracking
-    transversal search decides, pruned by counting cells over every index-2
-    character (for even n; odd-order groups have none).  That count only
-    cuts subtrees holding no transversal, so theta is the first transversal
-    in column order either way.  Right-translating by theta(0)^-1 makes any
-    complete mapping fix 0, and the search tries column 0 first, so the
-    witness fixes 0.
+    row g.  Returns (True, theta) or (False, None).  The answer is no when
+    hall_paige_criterion, the Sylow-2 order scan, fails; otherwise the
+    backtracking transversal search decides, pruned by counting cells over
+    every index-2 character (for even n; odd-order groups have none).  That
+    count only cuts subtrees holding no transversal, so theta is the first
+    transversal in column order either way.  Right-translating by
+    theta(0)^-1 makes any complete mapping fix 0, and the search tries
+    column 0 first, so the witness fixes 0.
     """
     n = len(table)
-    if n > 1 and _counting_obstruction(table):
+    if not hall_paige_criterion(table):
         return False, None
     characters = _index2_characters(table) if n % 2 == 0 else ()
     cells = _backtrack_transversal(table, characters)
@@ -212,6 +184,19 @@ def hall_paige_criterion(table):
 
     The Sylow 2-subgroup of order t (the 2-part of |G|) is cyclic exactly
     when some element has order t, so the test reduces to an order scan.
+    Hall and Paige showed that G has no complete mapping when the test
+    fails (the converse, their conjecture, was proved later by Wilcox,
+    Evans and Bray), by counting: if theta is a complete mapping then g,
+    theta(g) and g*theta(g) each run through G, so the image s in
+    A = G/G' of the product of all elements satisfies s + s = s, forcing
+    s = 0.  The scan decides s != 0.  s is |G'| times the sum of all
+    elements of A, and that sum is the one involution of A if A has
+    exactly one, else 0.  So s != 0 exactly when A has a nontrivial cyclic
+    Sylow 2-subgroup and |G'| is odd; then the Sylow 2-subgroup S of G
+    meets G' trivially and embeds in A, so S is nontrivial cyclic.
+    Conversely a nontrivial cyclic S has a normal complement N (Burnside),
+    so G' <= N has odd order and the Sylow 2-subgroup of A is isomorphic
+    to S.
     """
     n = len(table)
     t = n & -n

@@ -53,14 +53,6 @@ def meet(l, m, p):
     return normalize(cross(l, m, p), p)
 
 
-def collinear(points, p):
-    pts = list(dict.fromkeys(points))
-    if len(pts) <= 2:
-        return True
-    line = join(pts[0], pts[1], p)
-    return all(incident(P, line, p) for P in pts[2:])
-
-
 def all_points(p):
     """Every point of PG(2,p), in normalized form: p^2 + p + 1 of them."""
     pts = [(1, y, z) for y in range(p) for z in range(p)]
@@ -173,14 +165,13 @@ def _cross_of_parameters(t1, t2, t3, t4, p):
     return PValue(num, den, p)
 
 
-def cross_ratio(A, B, C, D, p, base=None):
+def cross_ratio(A, B, C, D, p):
     """Cross-ratio of four collinear points, at most two coincident.
 
-    The line is parametrized by two base points (canonically derived from
-    the line's coefficients unless an explicit pair is given; the value is
-    independent of that choice), and the parameters go through the pinned
-    formula.  Exactly two coincident points give the degenerate value 0, 1
-    or inf instead of an error.
+    The line is parametrized by two base points canonically derived from
+    the line's coefficients (the value is independent of that choice), and
+    the parameters go through the pinned formula.  Exactly two coincident
+    points give the degenerate value 0, 1 or inf instead of an error.
     """
     pts = [A, B, C, D]
     distinct = list(dict.fromkeys(pts))
@@ -190,21 +181,17 @@ def cross_ratio(A, B, C, D, p, base=None):
     for P in pts:
         if not incident(P, line, p):
             raise ValueError("points are not collinear")
-    if base is None:
-        B1, B2 = _base_points(line, p)
-    else:
-        B1, B2 = base
-        if B1 == B2 or not incident(B1, line, p) or not incident(B2, line, p):
-            raise ValueError("invalid base points for this line")
+    B1, B2 = _base_points(line, p)
     ts = [_parameter(P, B1, B2, p) for P in pts]
     return _cross_of_parameters(*ts, p)
 
 
-def cross_ratio_lines(l1, l2, l3, l4, p, aux=None):
+def cross_ratio_lines(l1, l2, l3, l4, p):
     """Cross-ratio of four concurrent lines, via an auxiliary transversal.
 
-    The four lines are cut by an auxiliary line missing the common point;
-    the value is the reciprocal of the point cross-ratio of the four
+    The four lines are cut by an auxiliary line missing the common point,
+    the coordinate line dual to the common point's leading coordinate; the
+    value is the reciprocal of the point cross-ratio of the four
     intersections, which is the convention that assigns the tangent pencil
     x=0, y=0, ax+by=0, a'x+b'y=0 the value a*b'/(a'*b).  Independent of
     the auxiliary line.
@@ -217,11 +204,8 @@ def cross_ratio_lines(l1, l2, l3, l4, p, aux=None):
     for l in lines:
         if not incident(V, l, p):
             raise ValueError("lines are not concurrent")
-    if aux is None:
-        aux = tuple(1 if V[i] != 0 and all(V[j] == 0 for j in range(i)) else 0 for i in range(3))
-        # V is normalized so this is the dual of its leading coordinate
-    if incident(V, aux, p):
-        raise ValueError("auxiliary line passes through the common point")
+    # V is normalized, so its leading coordinate is 1 and V misses aux
+    aux = tuple(1 if V[i] != 0 and all(V[j] == 0 for j in range(i)) else 0 for i in range(3))
     qs = [meet(l, aux, p) for l in lines]
     return cross_ratio(qs[0], qs[1], qs[2], qs[3], p).reciprocal()
 

@@ -17,8 +17,8 @@ from dualnets.curves import (HomPoly, cubic_j0_identities, fermat_cubic,
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_point,
                             cross_ratio, normalize, perspectivity,
                             u_from_quartic, u_invariant)
-from util import (dual_net_partitions_brute, fermat_points_brute,
-                  is_center_brute, is_dual_net_brute)
+from util import (abelianized_product_nonzero_brute, dual_net_partitions_brute,
+                  fermat_points_brute, is_center_brute, is_dual_net_brute)
 
 
 def _report(num, failures):
@@ -311,6 +311,8 @@ def test_criterion_10_complete_mappings():
         exists, theta = latin.complete_mapping_exists(table)
         if exists != latin.hall_paige_criterion(table):
             failures.append("%s disagrees with the Sylow-2 criterion" % name)
+        if exists == abelianized_product_nonzero_brute(table):
+            failures.append("%s disagrees with the abelianized product" % name)
         if exists and not _is_complete_mapping(table, theta):
             failures.append("%s witness is not a complete mapping" % name)
     pinned = {"Z4": False, "Z2xZ2": True, "Z5": True}

@@ -146,14 +146,27 @@ def test_document_loading_errors(capsys, tmp_path):
         rc, out, err = run(capsys, command, str(junk))
         assert rc == 2 and "invalid JSON" in err and out == "", command
 
-    # "meta" is an object, absent or null; "char_exception" a JSON boolean
+    # "meta" is an object, absent or null; "char_exception" a JSON boolean;
+    # coordinates are JSON integers, not floats that truncate to the first
+    # point (0, 0, 1), numeric strings or booleans
     _, doc = construct(capsys, tmp_path, "pc", "pencil", "--p", "5")
-    for meta, wanted in (([1], '"meta"'), ("x", '"meta"'), (0, '"meta"'),
-                         ({"char_exception": "false"}, '"char_exception"'),
-                         ({"char_exception": 1}, '"char_exception"'),
-                         ({"char_exception": None}, '"char_exception"')):
-        bad = tmp_path / "bad_meta.json"
-        bad.write_text(json.dumps(dict(doc, meta=meta)))
+    first = doc["components"][0][0]
+    assert first == [0, 0, 1]
+
+    def with_first_point(P):
+        comps = [[P] + doc["components"][0][1:]] + doc["components"][1:]
+        return dict(doc, components=comps)
+
+    bad_docs = [(dict(doc, meta=meta), wanted) for meta, wanted in (
+        ([1], '"meta"'), ("x", '"meta"'), (0, '"meta"'),
+        ({"char_exception": "false"}, '"char_exception"'),
+        ({"char_exception": 1}, '"char_exception"'),
+        ({"char_exception": None}, '"char_exception"'))]
+    bad_docs += [(with_first_point(P), "integer triples") for P in (
+        [x + 0.9 for x in first], [str(x) for x in first], [bool(x) for x in first])]
+    for bad_doc, wanted in bad_docs:
+        bad = tmp_path / "bad_doc.json"
+        bad.write_text(json.dumps(bad_doc))
         rc, out, err = run(capsys, "verify", str(bad))
         assert rc == 2 and wanted in err and "Traceback" not in err and out == ""
     for meta, code in ((None, 1), ({"char_exception": False}, 1),

@@ -10,8 +10,9 @@ from dualnets.latin import (_index2_characters, complete_mapping_exists,
                             isomorphic, transversal_search)
 from dualnets.plane import incident, join
 
-from util import (count_transversals_brute, index2_subgroups_brute, is_latin,
-                  quadrangle_criterion, transversal_search_brute)
+from util import (abelianized_product_nonzero_brute, count_transversals_brute,
+                  index2_subgroups_brute, is_latin, quadrangle_criterion,
+                  transversal_search_brute)
 
 # a latin square of order 5 that is not isotopic to Z5
 NONGROUP_5 = [
@@ -130,7 +131,7 @@ def test_transversal_search_agrees_with_brute_force():
 
 
 def test_transversal_search_matches_backtracking_oracle():
-    # the counting shortcut answers for group isotopes; every answer must be
+    # the Sylow-2 order scan answers for group isotopes; every answer must be
     # the cells the plain backtracking finds.  The oracle is skipped on the
     # negative squares of order >= 12, where it needs seconds to minutes;
     # Hall-Paige (a cyclic nontrivial Sylow 2-subgroup) decides those.
@@ -157,21 +158,28 @@ def test_transversal_search_matches_backtracking_oracle():
             assert cells is None, name
         else:
             assert cells == transversal_search_brute(square), name
+    # the negative verdicts too, where the oracle is quick (order < 12)
     for name, table in group_catalog(16).items():
         exists, theta = complete_mapping_exists(table)
         if exists:
             assert theta[0] == 0, name
             assert theta == [j for _, j in transversal_search_brute(table)], name
+        elif len(table) < 12:
+            assert transversal_search_brute(table) is None, name
 
 
 def test_transversal_search_negative_group_isotopes_are_fast():
-    # exhaustive backtracking took about two minutes on D7 and on Z14
+    # exhaustive backtracking took about two minutes on D7 and on Z14;
+    # complete_mapping_exists answers the group tables from the same scan
     catalog = group_catalog(16)
     squares = [cyclic_group(12), catalog["D7"], catalog["Z14"],
                shuffled_isotope(catalog["Z16"], 5)]
-    for square in squares:
+    calls = [(transversal_search, square, None) for square in squares]
+    calls += [(complete_mapping_exists, catalog[name], (False, None))
+              for name in ("Z12", "D7", "Z14", "Z16")]
+    for search, square, want in calls:
         t0 = time.monotonic()
-        assert transversal_search(square) is None
+        assert search(square) == want
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, "took %.2fs, bound is 1s" % elapsed
 
@@ -252,9 +260,11 @@ def test_complete_mapping_positive_groups_are_fast():
 
 
 def test_complete_mapping_matches_hall_paige_on_catalog():
-    for name, table in group_catalog(16).items():
+    # the abelianized product is an independent check of the negative side
+    for name, table in dict(group_catalog(16), A4=alternating_group_4()).items():
         exists, theta = complete_mapping_exists(table)
         assert exists == hall_paige_criterion(table), name
+        assert exists == (not abelianized_product_nonzero_brute(table)), name
         if exists:
             n = len(table)
             assert theta[0] == 0, name
@@ -278,6 +288,7 @@ def test_hall_paige_criterion_direct():
     assert hall_paige_criterion(cyclic_group(5))
     assert hall_paige_criterion(dihedral_group(4))
     assert not hall_paige_criterion(dihedral_group(5))
+    assert hall_paige_criterion(alternating_group_4())
 
 
 def test_complete_mapping_is_cayley_transversal():

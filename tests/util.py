@@ -92,7 +92,27 @@ def index2_subgroups_brute(table):
     return found
 
 
-def _collinear(P, Q, R, p):
+def abelianized_product_nonzero_brute(table):
+    """The product of all elements of a group table with identity 0, taken
+    in row order, is not in the commutator subgroup G'.  Then the table has
+    no complete mapping: in G/G' the image s of that product satisfies
+    s + s = s.  G' is closed from the commutators by multiplying until
+    nothing new appears."""
+    n = len(table)
+    inv = [table[g].index(0) for g in range(n)]
+    comm = {table[table[table[g][h]][inv[g]]][inv[h]] for g in range(n) for h in range(n)}
+    while True:
+        grown = comm | {table[a][b] for a in comm for b in comm}
+        if grown == comm:
+            break
+        comm = grown
+    acc = 0
+    for g in range(n):
+        acc = table[acc][g]
+    return acc not in comm
+
+
+def collinear_brute(P, Q, R, p):
     """Three points of PG(2,p) are collinear iff their determinant vanishes."""
     det = (P[0] * (Q[1] * R[2] - Q[2] * R[1])
            - P[1] * (Q[0] * R[2] - Q[2] * R[0])
@@ -130,7 +150,7 @@ def is_dual_net_brute(comps, p):
         for P in comps[i]:
             for Q in comps[j]:
                 for comp in comps:
-                    if sum(1 for R in comp if _collinear(P, Q, R, p)) != 1:
+                    if sum(1 for R in comp if collinear_brute(P, Q, R, p)) != 1:
                         return False
     return True
 
@@ -163,7 +183,7 @@ def is_center_brute(comps, T, p):
     for comp in comps:
         for P in comp:
             for other in comps:
-                if sum(1 for R in other if _collinear(T, P, R, p)) != 1:
+                if sum(1 for R in other if collinear_brute(T, P, R, p)) != 1:
                     return False
     return True
 
