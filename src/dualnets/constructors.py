@@ -9,7 +9,6 @@ raise instead of degrading.
 from itertools import product
 
 from .cubic_group import CurveGroup
-from .curves import HomPoly, rational_lines
 from .gf import nth_root_of_unity
 from .nets import NetViolation, verify
 
@@ -188,26 +187,24 @@ def hesse_4net(p):
 
     The singular members of the pencil lambda(X^3+Y^3+Z^3) + mu XYZ are
     XYZ, at (lambda:mu) = (0:1), and the three members (1:mu) with
-    mu^3 = -27, that is mu = -3 eps^i for a primitive cube root of unity
+    mu^3 = -27, that is mu = -3 eps^k for a primitive cube root of unity
     eps (Artebani and Dolgachev, "The Hesse pencil of plane cubic curves",
     L'Enseignement Math. 55 (2009)).  Each is a triangle of rational lines
-    when p = 1 (mod 3).  The members are taken in the order (0:1), then mu
-    ascending; each is split into its three lines, and the line coefficient
-    triples are read as points of the dual plane.
+    when p = 1 (mod 3): XYZ splits into the coordinate lines, and
+
+        X^3 + Y^3 + Z^3 - 3 eps^k XYZ = prod_a (X + eps^a Y + eps^(k-a) Z)
+
+    over a = 0, 1, 2.  The members are taken in the order (0:1), then mu
+    ascending, and the line coefficient triples are read as points of the
+    dual plane.
     """
     if p % 3 != 1:
         raise ValueError("p must be 1 mod 3")
-    fermat = HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, p)
-    xyz = HomPoly(3, {(1, 1, 1): 1}, p)
     eps = nth_root_of_unity(p, 3)
-    params = [(0, 1)] + [(1, mu) for mu in sorted(-3 * pow(eps, i, p) % p for i in range(3))]
-    duals = []
-    for lam, mu in params:
-        lines = rational_lines(fermat * lam + xyz * mu)
-        if len(lines) != 3:
-            raise ValueError(
-                "singular pencil member at (%d:%d) splits into %d rational "
-                "lines, expected 3" % (lam, mu, len(lines)))
-        duals.append(lines)
+    members = sorted((-3 * pow(eps, k, p) % p, k) for k in range(3))
+    params = [(0, 1)] + [(1, mu) for mu, _ in members]
+    duals = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    duals += [[(1, pow(eps, a, p), pow(eps, (k - a) % 3, p)) for a in range(3)]
+              for _, k in members]
     meta = {"family": "hesse", "n": 3, "p": p, "pencil_parameters": params}
     return verify(duals, p, meta=meta)

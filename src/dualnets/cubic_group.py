@@ -27,7 +27,6 @@ class CurveGroup:
         r = nth_root_of_unity(p, 3)
         # smallest primitive cube root of unity, fixed per field for determinism
         self.epsilon = min(r, r * r % p)
-        self._order_cache = {}
 
     def third_intersection(self, P, Q):
         """Third point of the curve on the line PQ (tangent line when P = Q).
@@ -65,15 +64,16 @@ class CurveGroup:
             k >>= 1
         return R
 
-    def order_of(self, P):
-        if P in self._order_cache:
-            return self._order_cache[P]
-        k, R = 1, P
+    def _multiples(self, P):
+        """The cyclic subgroup generated by P, as O, P, 2P, ... in order."""
+        out, R = [self.O], P
         while R != self.O:
+            out.append(R)
             R = self.add(R, P)
-            k += 1
-        self._order_cache[P] = k
-        return k
+        return out
+
+    def order_of(self, P):
+        return len(self._multiples(P))
 
     def u_auto(self, P):
         """The order-3 automorphism (x,y,z) -> (eps x, eps y, z)."""
@@ -88,15 +88,9 @@ class CurveGroup:
         directly.
         """
         for g in self.points:
-            if self.order_of(g) != n:
-                continue
-            H = set()
-            R = self.O
-            for _ in range(n):
-                H.add(R)
-                R = self.add(R, g)
-            if all(self.u_auto(h) in H for h in H):
-                return g, frozenset(H)
+            H = frozenset(self._multiples(g))
+            if len(H) == n and all(self.u_auto(h) in H for h in H):
+                return g, H
         return None
 
     def coset_base_point(self, H):

@@ -71,9 +71,6 @@ def sqrt_mod(a: int, p: int):
         return (0, 0)
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return (min(r, p - r), max(r, p - r))
     # write p-1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -112,8 +109,8 @@ def nth_root_of_unity(p: int, n: int) -> int:
     raise ValueError("no element of order %d found for p=%d" % (n, p))
 
 
-def find_prime(n: int, require_cubic: bool = False) -> int:
-    """Smallest prime p > n with p = 1 (mod n), and p = 1 (mod 3) if require_cubic.
+def find_prime(n: int) -> int:
+    """Smallest prime p > n with p = 1 (mod n).
 
     The congruence p = 1 (mod n) guarantees an n-th root of unity exists,
     so order-n cyclic constructions work over GF(p).  The scan stops at
@@ -123,7 +120,7 @@ def find_prime(n: int, require_cubic: bool = False) -> int:
         raise ValueError("n must be >= 3")
     p = n + 1
     while p <= PRIME_SCAN_CAP:
-        if p % n == 1 and (not require_cubic or p % 3 == 1) and is_prime(p):
+        if p % n == 1 and is_prime(p):
             return p
         p += 1
     raise ValueError("no prime found below cap=%d for n=%d" % (PRIME_SCAN_CAP, n))

@@ -20,7 +20,7 @@ the centers are the points of the one net line off the net.  The tests
 keep the whole-plane sweep of the definition as the oracle for both.
 """
 
-from itertools import combinations, product
+from itertools import product
 
 from . import curves
 from .plane import cross_ratio, det3, incident, join, line_points, meet, normalize
@@ -277,24 +277,36 @@ def _component_line(comp, p):
 
 
 def _collinear_splits(comp, p):
-    """All partitions of a component into two collinear halves of equal size."""
+    """All partitions of a sorted component into two collinear halves of
+    equal size, sorted.
+
+    The half holding comp[0] lies on a line l1 through comp[0] and another
+    point of the component.  The other half lies on a line l2 != l1, so it
+    holds at most one point of l1, their meet.  Hence l1 holds m or m + 1
+    points of the component, m = n/2, and in the second case the half is
+    those points but one other than comp[0].  That is at most n - 1 lines
+    and n candidate halves, against C(n - 1, m - 1) subsets holding comp[0].
+    """
     n = len(comp)
     if n % 2:
         return []
     m = n // 2
     out = []
-    rest_all = set(comp)
-    for rest in combinations(comp[1:], m - 1):
-        half = (comp[0],) + rest
-        l1 = _component_line(half, p)
-        if l1 is None:
+    for l1 in {join(comp[0], Q, p) for Q in comp[1:]}:
+        on = [P for P in comp if incident(P, l1, p)]
+        off = [P for P in comp if not incident(P, l1, p)]
+        if len(on) == m:
+            splits = [(on, off)]
+        elif len(on) == m + 1:
+            splits = [([P for P in on if P != X], sorted(off + [X])) for X in on[1:]]
+        else:
             continue
-        other = tuple(sorted(rest_all - set(half)))
-        l2 = _component_line(other, p)
-        if l2 is None or l1 == l2:
-            continue
-        out.append(((tuple(sorted(half)), l1), (other, l2)))
-    return out
+        # other holds a point off l1 once it has two, so its line is never l1
+        for half, other in splits:
+            l2 = _component_line(other, p)
+            if l2 is not None:
+                out.append(((tuple(half), l1), (tuple(other), l2)))
+    return sorted(out)
 
 
 def _try_tetrahedron(net):
@@ -308,8 +320,6 @@ def _try_tetrahedron(net):
         return None
     p = net.p
     all_splits = [_collinear_splits(comp, p) for comp in net.components]
-    if any(not s for s in all_splits):
-        return None
 
     def faces_ok(halves):
         (g1, d1), (g2, d2), (g3, d3) = halves
@@ -338,7 +348,9 @@ def classify(net):
     3. all kn points on a common irreducible cubic: proper-algebraic,
        annotated with the singular points and j-invariant data;
     4. every component a union of two collinear halves with the four-face
-       incidence: tetrahedron;
+       incidence: tetrahedron.  The halves of a component are found from
+       the at most n - 1 lines through its first point (_collinear_splits),
+       not from its subsets;
     5. otherwise unknown.
     """
     if net.k != 3:
@@ -346,8 +358,6 @@ def classify(net):
     p = net.p
     comp_lines = [_component_line(c, p) for c in net.components]
     if all(l is not None for l in comp_lines):
-        if len(set(comp_lines)) < 3:
-            return {"tag": "unknown", "reason": "repeated carrier lines"}
         vertex = meet(comp_lines[0], comp_lines[1], p)
         if incident(vertex, comp_lines[2], p):
             return {"tag": "pencil", "carrier_lines": comp_lines, "vertex": vertex}
@@ -377,8 +387,6 @@ def classify(net):
     irreducible = []
     for v in _proj_combinations(basis, p):
         F = curves.HomPoly(3, dict(zip(cubic_monomials, v)), p)
-        if F.is_zero:
-            continue
         if not curves.rational_lines(F):
             irreducible.append(F)
     if irreducible:

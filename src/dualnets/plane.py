@@ -172,42 +172,35 @@ def cross_ratio(A, B, C, D, p):
     the line's coefficients (the value is independent of that choice), and
     the parameters go through the pinned formula.  Exactly two coincident
     points give the degenerate value 0, 1 or inf instead of an error.
+    Coincidence is projective: the line is the first nonzero cross product
+    of A with B, C, D, so the triples need not be normalized.
     """
     pts = [A, B, C, D]
-    distinct = list(dict.fromkeys(pts))
-    if len(distinct) < 2:
+    for P in pts[1:]:
+        line = cross(A, P, p)
+        if line != (0, 0, 0):
+            break
+    else:
         raise ValueError("cross-ratio needs at least two distinct points")
-    line = join(distinct[0], distinct[1], p)
     for P in pts:
         if not incident(P, line, p):
             raise ValueError("points are not collinear")
-    B1, B2 = _base_points(line, p)
+    B1, B2 = _base_points(normalize(line, p), p)
     ts = [_parameter(P, B1, B2, p) for P in pts]
     return _cross_of_parameters(*ts, p)
 
 
 def cross_ratio_lines(l1, l2, l3, l4, p):
-    """Cross-ratio of four concurrent lines, via an auxiliary transversal.
+    """Cross-ratio of four concurrent lines, by duality.
 
-    The four lines are cut by an auxiliary line missing the common point,
-    the coordinate line dual to the common point's leading coordinate; the
-    value is the reciprocal of the point cross-ratio of the four
-    intersections, which is the convention that assigns the tangent pencil
-    x=0, y=0, ax+by=0, a'x+b'y=0 the value a*b'/(a'*b).  Independent of
-    the auxiliary line.
+    Concurrent lines are collinear points of the dual plane, and cutting
+    the pencil with any line missing its common point is a linear map onto
+    that line, so the point cross-ratio of the coefficient triples is the
+    cross-ratio of the cut points.  The value is its reciprocal, the
+    convention that assigns the tangent pencil x=0, y=0, ax+by=0,
+    a'x+b'y=0 the value a*b'/(a'*b).
     """
-    lines = [l1, l2, l3, l4]
-    distinct = list(dict.fromkeys(lines))
-    if len(distinct) < 2:
-        raise ValueError("need at least two distinct lines")
-    V = meet(distinct[0], distinct[1], p)
-    for l in lines:
-        if not incident(V, l, p):
-            raise ValueError("lines are not concurrent")
-    # V is normalized, so its leading coordinate is 1 and V misses aux
-    aux = tuple(1 if V[i] != 0 and all(V[j] == 0 for j in range(i)) else 0 for i in range(3))
-    qs = [meet(l, aux, p) for l in lines]
-    return cross_ratio(qs[0], qs[1], qs[2], qs[3], p).reciprocal()
+    return cross_ratio(l1, l2, l3, l4, p).reciprocal()
 
 
 def anharmonic_orbit(k):

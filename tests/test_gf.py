@@ -59,6 +59,17 @@ def test_sqrt_mod_13_frozen():
     assert sqrt_mod(0, 13) == (0, 0)
 
 
+def test_sqrt_mod_3_mod_4_frozen():
+    # for p = 3 (mod 4) Tonelli-Shanks has s = 1 and returns a^((p+1)/4)
+    assert sqrt_mod(2, 7) == (3, 4)
+    assert sqrt_mod(5, 11) == (4, 7)
+    assert sqrt_mod(2, 23) == (5, 18)
+    assert sqrt_mod(3, 10007) == (1477, 8530)
+    assert sqrt_mod(10, 1000003) == (394215, 605788)
+    assert sqrt_mod(2, (1 << 61) - 1) == (1 << 31, (1 << 61) - 1 - (1 << 31))
+    assert sqrt_mod(3, 7) is None
+
+
 def test_sqrt_mod_agrees_with_legendre_exhaustively():
     for p in (7, 11, 13, 29, 101):
         residues = {x * x % p for x in range(1, p)}
@@ -97,17 +108,11 @@ def test_nth_root_of_unity_rejects_bad_order():
 
 def test_find_prime():
     assert find_prime(5) == 11
-    assert find_prime(3, require_cubic=True) == 7
-    assert find_prime(4, require_cubic=True) == 13
     assert find_prime(9) == 19
-    p = find_prime(7, require_cubic=True)
-    assert p % 7 == 1 and p % 3 == 1 and is_prime(p)
 
 
 def test_find_prime_congruences_hold_generally():
     for n in range(3, 40):
         p = find_prime(n)
         assert is_prime(p) and p > n and p % n == 1
-        q = find_prime(n, require_cubic=True)
-        assert is_prime(q) and q % n == 1 and q % 3 == 1
 

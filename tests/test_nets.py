@@ -5,9 +5,10 @@ from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
                            lines_through_center, net_lines, verify)
-from dualnets.plane import PValue, all_points, anharmonic_orbit, incident, join
-from util import (is_center_brute, is_dual_net_brute, partitions_brute,
-                  verify_pairs_brute)
+from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
+                            line_points, meet)
+from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute,
+                  partitions_brute, verify_pairs_brute)
 
 
 def test_verify_accepts_and_normalizes():
@@ -184,6 +185,62 @@ def test_classify_tetrahedron_tag():
     # as algebraic instead, cubic recognition running first
     info2 = classify(constructors.tetrahedron(2, 13))
     assert info2["tag"] == "proper-algebraic"
+
+
+def _two_line_component(rng, p, m):
+    """2m points, m + s on one line and m - s on another (s in {0, 1}),
+    the meet sometimes among them, and sometimes one point moved off both
+    lines."""
+    plane = all_points(p)
+    a, b = rng.sample(sorted({join(*rng.sample(plane, 2), p) for _ in range(4)}), 2)
+    s = rng.choice((0, 0, 1))
+    X = meet(a, b, p)
+    on_a = [P for P in line_points(a, p) if P != X]
+    on_b = [P for P in line_points(b, p) if P != X]
+    pts = rng.sample(on_a, m + s) + rng.sample(on_b, m - s)
+    if rng.random() < 0.4:
+        pts[rng.randrange(len(pts))] = X
+    if rng.random() < 0.2:
+        pts[rng.randrange(len(pts))] = rng.choice([P for P in plane if P not in pts])
+    return tuple(sorted(set(pts)))
+
+
+def test_collinear_splits_match_subset_enumeration():
+    # the lines through the first point give the same splits, in the same
+    # order, as every subset of half the size holding it
+    rng = random.Random(11)
+    found = 0
+    for _ in range(600):
+        p = rng.choice((7, 11, 13, 31))
+        comp = _two_line_component(rng, p, rng.randint(2, 5))
+        got = nets._collinear_splits(comp, p)
+        assert got == collinear_splits_brute(comp, p), (comp, p)
+        found += bool(got)
+    assert found >= 100
+    for m, p in ((2, 7), (3, 13), (4, 29), (5, 31), (6, 43), (7, 43), (8, 89),
+                 (9, 109), (10, 151)):
+        for comp in constructors.tetrahedron(m, p).components:
+            got = nets._collinear_splits(comp, p)
+            assert got and got == collinear_splits_brute(comp, p), (m, p)
+
+
+def test_classify_tetrahedron_order_24_work_bound(monkeypatch):
+    # the subset enumeration would test about 4 * 10^6 candidate halves;
+    # the lines through the first point of each component give at most n
+    calls = []
+    real = nets._component_line
+    monkeypatch.setattr(nets, "_component_line",
+                        lambda comp, p: calls.append(comp) or real(comp, p))
+    net = constructors.tetrahedron(12, 193)
+    info = classify(net)
+    assert info["tag"] == "tetrahedron"
+    assert 0 < len(calls) <= 3 + 3 * net.n
+    for comp, (g, d), (lg, ld) in zip(net.components, info["halves"], info["lines"]):
+        assert sorted(g + d) == list(comp) and len(g) == len(d) == 12
+        assert all(incident(P, lg, 193) for P in g) and all(incident(P, ld, 193) for P in d)
+    (g1, d1), (g2, d2), (g3, d3) = info["halves"]
+    for face in ((g1, g2, g3), (g1, d2, d3), (d1, g2, d3), (d1, d2, g3)):
+        verify(face, 193)
 
 
 def test_classify_rejects_4nets():

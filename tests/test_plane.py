@@ -6,7 +6,7 @@ from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_line,
                             normalize, perspectivity, u_from_quartic,
                             u_invariant)
 
-from util import collinear_brute
+from util import collinear_brute, cross_ratio_lines_brute
 
 
 def P(x, p=13):
@@ -146,6 +146,43 @@ def test_cross_ratio_lines_projective_invariance_samples():
         imgs = [apply_line(M, l, p) for l in quad]
         assert len(set(imgs)) == 4
         assert cross_ratio_lines(*imgs, p) == k
+
+
+def test_cross_ratio_coincidence_is_projective():
+    # (1,0,0) and (2,0,0) are one point (one line): the degenerate value
+    # 1, as for any equal first pair, and no error from joining them
+    quad = ((1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0))
+    assert cross_ratio(*quad, 13) == P(1)
+    assert cross_ratio_lines(*quad, 13) == P(1)
+
+
+def test_cross_ratio_lines_matches_transversal_on_pencils():
+    # seeded pencils with repeats and unnormalized coefficient triples:
+    # the dual point cross-ratio agrees with the cut by a transversal,
+    # raising exactly when it raises; scaling a point changes nothing
+    rng = random.Random(29)
+    checked = raised = 0
+    for p in (5, 7, 11, 13, 31, 101):
+        plane = all_points(p)
+        for _ in range(150):
+            pencil = line_points(rng.choice(plane), p)
+            quad = [tuple(c * s for c in rng.choice(pencil))
+                    for s in rng.choices(range(1, p), k=4)]
+            try:
+                want = cross_ratio_lines_brute(*quad, p)
+            except ValueError:
+                want = None
+            try:
+                got = cross_ratio_lines(*quad, p)
+            except ValueError:
+                got = None
+            assert got == want, (quad, p)
+            if got is not None:
+                assert cross_ratio(*quad, p) == want.reciprocal()
+                assert cross_ratio(*(normalize(l, p) for l in quad), p) == want.reciprocal()
+            checked += 1
+            raised += got is None
+    assert checked == 900 and 0 < raised < checked
 
 
 def test_anharmonic_orbit_sizes():

@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 
 from dualnets.nets import verify
-from dualnets.plane import all_points, incident, join, line_points, normalize
+from dualnets.plane import all_points, cross_ratio, incident, join, line_points, meet, normalize
 
 
 def is_latin(square):
@@ -120,6 +120,23 @@ def collinear_brute(P, Q, R, p):
     return det % p == 0
 
 
+def cross_ratio_lines_brute(l1, l2, l3, l4, p):
+    """Cross-ratio of four concurrent lines, at most two coincident, by an
+    auxiliary transversal: the reciprocal of the point cross-ratio of their
+    meets with the coordinate line dual to the leading coordinate of the
+    normalized common point, which misses that point."""
+    lines = [normalize(l, p) for l in (l1, l2, l3, l4)]
+    distinct = list(dict.fromkeys(lines))
+    if len(distinct) < 2:
+        raise ValueError("need at least two distinct lines")
+    V = meet(distinct[0], distinct[1], p)
+    if not all(incident(V, l, p) for l in lines):
+        raise ValueError("lines are not concurrent")
+    lead = next(i for i in range(3) if V[i])
+    aux = tuple(int(i == lead) for i in range(3))
+    return cross_ratio(*(meet(l, aux, p) for l in lines), p).reciprocal()
+
+
 def fermat_points_brute(p):
     """The points of X^3 + Y^3 = Z^3 over GF(p), by direct evaluation."""
     return [P for P in all_points(p)
@@ -141,6 +158,26 @@ def partitions_brute(points, k):
         remaining = [P for P in rest if P not in others]
         for tail in partitions_brute(remaining, k - 1):
             yield [(first,) + others] + tail
+
+
+def collinear_splits_brute(comp, p):
+    """Every split of a sorted component into two halves of equal size on
+    two distinct lines, as ((half, line), (other half, line)): each subset
+    of size n/2 holding comp[0], in combinations order."""
+    n = len(comp)
+    if n % 2 or n < 4:
+        return []
+    out = []
+    for rest in combinations(comp[1:], n // 2 - 1):
+        half = (comp[0],) + rest
+        l1 = join(half[0], half[1], p)
+        if not all(incident(P, l1, p) for P in half):
+            continue
+        other = tuple(sorted(set(comp) - set(half)))
+        l2 = join(other[0], other[1], p)
+        if l1 != l2 and all(incident(P, l2, p) for P in other):
+            out.append(((half, l1), (other, l2)))
+    return out
 
 
 def is_dual_net_brute(comps, p):
