@@ -53,7 +53,7 @@ def load_document(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict) or "p" not in doc or "components" not in doc:
         raise ValueError('a net document needs "p" and "components"')
@@ -109,13 +109,8 @@ def _load_net(path):
     Returns (net, exit_code); exactly one of the two is None.
     """
     try:
-        text = _read_input(path)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return None, 2
-    try:
-        net = load_document(text)
-    except ValueError as exc:
+        net = load_document(_read_input(path))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return None, 2
     except nets.NetViolation as exc:

@@ -4,16 +4,19 @@ search, complete mappings, and the group-coordinatizability test.
 Tables are tuples of row tuples over symbols 0..n-1.  Group tables are
 normalized with identity 0.
 
-A group table has no transversal when its Sylow 2-subgroup is nontrivial
-cyclic (Hall and Paige), which one scan of element orders decides; both
-searches answer no from that scan.  Otherwise one backtracking search
-finds transversals.  For a group table it is pruned by index-2 quotient
-counting: a homomorphism chi of G onto Z/2 has
-chi(g*h) = chi(g) + chi(h), so a transversal, which meets each row, column
-and symbol once, holds n/4 cells of each type (chi(row), chi(column)); a
-partial transversal with no room left for a type under some chi is cut.
-The count is necessary for a completion, so the search returns the same
-first transversal as without it, only sooner.
+One pipeline serves squares and group tables.  A square is relabelled to
+its principal loop isotope with identity 0, a group exactly when Light's
+test (associativity against a generating set) passes.  A group has no
+transversal when its Sylow 2-subgroup is nontrivial cyclic (Hall and
+Paige), which one scan of element orders decides.  Otherwise one
+backtracking search finds the first transversal in column order, pruned
+for group isotopes by index-2 quotient counting: a homomorphism chi of G
+onto Z/2 has chi(g*h) = chi(g) + chi(h), so a transversal, which meets
+each row, column and symbol once, holds n/4 cells of each type
+(chi(row), chi(column)); a partial transversal with no room left for a
+type under some chi is cut.  The count is necessary for a completion, so
+the search returns the same first transversal as without it, only
+sooner.  A complete mapping of a group table is a transversal's columns.
 """
 
 
@@ -37,47 +40,54 @@ def from_net(net):
 def transversal_search(square):
     """n cells, one per row and column, carrying n distinct symbols.
 
-    Returns the cells (i, j) in row order, or None.  A latin square that is
-    isotopic to a group table T has no transversal when T fails
-    hall_paige_criterion, the Sylow-2 order scan: an isotopy (permuting
-    rows, columns and symbols) carries transversals to transversals, and a
-    transversal of a Cayley table is a complete mapping, theta(g) in row g.
-    Every other square goes to exhaustive backtracking, trying columns in
-    increasing order.
+    Returns the cells (i, j) of the first transversal in column order,
+    listed by row, or None.  An isotopy (permuting rows, columns and
+    symbols) carries transversals to transversals, and a transversal of a
+    Cayley table is a complete mapping, theta(g) in row g.  So a square
+    isotopic to a group table T has none when T fails
+    hall_paige_criterion, the Sylow-2 order scan; otherwise the
+    backtracking search is pruned by the index-2 characters of T, read on
+    the square through the isotopy.  A square that is no group isotope
+    gets the plain search.
     """
-    if len(square) > 1:
-        table = is_group_coordinatizable(square)
-        if table is not None and not hall_paige_criterion(table):
-            return None
-    return _backtrack_transversal(square)
+    isotopy = _group_isotopy(square)
+    if isotopy is None:
+        return _backtrack_transversal(square)
+    table, rows, cols = isotopy
+    if not hall_paige_criterion(table):
+        return None
+    characters = [([chi[r] for r in rows], [chi[c] for c in cols])
+                  for chi in _index2_characters(table)]
+    return _backtrack_transversal(square, characters)
 
 
 def _backtrack_transversal(square, characters=()):
     """The first transversal in column order, as cells (i, j), or None.
 
-    characters, for a group table with identity 0, are onto homomorphisms
-    chi: G -> Z/2 as 0/1 lists over the elements, labelling rows, columns
-    and symbols alike.  Every cell has chi(i*j) = chi(i) + chi(j), so its
-    type (chi(i), chi(j)) also fixes chi of its symbol.  Say m cells are
-    left to place, and a, b, c of the free rows, columns and symbols have
-    chi = 0.  A completion with x cells of type (0, 0) has a - x of type
-    (0, 1), b - x of type (1, 0) and c - x of type (1, 1), and these add
-    up to m, so x = (a + b + c - m)/2 must be a whole number with
-    0 <= x <= min(a, b, c).  Placing a cell of one type lowers that type's
-    count by one and leaves the other three, so at the root (a = b = c =
-    n/2) every type needs n/4 cells, and the search skips a cell as soon as
-    some character has no room left for its type.  (When 4 does not divide
-    n there is no transversal, and rooms of n // 4 cells hold fewer than n.)
-    The test is only a necessary condition for a completion, so it cuts
-    dead subtrees and nothing else: the first transversal found is the
-    same as without it.
+    characters are onto homomorphisms chi: G -> Z/2 of a group table T
+    isotopic to the square, each given as the pair of 0/1 lists
+    (chi of row i's label, chi of column j's label), where cell (i, j)
+    carries the symbol T[row label][column label] up to relabelling.  So
+    the type (chi(row), chi(column)) of a cell also fixes chi of its
+    symbol.  Say m cells are left to place, and a, b, c of the free rows,
+    columns and symbols have chi = 0.  A completion with x cells of type
+    (0, 0) has a - x of type (0, 1), b - x of type (1, 0) and c - x of
+    type (1, 1), and these add up to m, so x = (a + b + c - m)/2 must be a
+    whole number with 0 <= x <= min(a, b, c).  Placing a cell of one type
+    lowers that type's count by one and leaves the other three, so at the
+    root (a = b = c = n/2) every type needs n/4 cells, and the search
+    skips a cell as soon as some character has no room left for its type.
+    (When 4 does not divide n there is no transversal, and rooms of n // 4
+    cells hold fewer than n.)  The test is only a necessary condition for
+    a completion, so it cuts dead subtrees and nothing else: the first
+    transversal found is the same as without it.
     """
     n = len(square)
     cols_used = [False] * n
     syms_used = [False] * n
     col = [None] * n
-    # per character, the cells of type 2*chi(i) + chi(j) still open
-    cuts = [(chi, [n // 4] * 4) for chi in characters]
+    # per character, the cells of type 2*chi(row) + chi(column) still open
+    cuts = [(rchi, cchi, [n // 4] * 4) for rchi, cchi in characters]
 
     def rec(i):
         if i == n:
@@ -88,18 +98,18 @@ def _backtrack_transversal(square, characters=()):
             s = square[i][j]
             if syms_used[s]:
                 continue
-            for chi, left in cuts:
-                if not left[2 * chi[i] + chi[j]]:
+            for rchi, cchi, left in cuts:
+                if not left[2 * rchi[i] + cchi[j]]:
                     break
             else:
                 cols_used[j] = syms_used[s] = True
                 col[i] = j
-                for chi, left in cuts:
-                    left[2 * chi[i] + chi[j]] -= 1
+                for rchi, cchi, left in cuts:
+                    left[2 * rchi[i] + cchi[j]] -= 1
                 if rec(i + 1):
                     return True
-                for chi, left in cuts:
-                    left[2 * chi[i] + chi[j]] += 1
+                for rchi, cchi, left in cuts:
+                    left[2 * rchi[i] + cchi[j]] += 1
                 cols_used[j] = syms_used[s] = False
         return False
 
@@ -119,6 +129,18 @@ def _generated_subgroup(table, gens):
                 sub.add(y)
                 frontier.append(y)
     return sub
+
+
+def _generators(table):
+    """A generating set of a loop with identity 0, chosen greedily: each
+    element that the earlier ones do not reach from 0 by right
+    multiplication is added."""
+    gens, reached = [], {0}
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached = _generated_subgroup(table, gens)
+    return gens
 
 
 def _index2_characters(table):
@@ -147,20 +169,13 @@ def complete_mapping_exists(table):
 
     A complete mapping is a permutation theta with g -> g*theta(g) also a
     permutation: the columns of a transversal of the table, theta(g) in
-    row g.  Returns (True, theta) or (False, None).  The answer is no when
-    hall_paige_criterion, the Sylow-2 order scan, fails; otherwise the
-    backtracking transversal search decides, pruned by counting cells over
-    every index-2 character (for even n; odd-order groups have none).  That
-    count only cuts subtrees holding no transversal, so theta is the first
-    transversal in column order either way.  Right-translating by
-    theta(0)^-1 makes any complete mapping fix 0, and the search tries
-    column 0 first, so the witness fixes 0.
+    row g.  Returns (True, theta) or (False, None), theta read off the
+    cells of transversal_search(table), so it is the first transversal in
+    column order.  Right-translating by theta(0)^-1 makes any complete
+    mapping fix 0, and the search tries column 0 first, so the witness
+    fixes 0.
     """
-    n = len(table)
-    if not hall_paige_criterion(table):
-        return False, None
-    characters = _index2_characters(table) if n % 2 == 0 else ()
-    cells = _backtrack_transversal(table, characters)
+    cells = transversal_search(table)
     if cells is None:
         return False, None
     return True, [j for _, j in cells]
@@ -206,41 +221,45 @@ def hall_paige_criterion(table):
 
 
 def is_group_coordinatizable(square):
-    """The coordinatizing group table if the square is isotopic to a group.
+    """The coordinatizing group table if the square is isotopic to a group,
+    else None: the table of _group_isotopy.  One loop isotope suffices: by
+    Albert's theorem every loop principal isotope of a group-isotopic
+    square is isomorphic to the group.
+    """
+    isotopy = _group_isotopy(square)
+    return None if isotopy is None else isotopy[0]
 
-    Builds the principal loop isotope with identity square[0][0] (row and
-    column relabelings making row 0 and column 0 the identity), relabels
-    that identity to 0, and tests associativity exhaustively.  One test
-    suffices: by Albert's theorem every loop principal isotope of a
-    group-isotopic square is isomorphic to the group.  Returns None when
-    the square is not a group isotope.
+
+def _group_isotopy(square):
+    """(table, rows, cols) with table a group, or None.
+
+    The principal loop isotope with identity e = square[0][0], relabelled
+    by sw, the swap of 0 and e: row i is labelled rows[i] = sw(square[i][0]),
+    column j is labelled cols[j] = sw(square[0][j]), and
+    table[rows[i]][cols[j]] = sw(square[i][j]).  Row 0 and column 0 of the
+    table are then the identity 0.  The loop is a group iff Light's test
+    passes: (x*y)*g = x*(y*g) for every g of a generating set.  The g that
+    pass are closed under products (if g and h pass, then
+    (x*y)*(g*h) = ((x*y)*g)*h = (x*(y*g))*h = x*((y*g)*h) = x*(y*(g*h))),
+    and every element is a product of generators taken from 0, so all
+    elements pass.
     """
     n = len(square)
-    a = [square[i][0] for i in range(n)]
-    b = [square[0][j] for j in range(n)]
-    ainv = [0] * n
-    binv = [0] * n
-    for i in range(n):
-        ainv[a[i]] = i
-    for j in range(n):
-        binv[b[j]] = j
+    sw = list(range(n))
     e = square[0][0]
-
-    def sw(x):
-        if x == e:
-            return 0
-        if x == 0:
-            return e
-        return x
-
-    table = [[sw(square[ainv[sw(i)]][binv[sw(j)]]) for j in range(n)]
-             for i in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    return None
-    return tuple(tuple(row) for row in table)
+    sw[0], sw[e] = e, 0
+    rows = [sw[row[0]] for row in square]
+    cols = [sw[s] for s in square[0]]
+    table = [[0] * n for _ in range(n)]
+    for r, row in zip(rows, square):
+        for c, s in zip(cols, row):
+            table[r][c] = sw[s]
+    for g in _generators(table):
+        right = [row[g] for row in table]  # y -> y*g
+        for row in table:  # x -> x*y
+            if [right[xy] for xy in row] != [row[yg] for yg in right]:
+                return None
+    return tuple(map(tuple, table)), rows, cols
 
 
 def cyclic_group(n):
@@ -311,8 +330,13 @@ def isomorphic(G, H):
     """An isomorphism between two group tables, or None.
 
     Both tables must carry identity 0; the result maps G-elements to
-    H-elements.  Generator-image backtracking with partial closure, meant
-    for orders <= 16.
+    H-elements.  The images h of G's greedy generators g are chosen one
+    at a time, among elements of the same order, and phi is closed by the
+    walk from 0 over right multiplication by the chosen generators:
+    phi(x*g) = phi(x)*h on every edge, with phi injective.  Once every
+    generator has an image, phi is defined on all of G and is a
+    homomorphism, since phi(x*w) = phi(x)*phi(w) extends from the
+    generators to every product w of them.
     """
     n = len(G)
     if len(H) != n:
@@ -321,41 +345,32 @@ def isomorphic(G, H):
     oh = element_orders(H)
     if sorted(og) != sorted(oh):
         return None
+    gens = _generators(G)
 
-    def close(mapping, g, h):
-        out = dict(mapping)
-        out[g] = h
-        changed = True
-        while changed:
-            changed = False
-            items = list(out.items())
-            for g1, h1 in items:
-                for g2, h2 in items:
-                    g3 = G[g1][g2]
-                    h3 = H[h1][h2]
-                    if g3 in out:
-                        if out[g3] != h3:
-                            return None
-                    else:
-                        out[g3] = h3
-                        changed = True
-        if len(set(out.values())) != len(out):
-            return None
-        return out
+    def walk(images):
+        phi = {0: 0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g, h in zip(gens, images):
+                y, hy = G[x][g], H[phi[x]][h]
+                if y not in phi:
+                    phi[y] = hy
+                    frontier.append(y)
+                elif phi[y] != hy:
+                    return None
+        return phi if len(set(phi.values())) == len(phi) else None
 
-    def extend(mapping):
-        if len(mapping) == n:
-            return mapping
-        g = min(x for x in range(n) if x not in mapping)
-        taken = set(mapping.values())
+    def extend(images):
+        phi = walk(images)
+        if phi is None or len(images) == len(gens):
+            return phi
+        g = gens[len(images)]
         for h in range(n):
-            if h in taken or oh[h] != og[g]:
-                continue
-            nxt = close(mapping, g, h)
-            if nxt is not None:
-                full = extend(nxt)
+            if oh[h] == og[g]:
+                full = extend(images + [h])
                 if full is not None:
                     return full
         return None
 
-    return extend({0: 0})
+    return extend([])

@@ -140,40 +140,17 @@ def _base_points(line, p):
     return (1, 0, 0), (0, 1, 0)
 
 
-def _parameter(P, B1, B2, p):
-    # P ~ lam*B1 + mu*B2 on the line spanned by B1, B2; parameter t = mu/lam
-    # as a raw (num, den) pair. Solved from any independent 2x2 subsystem.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = (B1[i] * B2[j] - B1[j] * B2[i]) % p
-            if det != 0:
-                lam = (P[i] * B2[j] - P[j] * B2[i]) % p
-                mu = (B1[i] * P[j] - B1[j] * P[i]) % p
-                return (mu, lam)
-    raise ValueError("base points do not span a line")
-
-
-def _cross_of_parameters(t1, t2, t3, t4, p):
-    # projective evaluation of (t3-t1)(t2-t4) / ((t2-t3)(t4-t1)) on (num, den) pairs
-    def d(u, v):
-        return (u[0] * v[1] - v[0] * u[1]) % p
-
-    num = d(t3, t1) * d(t2, t4) % p
-    den = d(t2, t3) * d(t4, t1) % p
-    if num == 0 and den == 0:
-        raise ValueError("cross-ratio undefined: three coincident points")
-    return PValue(num, den, p)
-
-
 def cross_ratio(A, B, C, D, p):
     """Cross-ratio of four collinear points, at most two coincident.
 
-    The line is parametrized by two base points canonically derived from
-    the line's coefficients (the value is independent of that choice), and
-    the parameters go through the pinned formula.  Exactly two coincident
-    points give the degenerate value 0, 1 or inf instead of an error.
-    Coincidence is projective: the line is the first nonzero cross product
-    of A with B, C, D, so the triples need not be normalized.
+    With O a coordinate vertex off the line, the bracket
+    [O,P,Q] = det(O, P, Q) is a fixed multiple of the parameter difference
+    of P and Q on the line, so the pinned formula reads
+    [O,C,A][O,B,D] / ([O,B,C][O,D,A]); each point occurs once above and
+    once below, so scaling a triple leaves the value unchanged.  Exactly
+    two coincident points give the degenerate value 0, 1 or inf instead
+    of an error.  Coincidence is projective: the line is the first nonzero
+    cross product of A with B, C, D, so the triples need not be normalized.
     """
     pts = [A, B, C, D]
     for P in pts[1:]:
@@ -185,9 +162,13 @@ def cross_ratio(A, B, C, D, p):
     for P in pts:
         if not incident(P, line, p):
             raise ValueError("points are not collinear")
-    B1, B2 = _base_points(normalize(line, p), p)
-    ts = [_parameter(P, B1, B2, p) for P in pts]
-    return _cross_of_parameters(*ts, p)
+    i = next(i for i, x in enumerate(line) if x)
+    O = tuple(int(k == i) for k in range(3))
+    num = det3((O, C, A), p) * det3((O, B, D), p) % p
+    den = det3((O, B, C), p) * det3((O, D, A), p) % p
+    if num == 0 and den == 0:
+        raise ValueError("cross-ratio undefined: three coincident points")
+    return PValue(num, den, p)
 
 
 def cross_ratio_lines(l1, l2, l3, l4, p):

@@ -140,11 +140,21 @@ def test_document_loading_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(pairs))
     assert rc == 2 and "triples" in err
 
+    # hostile documents: nesting past the parser's recursion limit, and
+    # bytes that are not UTF-8
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
     for command in ("verify", "classify", "centers", "crossratio"):
         rc, out, err = run(capsys, command, str(tmp_path / "missing.json"))
         assert rc == 2 and "error" in err and out == "", command
         rc, out, err = run(capsys, command, str(junk))
         assert rc == 2 and "invalid JSON" in err and out == "", command
+        rc, out, err = run(capsys, command, str(nested))
+        assert rc == 2 and "invalid JSON" in err and "Traceback" not in err and out == "", command
+        rc, out, err = run(capsys, command, str(binary))
+        assert rc == 2 and "error: " in err and "Traceback" not in err and out == "", command
 
     # "meta" is an object, absent or null; "char_exception" a JSON boolean;
     # coordinates are JSON integers, not floats that truncate to the first

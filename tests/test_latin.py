@@ -11,7 +11,8 @@ from dualnets.latin import (_index2_characters, complete_mapping_exists,
 from dualnets.plane import incident, join
 
 from util import (abelianized_product_nonzero_brute, count_transversals_brute,
-                  index2_subgroups_brute, is_latin, quadrangle_criterion,
+                  index2_subgroups_brute, is_associative_brute, is_latin,
+                  principal_isotope_brute, quadrangle_criterion,
                   transversal_search_brute)
 
 # a latin square of order 5 that is not isotopic to Z5
@@ -60,6 +61,26 @@ def random_latin_square(n, rng):
     return square
 
 
+def intercalate_switched(square, switches, rng):
+    """The square with up to `switches` seeded intercalates switched: a 2x2
+    subsquare holding a, b / b, a becomes b, a / a, b, which keeps it
+    latin."""
+    square = [list(row) for row in square]
+    n = len(square)
+    for _ in range(switches):
+        found = [(r1, r2, c1, c2)
+                 for r1 in range(n) for r2 in range(r1 + 1, n)
+                 for c1 in range(n) for c2 in range(c1 + 1, n)
+                 if square[r1][c1] == square[r2][c2] and square[r1][c2] == square[r2][c1]]
+        if not found:
+            break
+        r1, r2, c1, c2 = rng.choice(found)
+        a, b = square[r1][c1], square[r1][c2]
+        square[r1][c1] = square[r2][c2] = b
+        square[r1][c2] = square[r2][c1] = a
+    return square
+
+
 def test_is_latin():
     assert is_latin(cyclic_group(5))
     assert is_latin(NONGROUP_5)
@@ -95,6 +116,40 @@ def test_catalog_contents():
     assert isomorphic(catalog["D2"], catalog["Z2xZ2"]) is not None
     assert isomorphic(catalog["Z4"], catalog["Z2xZ2"]) is None
     assert isomorphic(catalog["D3"], catalog["Z6"]) is None
+
+
+def quaternion_group():
+    """Q8 = <a, b | a^4 = 1, b^2 = a^2, b*a = a^-1*b>, with a^s*b^t at
+    index s + 4t."""
+    def mul(x, y):
+        (t1, s1), (t2, s2) = divmod(x, 4), divmod(y, 4)
+        s = s1 + (-s2 if t1 else s2) + 2 * (t1 and t2)
+        return s % 4 + 4 * ((t1 + t2) % 2)
+    return tuple(tuple(mul(x, y) for y in range(8)) for x in range(8))
+
+
+def test_isomorphic_on_catalog_pairs():
+    # every pair of equal order and relabelled copies: an answer is a
+    # bijective homomorphism, and the isomorphic pairs are the three the
+    # catalog names twice.  Q8 x Z2 has the element orders of Z4 x Z4, so
+    # only the relations tell those two apart.
+    tables = dict(group_catalog(16), Q8xZ2=direct_product(quaternion_group(), cyclic_group(2)))
+    assert is_associative_brute(tables["Q8xZ2"])
+    assert sorted(element_orders(tables["Q8xZ2"])) == sorted(element_orders(tables["Z4xZ4"]))
+    twins = [{"D2", "Z2xZ2"}, {"Z3xZ4", "Z12"}, {"Z2xZ6", "Z2xZ2xZ3"}]
+    for a, G in sorted(tables.items()):
+        for b, H in sorted(tables.items()):
+            if len(G) != len(H):
+                continue
+            n = len(G)
+            for seed in range(2):
+                H2 = relabelled(H, "%s:%d" % (b, seed))
+                phi = isomorphic(G, H2)
+                assert (phi is not None) == (a == b or {a, b} in twins), (a, b)
+                if phi is not None:
+                    assert sorted(phi) == sorted(phi.values()) == list(range(n)), (a, b)
+                    assert all(phi[G[x][y]] == H2[phi[x]][phi[y]]
+                               for x in range(n) for y in range(n)), (a, b)
 
 
 def test_element_orders():
@@ -248,15 +303,29 @@ def test_complete_mapping_witness_is_first_transversal_on_relabellings():
 
 def test_complete_mapping_positive_groups_are_fast():
     # plain backtracking took 40-60 ms on the order-16 groups and about 7 s
-    # on the order-20 ones
+    # on the order-20 ones; transversal_search on the tables and on their
+    # isotopes runs the same pruned search
     catalog = group_catalog(16)
-    tables = [catalog["D8"], catalog["Z2xZ8"], catalog["Z2xZ2xZ4"]]
-    tables += [table for table, _ in ORDER_20.values()]
-    for table in tables:
-        t0 = time.monotonic()
-        assert complete_mapping_exists(table)[0]
-        elapsed = time.monotonic() - t0
-        assert elapsed < 1.0, "took %.2fs, bound is 1s" % elapsed
+    tables = {name: catalog[name] for name in ("D8", "Z2xZ8", "Z2xZ2xZ4")}
+    tables.update((name, table) for name, (table, _) in ORDER_20.items())
+    for name, table in tables.items():
+        n = len(table)
+        isotope = shuffled_isotope(table, name)
+        results = []
+        for search, square in ((complete_mapping_exists, table),
+                               (transversal_search, table),
+                               (transversal_search, isotope)):
+            t0 = time.monotonic()
+            results.append(search(square))
+            elapsed = time.monotonic() - t0
+            assert elapsed < 1.0, "%s took %.2fs, bound is 1s" % (name, elapsed)
+        (exists, theta), cells, isotope_cells = results
+        assert exists and [j for _, j in cells] == theta, name
+        if name in ORDER_20:
+            assert theta == ORDER_20[name][1], name
+        assert [i for i, _ in isotope_cells] == list(range(n)), name
+        assert sorted(j for _, j in isotope_cells) == list(range(n)), name
+        assert sorted(isotope[i][j] for i, j in isotope_cells) == list(range(n)), name
 
 
 def test_complete_mapping_matches_hall_paige_on_catalog():
@@ -322,6 +391,29 @@ def test_is_group_coordinatizable_isotopy_invariant():
     got = is_group_coordinatizable(square)
     assert got is not None
     assert isomorphic([list(r) for r in got], dihedral_group(3)) is not None
+
+
+def test_light_test_matches_associativity_oracle():
+    # Light's test checks associativity against a generating set only; the
+    # oracle builds the same loop isotope its own way and checks all n^3
+    # triples
+    tables = dict(group_catalog(16), A4=alternating_group_4())
+    squares = [shuffled_isotope(table, "%s:%d" % (name, seed))
+               for name, table in sorted(tables.items()) for seed in range(2)]
+    rng = random.Random(1966)
+    even = sorted(name for name, table in tables.items() if len(table) % 2 == 0)
+    for _ in range(150):
+        table = tables[rng.choice(even)]
+        squares.append(intercalate_switched(shuffled_isotope(table, rng.random()),
+                                            rng.randint(1, 3), rng))
+    non_group = 0
+    for square in squares:
+        assert is_latin(square)
+        loop = principal_isotope_brute(square)
+        want = loop if is_associative_brute(loop) else None
+        assert is_group_coordinatizable(square) == want, square
+        non_group += want is None
+    assert 50 <= non_group <= 150
 
 
 def test_nongroup_square_agrees_with_quadrangle_oracle():

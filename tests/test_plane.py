@@ -1,12 +1,12 @@
 import random
 
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_line,
-                            apply_point, cross_ratio, cross_ratio_lines,
+                            apply_point, cross, cross_ratio, cross_ratio_lines,
                             incident, join, line_points, mat_inv, mat_mul, meet,
                             normalize, perspectivity, u_from_quartic,
                             u_invariant)
 
-from util import collinear_brute, cross_ratio_lines_brute
+from util import collinear_brute, cross_ratio_brute, cross_ratio_lines_brute
 
 
 def P(x, p=13):
@@ -101,6 +101,37 @@ def test_cross_ratio_projective_invariance_samples():
                 pass
         imgs = [apply_point(M, Q, p) for Q in quad]
         assert cross_ratio(*imgs, p) == k
+
+
+def test_cross_ratio_matches_parameter_form():
+    # seeded quadruples on random lines, drawn from three points so that
+    # they repeat, each triple scaled, one in four with a stray point off
+    # the line: the bracket form gives the parameter form's value, or
+    # raises with its message
+    rng = random.Random(47)
+    outcomes = {}
+    for p in (5, 7, 13, 31, 101, 1009):
+        for _ in range(500):
+            B1 = B2 = (0, 0, 0)
+            while cross(B1, B2, p) == (0, 0, 0):
+                B1, B2 = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(2)]
+            pool = [tuple((a * x + b * y) % p for x, y in zip(B1, B2))
+                    for a, b in ((1, 0), (0, 1), (rng.randrange(1, p), rng.randrange(1, p)))]
+            quad = [tuple(c * s for c in rng.choice(pool)) for s in rng.choices(range(1, p), k=4)]
+            if rng.random() < 0.25:
+                quad[rng.randrange(4)] = (1, rng.randrange(p), rng.randrange(p))
+            results = []
+            for form in (cross_ratio, cross_ratio_brute):
+                try:
+                    results.append(form(*quad, p))
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (quad, p)
+            kind = results[0] if isinstance(results[0], str) else "value"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"value", "points are not collinear",
+                             "cross-ratio needs at least two distinct points",
+                             "cross-ratio undefined: three coincident points"}, outcomes
 
 
 def test_cross_ratio_lines_tangent_pencil_convention():

@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 
 from dualnets.nets import verify
-from dualnets.plane import all_points, cross_ratio, incident, join, line_points, meet, normalize
+from dualnets.plane import PValue, all_points, incident, join, line_points, meet, normalize
 
 
 def is_latin(square):
@@ -38,6 +38,32 @@ def quadrangle_criterion(square):
                                     if square[d1][c1] != square[d2][c2]:
                                         return False
     return True
+
+
+def principal_isotope_brute(square):
+    """The principal loop isotope of a latin square with identity
+    e = square[0][0], relabelled so that e becomes 0: entry (i, j) is
+    sw(square[a^-1(sw(i))][b^-1(sw(j))]) with a, b the first column and
+    first row and sw the swap of 0 and e."""
+    n = len(square)
+    a = [square[i][0] for i in range(n)]
+    b = [square[0][j] for j in range(n)]
+    ainv = [a.index(x) for x in range(n)]
+    binv = [b.index(x) for x in range(n)]
+    e = square[0][0]
+
+    def sw(x):
+        return 0 if x == e else e if x == 0 else x
+
+    return tuple(tuple(sw(square[ainv[sw(i)]][binv[sw(j)]]) for j in range(n))
+                 for i in range(n))
+
+
+def is_associative_brute(table):
+    """(x*y)*z = x*(y*z) on all n^3 triples."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
 
 
 def count_transversals_brute(square):
@@ -120,6 +146,34 @@ def collinear_brute(P, Q, R, p):
     return det % p == 0
 
 
+def cross_ratio_brute(A, B, C, D, p):
+    """Cross-ratio of four collinear points, at most two coincident, by the
+    pinned formula on line parameters: over two distinct points B1, B2 of
+    the quadruple, each point P = lam*B1 + mu*B2 gets the pair (mu, lam),
+    solved by Cramer's rule on two coordinates where B1, B2 are
+    independent."""
+    pts = [normalize(P, p) for P in (A, B, C, D)]
+    distinct = list(dict.fromkeys(pts))
+    if len(distinct) < 2:
+        raise ValueError("cross-ratio needs at least two distinct points")
+    B1, B2 = distinct[:2]
+    if not all(collinear_brute(B1, B2, P, p) for P in pts):
+        raise ValueError("points are not collinear")
+    i, j = next((i, j) for i in range(3) for j in range(i + 1, 3)
+                if (B1[i] * B2[j] - B1[j] * B2[i]) % p)
+    t1, t2, t3, t4 = [(B1[i] * P[j] - B1[j] * P[i], P[i] * B2[j] - P[j] * B2[i])
+                      for P in pts]
+
+    def d(u, v):
+        return u[0] * v[1] - v[0] * u[1]
+
+    num = d(t3, t1) * d(t2, t4) % p
+    den = d(t2, t3) * d(t4, t1) % p
+    if num == 0 and den == 0:
+        raise ValueError("cross-ratio undefined: three coincident points")
+    return PValue(num, den, p)
+
+
 def cross_ratio_lines_brute(l1, l2, l3, l4, p):
     """Cross-ratio of four concurrent lines, at most two coincident, by an
     auxiliary transversal: the reciprocal of the point cross-ratio of their
@@ -134,7 +188,7 @@ def cross_ratio_lines_brute(l1, l2, l3, l4, p):
         raise ValueError("lines are not concurrent")
     lead = next(i for i in range(3) if V[i])
     aux = tuple(int(i == lead) for i in range(3))
-    return cross_ratio(*(meet(l, aux, p) for l in lines), p).reciprocal()
+    return cross_ratio_brute(*(meet(l, aux, p) for l in lines), p).reciprocal()
 
 
 def fermat_points_brute(p):
