@@ -4,7 +4,6 @@ and the polynomial identities behind the j=0 center criterion.
 """
 
 from itertools import combinations
-from math import comb
 
 from .gf import sqrt_mod
 from .plane import (PValue, _base_points, all_points, cross_ratio_lines, det3, line_points,
@@ -162,20 +161,20 @@ def restrict(F, B1, B2):
 
     The binary restriction to the line spanned by B1, B2; B1 is the t=0
     end, B2 the s=0 end.  All-zero output means the line lies on the curve.
+    Each monomial is multiplied out one linear factor s*B1[v] + t*B2[v] at
+    a time.
     """
     p = F.p
-    d = F.degree
-
-    def binpow(a, b, e):
-        return [comb(e, r) * pow(a, e - r, p) * pow(b, r, p) % p for r in range(e + 1)]
-
-    g = [0] * (d + 1)
-    for (i, j, k), c in F.coeffs.items():
-        term = _pmul(_pmul(binpow(B1[0], B2[0], i), binpow(B1[1], B2[1], j), p),
-                     binpow(B1[2], B2[2], k), p)
+    g = [0] * (F.degree + 1)
+    for e, c in F.coeffs.items():
+        term = [c]
+        for v in range(3):
+            a, b = B1[v], B2[v]
+            for _ in range(e[v]):
+                term = [(a * x + b * y) % p for x, y in zip(term + [0], [0] + term)]
         for r, x in enumerate(term):
-            g[r] = (g[r] + c * x) % p
-    return g
+            g[r] += x
+    return [x % p for x in g]
 
 
 def line_on_curve(F, line, p):
@@ -190,28 +189,30 @@ _REFERENCE_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 def rational_lines(F):
     """The sorted lines of PG(2,p) on the curve F = 0, for a nonzero form F
-    of degree at most 3, from at most 4 + 3p line restrictions.
+    of degree at most 3, from at most 7 line restrictions, or p + 5 when F
+    has a singular point on the reference line M.
 
     A line on F is a linear factor of F and distinct lines are coprime
     factors, so F holds at most 3 lines.  One of the four reference lines
     X = 0, Y = 0, Z = 0, X + Y + Z = 0 is therefore not on F; call it M.
     F restricted to M is a nonzero binary form of degree <= 3 with at most
-    3 zeros, and every line on F meets M in one of them, so only the lines
-    through those zeros are tested.
+    3 zeros, and every line on F meets M in one of them.  A line through a
+    zero Z and another point W lies on F exactly when F(Z + tW) vanishes
+    in t.  Its t-coefficient forces grad F(Z) . W = 0, and Euler's identity
+    Z . grad F(Z) = deg(F) F(Z) = 0 puts Z on that line too, in every
+    characteristic.  So at a smooth zero only the tangent is tested, and
+    every line through Z only at a singular one.  A singular zero is at
+    least a double root of F on M, so at most one other zero goes with it.
     """
     p = F.p
     if F.is_zero or F.degree > 3:
         raise ValueError("rational_lines needs a nonzero form of degree at most 3")
     M = next(l for l in _REFERENCE_LINES if not line_on_curve(F, l, p))
-    B1, B2 = _base_points(M, p)
-    g = restrict(F, B1, B2)
-    zeros = [normalize(tuple(B1[i] + t * B2[i] for i in range(3)), p)
-             for t in range(p) if _peval(g, t, p) == 0]
-    if g[-1] == 0:
-        zeros.append(B2)
+    zeros = [Z for Z in line_points(M, p) if F.eval_at(Z) == 0]
     # the lines through a point Z are the points of the dual line Z
-    return sorted({L for Z in zeros for L in line_points(Z, p)
-                   if L != M and line_on_curve(F, L, p)})
+    candidates = {L for Z in zeros for L in (
+        line_points(Z, p) if F.gradient(Z) == (0, 0, 0) else [tangent_line(F, Z)])}
+    return sorted(L for L in candidates if L != M and line_on_curve(F, L, p))
 
 
 def intersection_multiplicity(F, line, P, p):
@@ -339,10 +340,10 @@ def j_of_cubic(F):
     N = next(M for M in (tuple(zip(P1, O, P2)) for P2 in ((1, 0, 0), (1, 0, 1), (1, 1, 0)))
              if det3(M, p) != 0)
     G = compose(F, N)
+    # O = (0,1,0) on G, its tangent Z = 0 and the flex there leave no Y^3,
+    # XY^2 or X^2 Y term
     c300 = G.coeffs.get((3, 0, 0), 0)
     c021 = G.coeffs.get((0, 2, 1), 0)
-    for dead in ((0, 3, 0), (1, 2, 0), (2, 1, 0)):
-        assert G.coeffs.get(dead, 0) == 0, "inflection frame failed"
     if c300 == 0 or c021 == 0:
         return None
     c201 = G.coeffs.get((2, 0, 1), 0)
@@ -397,13 +398,7 @@ def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):
     values = {}
     ok = True
     for P in common:
-        lines = []
-        for C in (F, G, H, H2):
-            g = C.gradient(P)
-            if g == (0, 0, 0):
-                raise ValueError("singular tangent at %r" % (P,))
-            lines.append(normalize(g, p))
-        k = cross_ratio_lines(*lines, p)
+        k = cross_ratio_lines(*(tangent_line(C, P) for C in (F, G, H, H2)), p)
         values[P] = k
         if k != kappa:
             ok = False

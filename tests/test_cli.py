@@ -173,7 +173,8 @@ def test_document_loading_errors(capsys, tmp_path):
         ({"char_exception": 1}, '"char_exception"'),
         ({"char_exception": None}, '"char_exception"'))]
     bad_docs += [(with_first_point(P), "integer triples") for P in (
-        [x + 0.9 for x in first], [str(x) for x in first], [bool(x) for x in first])]
+        [x + 0.9 for x in first], [str(x) for x in first], [bool(x) for x in first], 5)]
+    bad_docs.append((dict(doc, components=5), "integer triples"))
     for bad_doc, wanted in bad_docs:
         bad = tmp_path / "bad_doc.json"
         bad.write_text(json.dumps(bad_doc))

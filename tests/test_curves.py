@@ -89,6 +89,20 @@ def test_restrict_endpoints():
     assert len(g) == 4
     assert g[0] == F.eval_at(B1)
     assert g[-1] == F.eval_at(B2)
+    # sum g_i s^(d-i) t^i = F(s*B1 + t*B2) on random forms of degree <= 3
+    rng = random.Random(5)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 13, 61))
+        d = rng.randrange(4)
+        F = HomPoly(d, {e: rng.randrange(p) for e in rng.sample(
+            monomials(d), rng.randint(1, len(monomials(d))))}, p)
+        B1, B2 = (tuple(rng.randrange(p) for _ in range(3)) for _ in range(2))
+        g = restrict(F, B1, B2)
+        assert len(g) == d + 1
+        for _ in range(3):
+            s, t = rng.randrange(p), rng.randrange(p)
+            value = sum(c * pow(s, d - i, p) * pow(t, i, p) for i, c in enumerate(g)) % p
+            assert value == F.eval_at(tuple(s * a + t * b for a, b in zip(B1, B2))), (F, B1, B2)
 
 
 def test_tangent_line_and_multiplicity():
@@ -134,14 +148,19 @@ def test_line_routines_match_plane_scan_oracles():
     # rational_lines against the plane scan, on random cubics and on
     # reducible ones: line times conic, three lines (general, concurrent,
     # through the first reference lines), double and triple lines, and XYZ,
-    # which holds X = 0, Y = 0, Z = 0 and forces the fourth reference line
+    # which holds X = 0, Y = 0, Z = 0 and forces the fourth reference line.
+    # The zero of F on the chosen reference line X = 0 is singular for the
+    # node XYZ + X^3 + Y^3, the cusp Y^2 Z - X^3 and the double line Y + Z
+    # under (Y + Z)^2 (X + Z), so every line through it is tested there
     monos = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
-    for p in (5, 7, 11, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         X, Y, Z = (HomPoly(1, {e: 1}, p) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         cubics = [
             fermat_cubic(p), X * (Y * Y - X * Z), (X + Y * 2) * (X * Y + Y * Z + Z * Z * 3),
             (X + Y) * (Y + Z * 2) * (X + Y * 3 + Z), X * Y * (X + Y + Z), X * Y * (X + Y),
             X * X * Y, (Y + Z) * (Y + Z) * (Y + Z), xyz_poly(p),
+            xyz_poly(p) + X * X * X + Y * Y * Y, Y * Y * Z - X * X * X,
+            (Y + Z) * (Y + Z) * (X + Z),
         ] + [HomPoly(3, {e: rng.randrange(1, p) for e in rng.sample(monos, 4)}, p)
              for _ in range(12)]
         for F in cubics:
@@ -158,9 +177,23 @@ def test_line_routines_match_plane_scan_oracles():
     p = 13
     assert rational_lines(xyz_poly(p)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert rational_lines(fermat_cubic(p)) == []
+    X, Y, Z = (HomPoly(1, {e: 1}, p) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert singular_points(xyz_poly(p) + X * X * X + Y * Y * Y) == {(0, 0, 1)}
+    assert rational_lines((Y + Z) * (Y + Z) * (X + Z)) == [(0, 1, 1), (1, 0, 1)]
     # the oracle sees tangency, inflection and containment
     assert intersection_multiplicity_brute(fermat_cubic(p), (1, 1, 0), (1, 12, 0), p) == 3
     assert intersection_multiplicity_brute(xyz_poly(p), (1, 0, 0), (0, 1, 0), p) == 4
+    # one plane-scan check above p = 50: a line lies on F when all of its
+    # p + 1 points are among the zeros of F found by scanning the plane
+    p = 61
+    rng = random.Random(3)
+    X, Y, Z = (HomPoly(1, {e: 1}, p) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for F in [xyz_poly(p) + X * X * X + Y * Y * Y, (Y + Z) * (X * X + Y * Z * 5), xyz_poly(p)] + [
+            HomPoly(3, {e: rng.randrange(1, p) for e in rng.sample(monos, 4)}, p)
+            for _ in range(3)]:
+        on = [P for P in all_points(p) if F.eval_at(P) == 0]
+        assert rational_lines(F) == sorted(line for line in all_points(p) if sum(
+            (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0 for P in on) == p + 1), F
 
 
 def test_no_plane_scan_inside_line_routines(monkeypatch):

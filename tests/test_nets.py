@@ -170,6 +170,10 @@ def test_classify_proper_algebraic():
     assert info["singular"] == []
     assert info["j"] == PValue.of(0, 19)
     assert info["j_values"] == ["0"]
+    # three collinear points, an order-1 net, impose only 3 conditions on
+    # the 10 cubic coefficients: too many cubics to decide on
+    one = verify([[(1, 0, 0)], [(0, 1, 0)], [(1, 1, 0)]], 7)
+    assert classify(one) == {"tag": "unknown", "reason": "cubic fit dimension 7"}
 
 
 def test_classify_tetrahedron_tag():
@@ -484,7 +488,7 @@ def test_verify_work_bound(monkeypatch):
 
 def test_center_search_and_classify_work_bounds(monkeypatch):
     # find_centers tests at most n^2 candidates, and classify restricts a
-    # cubic to at most 4 + 3(p + 1) lines (the Fermat fit is one cubic)
+    # nonsingular cubic to at most 7 lines (the Fermat fit is one cubic)
     tested = []
     real_center = nets.is_perspective_center
     monkeypatch.setattr(nets, "is_perspective_center",
@@ -500,7 +504,13 @@ def test_center_search_and_classify_work_bounds(monkeypatch):
     net = constructors.algebraic_fermat(7, 61)
     report = classify(net)
     assert report["tag"] == "proper-algebraic" and report["cubic_space_dim"] == 1
-    assert 0 < len(restricted) <= 4 + 3 * (net.p + 1)
+    assert 0 < len(restricted) <= 7
+    # 4 restrictions at most choose the reference line, and each zero on it
+    # is smooth, so only its tangent is tested
+    for F in [curves.fermat_cubic(61)] + [curves.legendre_cubic(c, 13) for c in range(2, 13)]:
+        restricted.clear()
+        assert curves.rational_lines(F) == []
+        assert 0 < len(restricted) <= 7, (F, len(restricted))
 
 
 def test_partitions_brute_counts():

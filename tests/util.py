@@ -2,6 +2,7 @@
 
 from itertools import combinations, permutations
 
+from dualnets.curves import compose
 from dualnets.nets import verify
 from dualnets.plane import PValue, all_points, incident, join, line_points, meet, normalize
 
@@ -293,9 +294,20 @@ def line_points_brute(line, p):
 
 
 def line_on_curve_brute(F, line, p):
-    """F vanishes at every point of the line.  For degree <= p this is
-    containment: a nonzero binary form of degree d has at most d roots."""
-    return all(F.eval_at(P) == 0 for P in line_points_brute(line, p))
+    """The line lies on F: F vanishes at every point of the line.  For
+    degree <= p that is containment, since a nonzero binary form of degree
+    d has at most d roots.  Above that (cubics over GF(2): XY(X + Y) is
+    zero on all of Z = 0) the line's equation is also solved for one
+    variable and substituted into F, which must leave zero."""
+    if not all(F.eval_at(P) == 0 for P in line_points_brute(line, p)):
+        return False
+    if F.degree <= p:
+        return True
+    v = next(i for i in range(3) if line[i] % p)
+    inv = pow(line[v], -1, p)
+    M = [[int(i == j) for j in range(3)] for i in range(3)]
+    M[v] = [0 if j == v else -line[j] * inv % p for j in range(3)]
+    return compose(F, M).is_zero
 
 
 def intersection_multiplicity_brute(F, line, P, p):
