@@ -7,15 +7,17 @@ are re-verified on every load; nothing trusts a stored flag.
 
 Exit codes: 0 success, 1 mathematical failure (a net fails verification,
 or a demo prints a FAIL line), 2 usage or parameter errors.
+
+A process runs one command, so each command imports what it needs beyond
+nets, gf and plane: only construct and the demos load constructors and
+latin, and of the inspection commands only classify loads curves.
 """
 
 import argparse
 import json
-import random
 import sys
 
-from . import constructors, latin, nets
-from .curves import cubic_j0_identities
+from . import nets
 from .gf import is_prime
 from .plane import PValue, apply_point, normalize, perspectivity
 
@@ -120,7 +122,8 @@ def _load_net(path):
 
 
 # family -> (builder in constructors, the options passed to it in order).
-# Builders are looked up by name at call time, so a rebound one is used.
+# cmd_construct imports constructors and looks the builder up by name at
+# call time, so a rebound one is used.
 FAMILIES = {
     "triangular": ("triangular_cyclic", ("n", "p", "c")),
     "pencil": ("pencil_char_p", ("p",)),
@@ -132,6 +135,8 @@ FAMILIES = {
 
 
 def cmd_construct(args):
+    from . import constructors
+
     builder, params = FAMILIES[args.family]
     missing = [name for name in params if getattr(args, name) is None]
     if missing:
@@ -199,6 +204,8 @@ def cmd_crossratio(net):
 
 
 def _demo_pencil():
+    from . import constructors
+
     checks = []
     net = constructors.pencil_char_p(5)
     checks.append(("pencil net of order 5 verifies with the characteristic "
@@ -217,6 +224,8 @@ def _demo_pencil():
 
 
 def _demo_conic_line():
+    from . import constructors, latin
+
     checks = []
     net = constructors.conic_line(5, 11, 1)
     p = net.p
@@ -238,6 +247,8 @@ def _demo_conic_line():
 
 
 def _demo_fermat():
+    from . import constructors
+
     checks = []
     net = constructors.algebraic_fermat(3, 19)
     p = net.p
@@ -261,6 +272,10 @@ def _demo_fermat():
 
 
 def _demo_j0_identities():
+    import random
+
+    from .curves import cubic_j0_identities
+
     checks = []
     p = 101
     rng = random.Random(20260818)
@@ -276,6 +291,8 @@ def _demo_j0_identities():
 
 
 def _demo_negative_sweeps():
+    from . import constructors
+
     checks = []
     cases = [
         ("triangular cyclic n=5, p=11", constructors.triangular_cyclic(5, 11)),

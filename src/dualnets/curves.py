@@ -324,9 +324,12 @@ def j_of_cubic(F):
     Weierstrass coefficients, completes the square and the cube, and
     returns 1728 * 4A^3 / (4A^3 + 27B^2) as a PValue (inf for singular
     cubics).  Returns None when no rational inflection exists or the
-    cubic is degenerate there.
+    cubic is degenerate there.  Needs p >= 5: the Weierstrass step divides
+    by 2 and 3.
     """
     p = F.p
+    if p < 5:
+        raise ValueError("j_of_cubic needs p >= 5, got p = %d" % p)
     infl = inflection_points(F)
     if not infl:
         return None

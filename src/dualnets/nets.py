@@ -22,7 +22,6 @@ keep the whole-plane sweep of the definition as the oracle for both.
 
 from itertools import product
 
-from . import curves
 from .plane import cross_ratio, det3, incident, join, line_points, meet, normalize
 
 
@@ -378,6 +377,8 @@ def classify(net):
                     "line_component": li,
                     "conic": v,
                 }
+
+    from . import curves  # only the cubic fit needs the curve layer
 
     pts = net.all_net_points()
     cubic_monomials = curves.monomials(3)

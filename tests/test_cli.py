@@ -321,3 +321,45 @@ def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
     assert report["tag"] == "proper-algebraic"
     assert report["singular"] == [[1, 17, 0]]
     assert report["singular_type"] == "node"
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+from dualnets.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualnets."))]))
+"""
+
+
+def _fresh_python(code, *argv):
+    """stdout of `python -c code argv...` in a fresh interpreter on src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
+    # one process runs one command, so importing a layer it never calls is
+    # start-up time on every inspection op
+    unused = {"dualnets.curves", "dualnets.cubic_group", "dualnets.constructors",
+              "dualnets.latin"}
+    tri, doc = construct(capsys, tmp_path, "tri", "triangular", "--n", "5", "--p", "11")
+    doc["components"][1][0] = [1, 2, 3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv, want in ((("verify", tri), 0), (("verify", str(bad)), 1),
+                       (("centers", tri), 0), (("crossratio", tri), 0)):
+        code, loaded = json.loads(_fresh_python(FOOTPRINT, *argv))
+        assert code == want, argv
+        assert not set(loaded) & unused, (argv, loaded)
+    fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
+    code, loaded = json.loads(_fresh_python(FOOTPRINT, "classify", fermat))
+    assert code == 0 and "dualnets.curves" in loaded
+    assert not set(loaded) & (unused - {"dualnets.curves"}), loaded
+    # the package loads a layer on first attribute access
+    hook = ("import sys, dualnets.cli; assert 'dualnets.curves' not in sys.modules; "
+            "print(dualnets.curves.j_of_cubic.__module__)")
+    assert _fresh_python(hook).strip() == "dualnets.curves"

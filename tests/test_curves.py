@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dualnets.curves import (HomPoly, compose, corners_legendre,
                              cubic_j0_identities, curve_points, fermat_cubic,
                              hessian, inflection_points,
@@ -338,6 +340,20 @@ def test_j_of_cubic_cusp_is_infinity():
     for p in (7, 13):
         cusp = HomPoly(3, {(3, 0, 0): 1, (0, 2, 1): -1}, p)  # Y^2 Z = X^3
         assert j_of_cubic(cusp) == PValue.infinity(p)
+
+
+def test_j_of_cubic_refuses_characteristic_2_and_3():
+    # the Weierstrass step divides by 2 and 3: every nonzero cubic gets a
+    # message naming the limit, never pow's "base is not invertible"
+    rng = random.Random(1601)
+    for p in (2, 3):
+        for _ in range(100):
+            F = HomPoly(3, {m: rng.randrange(p) for m in monomials(3)}, p)
+            if F.is_zero:
+                continue
+            with pytest.raises(ValueError) as err:
+                j_of_cubic(F)
+            assert str(err.value) == "j_of_cubic needs p >= 5, got p = %d" % p
 
 
 def test_j_of_cubic_singular_scan():
