@@ -171,8 +171,19 @@ def cmd_classify(net):
     return 0
 
 
+def _sorted_centers(net):
+    """The sorted centers; None after a usage error when find_centers refuses."""
+    try:
+        return sorted(nets.find_centers(net))
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return None
+
+
 def cmd_centers(net):
-    centers = sorted(nets.find_centers(net))
+    centers = _sorted_centers(net)
+    if centers is None:
+        return 2
     _emit({"centers": [list(T) for T in centers], "count": len(centers)})
     return 0
 
@@ -191,8 +202,11 @@ def _kappa_entry(kappa, p):
 
 def cmd_crossratio(net):
     if net.k == 3:
+        centers = _sorted_centers(net)
+        if centers is None:
+            return 2
         rows = []
-        for T in sorted(nets.find_centers(net)):
+        for T in centers:
             entry = _kappa_entry(nets.constant_cross_ratio(net, T), net.p)
             entry["center"] = list(T)
             rows.append(entry)

@@ -3,11 +3,8 @@ Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
 and the polynomial identities behind the j=0 center criterion.
 """
 
-from itertools import combinations
-
 from .gf import sqrt_mod
-from .plane import (PValue, _base_points, all_points, cross_ratio_lines, det3, line_points,
-                    normalize)
+from .plane import PValue, _base_points, all_points, cross_ratio_lines, line_points, normalize
 
 
 def monomials(d):
@@ -177,6 +174,14 @@ def restrict(F, B1, B2):
     return [x % p for x in g]
 
 
+def _peval(u, x, p):
+    """u[0] + u[1] x + ... + u[d] x^d mod p, by Horner's rule."""
+    total = 0
+    for c in reversed(u):
+        total = (total * x + c) % p
+    return total
+
+
 def line_on_curve(F, line, p):
     """True when every point of the line satisfies F = 0 (restriction vanishes)."""
     B1, B2 = _base_points(normalize(line, p), p)
@@ -188,17 +193,17 @@ _REFERENCE_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
 def rational_lines(F):
-    """The sorted lines of PG(2,p) on the curve F = 0, for a nonzero form F
-    of degree at most 3, from at most 7 line restrictions, or p + 5 when F
-    has a singular point on the reference line M.
+    """The sorted lines of PG(2,p) on F = 0, for a nonzero form F of degree
+    at most 3, from one restriction of F to the reference line M and at most
+    7 line_on_curve tests (p + 5 when F has a singular zero on M).
 
     A line on F is a linear factor of F and distinct lines are coprime
     factors, so F holds at most 3 lines.  One of the four reference lines
     X = 0, Y = 0, Z = 0, X + Y + Z = 0 is therefore not on F; call it M.
-    F restricted to M is a nonzero binary form of degree <= 3 with at most
-    3 zeros, and every line on F meets M in one of them.  A line through a
-    zero Z and another point W lies on F exactly when F(Z + tW) vanishes
-    in t.  Its t-coefficient forces grad F(Z) . W = 0, and Euler's identity
+    F restricted to M is a nonzero binary form g of degree <= 3, and every
+    line on F meets M in one of its at most 3 zeros.  A line through a zero
+    Z and another point W lies on F exactly when F(Z + tW) vanishes in t.
+    Its t-coefficient forces grad F(Z) . W = 0, and Euler's identity
     Z . grad F(Z) = deg(F) F(Z) = 0 puts Z on that line too, in every
     characteristic.  So at a smooth zero only the tangent is tested, and
     every line through Z only at a singular one.  A singular zero is at
@@ -208,7 +213,13 @@ def rational_lines(F):
     if F.is_zero or F.degree > 3:
         raise ValueError("rational_lines needs a nonzero form of degree at most 3")
     M = next(l for l in _REFERENCE_LINES if not line_on_curve(F, l, p))
-    zeros = [Z for Z in line_points(M, p) if F.eval_at(Z) == 0]
+    # the zeros on M: B1 + t*B2 at each root t of g, and B2 when g[-1] = F(B2) = 0
+    B1, B2 = _base_points(M, p)
+    g = restrict(F, B1, B2)
+    zeros = [tuple((B1[i] + t * B2[i]) % p for i in range(3))
+             for t in range(p) if _peval(g, t, p) == 0]
+    if g[-1] == 0:
+        zeros.append(B2)
     # the lines through a point Z are the points of the dual line Z
     candidates = {L for Z in zeros for L in (
         line_points(Z, p) if F.gradient(Z) == (0, 0, 0) else [tangent_line(F, Z)])}
@@ -260,19 +271,16 @@ def singular_type(F, P):
     """"node" or "cusp" for an isolated double point of a cubic.
 
     The tangent cone at P is a binary quadratic; a repeated root (zero
-    discriminant) is a cusp, distinct roots (over the closure) a node.
+    discriminant) is a cusp, distinct roots (over the closure) a node.  Its
+    values at U, V, U + V, for U, V spanning X_i = 0 with P[i] != 0, are
+    the t^2 coefficients of F(sP + tW); any such frame scales the
+    discriminant by a nonzero square.
     """
     p = F.p
-    # frame: P as third column, the first pair of basis vectors (in
-    # combinations order) that completes it to a basis as the other two
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    M = next(M for M in (tuple(zip(A, B, P)) for A, B in combinations(basis, 2))
-             if det3(M, p) != 0)
-    G = compose(F, M)
-    d = F.degree
-    A = G.coeffs.get((2, 0, d - 2), 0)
-    B = G.coeffs.get((1, 1, d - 2), 0)
-    C = G.coeffs.get((0, 2, d - 2), 0)
+    i = next(i for i in range(3) if P[i] % p)
+    U, V = _base_points(tuple(int(k == i) for k in range(3)), p)
+    A, S, C = (restrict(F, P, W)[2] for W in (U, V, tuple(map(sum, zip(U, V)))))
+    B = (S - A - C) % p
     if (A, B, C) == (0, 0, 0):
         raise ValueError("point has multiplicity > 2")
     disc = (B * B - 4 * A * C) % p
@@ -336,13 +344,12 @@ def j_of_cubic(F):
     O = infl[0]
     T = tangent_line(F, O)
     # frame: second column O, first column a base point of the tangent other
-    # than O, third column the first point of the plane off the tangent: one
-    # of the three below, since a line through (1,0,0) and (1,0,1) is Y = 0
+    # than O, third column the coordinate vertex e_i with T[i] != 0, which
+    # lies off the tangent
     B1, B2 = _base_points(T, p)
     P1 = B2 if B1 == O else B1
-    N = next(M for M in (tuple(zip(P1, O, P2)) for P2 in ((1, 0, 0), (1, 0, 1), (1, 1, 0)))
-             if det3(M, p) != 0)
-    G = compose(F, N)
+    i = next(i for i in range(3) if T[i])
+    G = compose(F, tuple(zip(P1, O, (int(k == i) for k in range(3)))))
     # O = (0,1,0) on G, its tangent Z = 0 and the flex there leave no Y^3,
     # XY^2 or X^2 Y term
     c300 = G.coeffs.get((3, 0, 0), 0)
@@ -408,37 +415,6 @@ def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):
     return {"kappa": kappa, "per_point": values, "pass": ok}
 
 
-# ---------------------------------------------------------------------------
-# univariate helpers (coefficient lists, low degree) for the identity checks
-
-def _padd(u, v, p):
-    n = max(len(u), len(v))
-    return [((u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0)) % p for i in range(n)]
-
-
-def _pscale(u, s, p):
-    return [x * s % p for x in u]
-
-
-def _pmul(u, v, p):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _pderiv(u, p):
-    return [i * u[i] % p for i in range(1, len(u))] or [0]
-
-
-def _peval(u, x, p):
-    total = 0
-    for c in reversed(u):
-        total = (total * x + c) % p
-    return total
-
-
 def cubic_j0_identities(a, b, c, m, p):
     """The two exact identities behind the j = 0 perspectivity criterion.
 
@@ -459,16 +435,16 @@ def cubic_j0_identities(a, b, c, m, p):
     b %= p
     c %= p
     m %= p
-    # quartic coefficients alpha_i of t^i in t*h1(t), as polynomials in m
-    a1 = [(a * (a - 1) * (a - c) - b * b) % p]
-    a2 = [(3 * a * a - 2 * a - 2 * a * c + c) % p, (-2 * b) % p]
-    a3 = [(3 * a - 1 - c) % p, 0, p - 1]
+    # alpha_i (of t^i in t*h1(t)) at m and its m-derivative; alpha_1 is constant
+    a1 = (a * (a - 1) * (a - c) - b * b) % p
+    a2, da2 = (3 * a * a - 2 * a - 2 * a * c + c - 2 * b * m) % p, -2 * b
+    a3, da3 = (3 * a - 1 - c - m * m) % p, -2 * m
     # f = 12 a0 a4 - 3 a1 a3 + a2^2 with a0 = 0, a4 = 1
-    f = _padd(_pscale(_pmul(a1, a3, p), -3, p), _pmul(a2, a2, p), p)
+    f = (a2 * a2 - 3 * a1 * a3) % p
+    df = 2 * a2 * da2 - 3 * a1 * da3
     # g = -(72 a0 a2 a4 - 27 a0 a3^2 - 27 a1^2 a4 - 2 a2^3 + 9 a1 a2 a3)
-    g = _padd(
-        _padd(_pscale(_pmul(a1, a1, p), 27, p), _pscale(_pmul(_pmul(a2, a2, p), a2, p), 2, p), p),
-        _pscale(_pmul(_pmul(a1, a2, p), a3, p), -9, p), p)
+    g = (27 * a1 * a1 + 2 * a2 ** 3 - 9 * a1 * a2 * a3) % p
+    dg = 6 * a2 * a2 * da2 - 9 * a1 * (da2 * a3 + a2 * da3)
     beta = [
         2 * b * (c * c - c + 1) % p,
         (2 * a * c - 2 * a * c * c - 2 * a + 3 * b * b + c * c + c) % p,
@@ -482,14 +458,11 @@ def cubic_j0_identities(a, b, c, m, p):
         (-6 * b * pow(c * c - c + 1, 2, p)) % p,
         (-8 * pow(c * c - c + 1, 3, p)) % p,
     ]
-    lhs1 = (3 * _peval(_pderiv(f, p), m, p) * _peval(g, m, p)
-            - 2 * _peval(f, m, p) * _peval(_pderiv(g, p), m, p)) % p
+    lhs1 = (3 * df * g - 2 * f * dg) % p
     rhs1 = 54 * pow(b * b - a * (a - 1) * (a - c), 2, p) * _peval(beta, m, p) % p
     lhs2 = sum(bi * gi for bi, gi in zip(beta, gamma)) % p
     rhs2 = 18 * pow(c * (c - 1), 2, p) * (c * c - c + 1) % p
     return {
-        "f": f,
-        "g": g,
         "beta": beta,
         "gamma": gamma,
         "identity1": lhs1 == rhs1,

@@ -25,6 +25,9 @@ from itertools import product
 from .plane import cross_ratio, det3, incident, join, line_points, meet, normalize
 
 
+_MAX_CENTERS = 10 ** 6  # the most centers find_centers lists for an order-1 net
+
+
 class NetViolation(Exception):
     """Verification failure with the offending line/component/count."""
 
@@ -169,11 +172,16 @@ def find_centers(net):
     Each is a join with a point of component 1, so the n^2 meets of the n
     lines through A with the n lines through B are a complete candidate
     set.  For n = 1 the k net points span the one net line, and every
-    other point of that line is a center.  The tests compare the result
+    other point of that line is a center; more than _MAX_CENTERS of them
+    raise ValueError before any is listed.  The tests compare the result
     with a whole-plane sweep of the definition.
     """
     p = net.p
     if net.n == 1:
+        count = p + 1 - net.k
+        if count > _MAX_CENTERS:
+            raise ValueError("an order-1 net over GF(%d) has %d centers, more than the "
+                             "limit of %d" % (p, count, _MAX_CENTERS))
         (line,) = net.lines
         return set(line_points(line, p)) - set(net.all_net_points())
     A, B = net.components[0][:2]

@@ -205,9 +205,12 @@ def u_invariant(k):
     """u(k) = (k^2-k+1)^3 / ((k+1)^2 (k-2)^2 (2k-1)^2), projectively.
 
     Constant on anharmonic orbits; 0 exactly at equianharmonic k, inf
-    exactly at harmonic-type k in {-1, 2, 1/2}.
+    exactly at harmonic-type k in {-1, 2, 1/2}.  Needs p >= 5: over GF(3),
+    k = -1 is harmonic and equianharmonic at once and u reads 0/0.
     """
     n, d, p = k.num, k.den, k.p
+    if p < 5:
+        raise ValueError("u_invariant needs p >= 5, got p = %d" % p)
     q = (n * n - n * d + d * d) % p
     num = pow(q, 3, p)
     den = pow((n + d) * (n - 2 * d) * (2 * n - d), 2, p)
@@ -220,8 +223,10 @@ def u_from_quartic(a0, a1, a2, a3, a4, p):
     For a quartic with roots t1..t4, u(cross-ratio of the roots) equals
     (12 a0 a4 - 3 a1 a3 + a2^2)^3 / (72 a0 a2 a4 - 27 a0 a3^2 - 27 a1^2 a4
     - 2 a2^3 + 9 a1 a2 a3)^2.  Homogeneous of degree 6 over 6, so scaling
-    all coefficients leaves the value unchanged.
+    all coefficients leaves the value unchanged.  Needs p >= 5.
     """
+    if p < 5:
+        raise ValueError("u_from_quartic needs p >= 5, got p = %d" % p)
     f = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
     j = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
          - 2 * a2 ** 3 + 9 * a1 * a2 * a3) % p

@@ -307,6 +307,19 @@ def test_centers_of_an_order_1_net_over_a_large_field():
     assert report["centers"][-1] == [1, 100002, 0]
 
 
+def test_centers_of_an_order_1_net_past_the_limit():
+    # p - 1 centers over GF(2^61 - 1): centers and crossratio refuse before
+    # listing any, while verify and classify answer
+    doc = json.dumps({"p": 2 ** 61 - 1, "components": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]]]})
+    for command in ("centers", "crossratio"):
+        done = _run_module(command, "-", stdin=doc)
+        assert done.returncode == 2, command
+        assert done.stdout == "" and "Traceback" not in done.stderr, command
+        assert done.stderr.startswith("error: ") and "limit of 1000000" in done.stderr, command
+    for command in ("verify", "classify"):
+        assert _run_module(command, "-", stdin=doc).returncode == 0, command
+
+
 def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
     # a nodal-cubic coset net moved by a projectivity: its node (1, 17, 0)
     # lies on Z = 0 but is no vertex of the coordinate triangle

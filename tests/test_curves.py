@@ -15,7 +15,7 @@ from dualnets.cubic_group import CurveGroup
 from dualnets.plane import (PValue, all_points, line_points, mat_inv, apply_point,
                             normalize)
 from util import (hesse_4net_brute, intersection_multiplicity_brute,
-                  line_on_curve_brute)
+                  line_on_curve_brute, singular_type_brute)
 
 
 def random_projectivity(rng, p):
@@ -388,14 +388,59 @@ def test_singular_points_and_types():
     assert singular_points(legendre_cubic(1, p)) == {(1, 0, 1)}
     assert singular_points(fermat_cubic(p)) == set()
     assert j_of_cubic(node).is_infinity
-    # a singular point (x, y, 0) off the vertices: the frame must skip the
-    # basis pair (1,0,0), (0,1,0), which does not complete it to a basis
+    # a singular point (x, y, 0) off the vertices: the tangent cone is read
+    # on the line X = 0, since Z = 0 passes through the point
     N = ((1, 0, 1), (0, 0, 2), (0, 1, 0))  # columns (1,0,0), (0,0,1), (1,2,0)
     moved = compose(cusp, mat_inv(N, p))
     assert singular_points(moved) == {(1, 2, 0)}
     assert singular_type(moved, (1, 2, 0)) == "cusp"
     moved = compose(node, mat_inv(N, p))
     assert singular_type(moved, (1, 2, 0)) == "node"
+
+
+def _outcome(fn, F, P):
+    try:
+        return fn(F, P)
+    except ValueError as err:
+        return "error: %s" % err
+
+
+def test_singular_type_matches_frame_oracle():
+    # every singular point of seeded singular cubics: a double point at a
+    # random point (moved from (0,0,1), so no Z^3, XZ^2 or YZ^2 term, and
+    # sometimes no quadratic part), line * conic, three lines (triangles,
+    # a double or triple line when they coincide) and a cuspidal conic
+    # times a line
+    rng = random.Random(15)
+    outcomes = []
+    for p in (2, 3, 5, 7, 13, 31):
+        lines = [HomPoly(1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), L)), p)
+                 for L in all_points(p)]
+        for trial in range(60):
+            kind = trial % 4
+            if kind == 0:
+                double = [e for e in monomials(3) if e[2] < 2]
+                if trial % 8 == 0:
+                    double = [e for e in double if e[2] == 0]  # multiplicity 3
+                F = compose(HomPoly(3, {e: rng.randrange(p) for e in double}, p),
+                            random_projectivity(rng, p))
+            elif kind == 1:
+                conic = HomPoly(2, {e: rng.randrange(p) for e in monomials(2)}, p)
+                F = rng.choice(lines) * conic
+            elif kind == 2:
+                F = rng.choice(lines) * rng.choice(lines[:3]) * rng.choice(lines)
+            else:
+                F = compose(HomPoly(3, {(3, 0, 0): 1, (0, 2, 1): rng.randrange(1, p),
+                                        (2, 0, 1): rng.randrange(p)}, p),
+                            random_projectivity(rng, p))
+            if F.is_zero:
+                continue
+            for P in sorted(singular_points(F)):
+                got = _outcome(singular_type, F, P)
+                assert got == _outcome(singular_type_brute, F, P), (p, F, P)
+                outcomes.append(got)
+    assert len(outcomes) >= 500
+    assert {"node", "cusp", "error: point has multiplicity > 2"} <= set(outcomes)
 
 
 def test_inflection_points_of_fermat():

@@ -117,6 +117,21 @@ def test_no_centers_for_triangular():
     assert find_centers(net) == set()
 
 
+def test_find_centers_refuses_past_the_limit(monkeypatch):
+    # an order-1 net has p + 1 - k centers; more than the limit are refused
+    # before any is listed
+    collinear = [[(1, 0, 0)], [(0, 1, 0)], [(1, 1, 0)]]
+    monkeypatch.setattr(nets, "_MAX_CENTERS", 5)
+    assert len(find_centers(verify(collinear, 7))) == 5
+    for p in (11, 2 ** 61 - 1):
+        try:
+            find_centers(verify(collinear, p))
+            assert False, p
+        except ValueError as err:
+            assert str(err) == ("an order-1 net over GF(%d) has %d centers, more than the "
+                                "limit of 5" % (p, p - 2))
+
+
 def test_constant_cross_ratio_conic_line():
     for n, p, c in ((5, 11, 1), (7, 29, 2)):
         net = constructors.conic_line(n, p, c)

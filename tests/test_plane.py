@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_line,
                             apply_point, cross, cross_ratio, cross_ratio_lines,
                             incident, join, line_points, mat_inv, mat_mul, meet,
@@ -252,6 +254,17 @@ def test_u_invariant_special_values():
     assert u_invariant(P(0)) == quarter
     assert u_invariant(P(1)) == quarter
     assert u_invariant(PValue.infinity(p)) == quarter
+
+
+def test_u_refuses_characteristic_2_and_3():
+    # over GF(3), k = -1 is harmonic and equianharmonic at once: u is 0/0
+    for p in (2, 3):
+        with pytest.raises(ValueError) as err:
+            u_invariant(PValue.of(2, p))
+        assert str(err.value) == "u_invariant needs p >= 5, got p = %d" % p
+        with pytest.raises(ValueError) as err:
+            u_from_quartic(1, 0, 0, 1, 0, p)
+        assert str(err.value) == "u_from_quartic needs p >= 5, got p = %d" % p
 
 
 def test_u_from_quartic_matches_roots():

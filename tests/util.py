@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 from dualnets.curves import compose
 from dualnets.nets import verify
-from dualnets.plane import PValue, all_points, incident, join, line_points, meet, normalize
+from dualnets.plane import PValue, all_points, det3, incident, join, line_points, meet, normalize
 
 
 def is_latin(square):
@@ -327,6 +327,25 @@ def intersection_multiplicity_brute(F, line, P, p):
         scale = value * pow(denom, -1, p) % p
         coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
     return next((i for i, c in enumerate(coeffs) if c), d + 1)
+
+
+def singular_type_brute(F, P):
+    """"node" or "cusp" at a double point P of F, from the substitution
+    G = F(M * (X,Y,Z)^T) for a frame M with P as its third column (the
+    first pair of basis vectors that completes it to a basis): the tangent
+    cone is the Z^(d-2) part of G, a binary quadratic in X, Y."""
+    p = F.p
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    M = next(M for M in (tuple(zip(A, B, P)) for A, B in combinations(basis, 2))
+             if det3(M, p) != 0)
+    G = compose(F, M)
+    d = F.degree
+    A = G.coeffs.get((2, 0, d - 2), 0)
+    B = G.coeffs.get((1, 1, d - 2), 0)
+    C = G.coeffs.get((0, 2, d - 2), 0)
+    if (A, B, C) == (0, 0, 0):
+        raise ValueError("point has multiplicity > 2")
+    return "cusp" if (B * B - 4 * A * C) % p == 0 else "node"
 
 
 def is_prime_brute(n):
