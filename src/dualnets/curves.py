@@ -3,7 +3,6 @@ Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
 and the polynomial identities behind the j=0 center criterion.
 """
 
-from .gf import sqrt_mod
 from .plane import PValue, _base_points, all_points, cross_ratio_lines, line_points, normalize
 
 
@@ -194,8 +193,9 @@ _REFERENCE_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 def rational_lines(F):
     """The sorted lines of PG(2,p) on F = 0, for a nonzero form F of degree
-    at most 3, from one restriction of F to the reference line M and at most
-    7 line_on_curve tests (p + 5 when F has a singular zero on M).
+    at most 3, from at most 4 restrictions of F to reference lines, the
+    last to M, and at most 7 line_on_curve tests (p + 5 when F has a
+    singular zero on M).
 
     A line on F is a linear factor of F and distinct lines are coprime
     factors, so F holds at most 3 lines.  One of the four reference lines
@@ -212,10 +212,12 @@ def rational_lines(F):
     p = F.p
     if F.is_zero or F.degree > 3:
         raise ValueError("rational_lines needs a nonzero form of degree at most 3")
-    M = next(l for l in _REFERENCE_LINES if not line_on_curve(F, l, p))
+    for M in _REFERENCE_LINES:
+        B1, B2 = _base_points(M, p)
+        g = restrict(F, B1, B2)
+        if any(g):
+            break
     # the zeros on M: B1 + t*B2 at each root t of g, and B2 when g[-1] = F(B2) = 0
-    B1, B2 = _base_points(M, p)
-    g = restrict(F, B1, B2)
     zeros = [tuple((B1[i] + t * B2[i]) % p for i in range(3))
              for t in range(p) if _peval(g, t, p) == 0]
     if g[-1] == 0:
@@ -224,17 +226,6 @@ def rational_lines(F):
     candidates = {L for Z in zeros for L in (
         line_points(Z, p) if F.gradient(Z) == (0, 0, 0) else [tangent_line(F, Z)])}
     return sorted(L for L in candidates if L != M and line_on_curve(F, L, p))
-
-
-def intersection_multiplicity(F, line, P, p):
-    """Multiplicity of F restricted to the line at P (d+1 means containment)."""
-    B1, B2 = _base_points(normalize(line, p), p)
-    Q = B2 if B1 == P else B1
-    g = restrict(F, P, Q)
-    for i, c in enumerate(g):
-        if c != 0:
-            return i
-    return F.degree + 1
 
 
 def legendre_cubic(c, p):
@@ -285,30 +276,6 @@ def singular_type(F, P):
         raise ValueError("point has multiplicity > 2")
     disc = (B * B - 4 * A * C) % p
     return "cusp" if disc == 0 else "node"
-
-
-def corners_legendre(c, p):
-    """The three pairwise intersections of the Hessian lines of a j=0 Legendre cubic.
-
-    Requires c^2 - c + 1 = 0.  The Hessian splits as the vertical line
-    X = (c+1)/3 Z and the pair Y^2 = (1-2c)/3 Z^2, so the corners are
-    rational exactly when (1-2c)/3 is a square; a non-residue raises.
-    """
-    c %= p
-    if (c * c - c + 1) % p != 0:
-        raise ValueError("c^2 - c + 1 must vanish")
-    inv3 = pow(3, -1, p)
-    x0 = (c + 1) * inv3 % p
-    b2 = (1 - 2 * c) * inv3 % p
-    roots = sqrt_mod(b2, p)
-    if roots is None:
-        raise ValueError("(1-2c)/3 is not a square in GF(%d)" % p)
-    b = roots[0]
-    return {
-        normalize((x0, b, 1), p),
-        normalize((x0, -b, 1), p),
-        (1, 0, 0),
-    }
 
 
 def j_invariant(c, p):

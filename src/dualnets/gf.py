@@ -53,44 +53,6 @@ def factorize(n: int) -> dict:
     return out
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol: 1 for a nonzero square, -1 for a non-square, 0 for 0."""
-    ls = pow(a % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
-
-
-def sqrt_mod(a: int, p: int):
-    """Square roots of a mod p.
-
-    Returns the pair (r, p-r) with r*r = a and r the smaller root when a
-    is a nonzero square, (0, 0) when a = 0, and None when a is a
-    non-residue.  Tonelli-Shanks.
-    """
-    a = a % p
-    if a == 0:
-        return (0, 0)
-    if legendre(a, p) != 1:
-        return None
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return (min(r, p - r), max(r, p - r))
-
-
 def nth_root_of_unity(p: int, n: int) -> int:
     """A primitive n-th root of unity in GF(p): multiplicative order exactly n.
 

@@ -16,7 +16,10 @@ each row, column and symbol once, holds n/4 cells of each type
 (chi(row), chi(column)); a partial transversal with no room left for a
 type under some chi is cut.  The count is necessary for a completion, so
 the search returns the same first transversal as without it, only
-sooner.  A complete mapping of a group table is a transversal's columns.
+sooner.  A complete mapping of a group table is a transversal's columns;
+a group table with identity 0 is its own principal isotope, so
+complete_mapping_exists searches the table directly, with no isotope to
+build and no Light's test.
 """
 
 
@@ -53,7 +56,13 @@ def transversal_search(square):
     isotopy = _group_isotopy(square)
     if isotopy is None:
         return _backtrack_transversal(square)
-    table, rows, cols = isotopy
+    return _group_transversal(square, *isotopy)
+
+
+def _group_transversal(square, table, rows, cols):
+    """The first transversal of a square isotopic to the group table, row i
+    and column j of the square labelled rows[i] and cols[j] in the table,
+    or None when the table fails hall_paige_criterion."""
     if not hall_paige_criterion(table):
         return None
     characters = [([chi[r] for r in rows], [chi[c] for c in cols])
@@ -165,29 +174,39 @@ def _index2_characters(table):
 
 
 def complete_mapping_exists(table):
-    """Search for a complete mapping of a group table.
+    """Search for a complete mapping of a group table with identity 0.
 
     A complete mapping is a permutation theta with g -> g*theta(g) also a
     permutation: the columns of a transversal of the table, theta(g) in
-    row g.  Returns (True, theta) or (False, None), theta read off the
-    cells of transversal_search(table), so it is the first transversal in
-    column order.  Right-translating by theta(0)^-1 makes any complete
-    mapping fix 0, and the search tries column 0 first, so the witness
-    fixes 0.
+    row g.  Returns (True, theta) or (False, None).  The table is its own
+    isotope with the identity labellings, so it is searched directly, and
+    theta is read off the cells that transversal_search(table) returns: the
+    first transversal in column order.  Right-translating by theta(0)^-1
+    makes any complete mapping fix 0, and the search tries column 0 first,
+    so the witness fixes 0.  The table is not checked to be a group; on
+    some tables that are not, element_orders raises ValueError.
     """
-    cells = transversal_search(table)
+    labels = range(len(table))
+    cells = _group_transversal(table, table, labels, labels)
     if cells is None:
         return False, None
     return True, [j for _, j in cells]
 
 
 def element_orders(table):
-    """Order of every element of a group table with identity 0."""
+    """Order of every element of a group table with identity 0.
+
+    An order is at most n, so a walk x -> x*g that has not returned to 0
+    after n steps raises ValueError: the table is no such group.
+    """
     n = len(table)
     orders = []
     for g in range(n):
         x, o = g, 1
         while x != 0:
+            if o == n:
+                raise ValueError("not a group table with identity 0: "
+                                 "the powers of %d never reach 0" % g)
             x = table[x][g]
             o += 1
         orders.append(o)
@@ -250,10 +269,14 @@ def _group_isotopy(square):
     sw[0], sw[e] = e, 0
     rows = [sw[row[0]] for row in square]
     cols = [sw[s] for s in square[0]]
-    table = [[0] * n for _ in range(n)]
+    if len(set(rows)) < n or len(set(cols)) < n:
+        return None  # not latin, so no group isotope
+    col_of = [0] * n  # table column c is square column col_of[c]
+    for j, c in enumerate(cols):
+        col_of[c] = j
+    table = [None] * n
     for r, row in zip(rows, square):
-        for c, s in zip(cols, row):
-            table[r][c] = sw[s]
+        table[r] = [sw[row[j]] for j in col_of]
     for g in _generators(table):
         right = [row[g] for row in table]  # y -> y*g
         for row in table:  # x -> x*y

@@ -254,39 +254,8 @@ def det3(M, p):
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
 
 
-def mat_mul(M, N, p):
-    return tuple(
-        tuple(sum(M[i][k] * N[k][j] for k in range(3)) % p for j in range(3))
-        for i in range(3)
-    )
-
-
-def mat_inv(M, p):
-    """Inverse via the adjugate; raises on singular matrices."""
-    det = det3(M, p)
-    if det == 0:
-        raise ValueError("singular matrix")
-    s = pow(det, -1, p)
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    adj = (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    return tuple(tuple(x * s % p for x in row) for row in adj)
-
-
 def apply_point(M, P, p):
     img = tuple(sum(M[i][j] * P[j] for j in range(3)) % p for i in range(3))
-    return normalize(img, p)
-
-
-def apply_line(M, line, p):
-    """Image of a line under the point map M: coefficients go through M^-T."""
-    Minv = mat_inv(M, p)
-    img = tuple(sum(Minv[j][i] * line[j] for j in range(3)) % p for i in range(3))
     return normalize(img, p)
 
 

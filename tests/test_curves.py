@@ -2,20 +2,19 @@ import random
 
 import pytest
 
-from dualnets.curves import (HomPoly, compose, corners_legendre,
+from dualnets.curves import (HomPoly, compose,
                              cubic_j0_identities, curve_points, fermat_cubic,
-                             hessian, inflection_points,
-                             intersection_multiplicity, j_invariant,
+                             hessian, inflection_points, j_invariant,
                              j_of_cubic, legendre_cubic, line_on_curve, monomials,
                              pencil_crossratio_check, proportional,
                              rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
 from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
-from dualnets.plane import (PValue, all_points, line_points, mat_inv, apply_point,
-                            normalize)
-from util import (hesse_4net_brute, intersection_multiplicity_brute,
-                  line_on_curve_brute, singular_type_brute)
+from dualnets.plane import PValue, all_points, line_points, apply_point, normalize
+from util import (corners_legendre, hesse_4net_brute, intersection_multiplicity,
+                  intersection_multiplicity_brute, line_on_curve_brute, mat_inv,
+                  singular_type_brute)
 
 
 def random_projectivity(rng, p):
@@ -196,6 +195,19 @@ def test_line_routines_match_plane_scan_oracles():
         on = [P for P in all_points(p) if F.eval_at(P) == 0]
         assert rational_lines(F) == sorted(line for line in all_points(p) if sum(
             (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0 for P in on) == p + 1), F
+
+
+def test_rational_lines_restricts_to_each_reference_line_once(monkeypatch):
+    # the restriction that picks the reference line M is the one searched
+    # for zeros: Fermat is not on X = 0, so 1 restriction plus 3 tangent
+    # tests; XYZ holds X, Y and Z = 0, so 4 plus 3 tests of its three lines
+    calls = []
+    real = curves.restrict
+    monkeypatch.setattr(curves, "restrict", lambda F, B1, B2: calls.append(1) or real(F, B1, B2))
+    for F, want in ((fermat_cubic(97), 4), (xyz_poly(97), 7)):
+        calls.clear()
+        rational_lines(F)
+        assert len(calls) == want, F
 
 
 def test_no_plane_scan_inside_line_routines(monkeypatch):

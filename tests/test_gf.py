@@ -1,6 +1,5 @@
-from dualnets.gf import (PRIME_LIMIT, factorize, find_prime, is_prime, legendre,
-                         nth_root_of_unity, sqrt_mod)
-from util import is_prime_brute
+from dualnets.gf import PRIME_LIMIT, factorize, find_prime, is_prime, nth_root_of_unity
+from util import is_prime_brute, legendre, sqrt_mod
 
 
 def test_is_prime_small_table():

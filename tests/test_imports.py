@@ -5,8 +5,15 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dualnets")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "dualnets")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+# Library API that only the tests call today.  Any other public function or
+# class needs a caller in src/, perfbench/ or tests/test_acceptance.py;
+# helpers that only tests use belong in tests/util.py.
+ONLY_TESTS_CALL = {"extend_to_4net", "legendre_cubic"}
 
 
 def unused_imports(source):
@@ -31,3 +38,48 @@ def test_every_import_is_used(module):
 def test_unused_imports_finds_a_leftover():
     source = "from .plane import det3, normalize\n\ndef f(v, p):\n    return normalize(v, p)\n"
     assert unused_imports(source) == [(1, "det3")]
+
+
+def uncalled_public_names(defining, calling):
+    """The public top-level functions and classes of the sources in
+    defining (file name -> source) that no source in defining or calling
+    names, outside their own definition."""
+    defined, named = {}, set()
+    for label, source in list(defining.items()) + list(calling.items()):
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            if label in defining and isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    and not owner.startswith("_"):
+                defined[owner] = label
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None and (label, owner) != (defined.get(name), name):
+                    named.add(name)
+    return sorted((label, name) for name, label in defined.items() if name not in named)
+
+
+def read_sources(directory, names):
+    out = {}
+    for name in names:
+        with open(os.path.join(directory, name)) as fh:
+            out[os.path.join(os.path.basename(directory), name)] = fh.read()
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    defining = read_sources(SRC, MODULES)
+    calling = read_sources(PERFBENCH, sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py")))
+    calling.update(read_sources(os.path.join(ROOT, "tests"), ["test_acceptance.py"]))
+    uncalled = uncalled_public_names(defining, calling)
+    assert [name for _, name in uncalled if name not in ONLY_TESTS_CALL] == []
+    # the allowlist holds no name that has gained a caller or is gone
+    assert sorted(name for _, name in uncalled) == sorted(ONLY_TESTS_CALL)
+
+
+def test_uncalled_public_names_sees_only_outside_calls():
+    defining = {"m.py": "def f(n):\n    return f(n - 1) if n else g()\n\n"
+                        "def g():\n    return 0\n\ndef _h():\n    return 1\n\nclass C:\n    pass\n"}
+    assert uncalled_public_names(defining, {}) == [("m.py", "C"), ("m.py", "f")]
+    assert uncalled_public_names(defining, {"t.py": "from m import C\nm.f(3)\n"}) == []

@@ -1,8 +1,11 @@
 import random
+import signal
 import time
 from itertools import permutations
 
-from dualnets import constructors, nets
+import pytest
+
+from dualnets import constructors, latin, nets
 from dualnets.latin import (_index2_characters, complete_mapping_exists,
                             cyclic_group, dihedral_group, direct_product,
                             element_orders, from_net, group_catalog,
@@ -159,6 +162,27 @@ def test_element_orders():
     assert sorted(orders) == [1, 2, 2, 2, 3, 3]
 
 
+def test_element_orders_refuses_tables_whose_powers_miss_the_identity():
+    # the powers of 1 run 1, 2, 2, ... and of 2 run 2, 3, 3, ..., so an
+    # unbounded walk never ends; the alarm turns a hang into a failure
+    odd = ((0, 1, 2), (1, 2, 2), (2, 2, 1))
+    even = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 3, 3), (3, 2, 3, 3))
+
+    def hang(signum, frame):
+        raise TimeoutError("no answer within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="not a group table"):
+            isomorphic(odd, odd)
+        with pytest.raises(ValueError, match="not a group table"):
+            complete_mapping_exists(even)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_transversal_search_small_cyclic():
     assert transversal_search(cyclic_group(2)) is None
     assert transversal_search(cyclic_group(4)) is None
@@ -301,6 +325,19 @@ def test_complete_mapping_witness_is_first_transversal_on_relabellings():
         assert complete_mapping_exists(table) == (True, theta), name
 
 
+def test_complete_mapping_exists_builds_no_isotope(monkeypatch):
+    # a group table with identity 0 is its own principal isotope, so the
+    # search runs on the table as given
+    calls = []
+    real = latin._group_isotopy
+    monkeypatch.setattr(latin, "_group_isotopy", lambda square: calls.append(1) or real(square))
+    for table in group_catalog(16).values():
+        complete_mapping_exists(table)
+    assert calls == []
+    transversal_search(cyclic_group(5))
+    assert calls == [1]
+
+
 def test_complete_mapping_positive_groups_are_fast():
     # plain backtracking took 40-60 ms on the order-16 groups and about 7 s
     # on the order-20 ones; transversal_search on the tables and on their
@@ -423,6 +460,10 @@ def test_nongroup_square_agrees_with_quadrangle_oracle():
     assert quadrangle_criterion(cyclic_group(5))
     assert quadrangle_criterion(shuffled_isotope(cyclic_group(5), 11))
     assert quadrangle_criterion(dihedral_group(3))
+    # a square that is not latin is no group isotope, whichever of its
+    # first row and column repeats a symbol
+    for square in ([[0, 1], [0, 1]], [[0, 0], [1, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 1]]):
+        assert is_group_coordinatizable(square) is None
 
 
 def test_from_net_semantics():

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_line,
-                            apply_point, cross, cross_ratio, cross_ratio_lines,
-                            incident, join, line_points, mat_inv, mat_mul, meet,
-                            normalize, perspectivity, u_from_quartic,
-                            u_invariant)
+from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_point, cross,
+                            cross_ratio, cross_ratio_lines, incident, join, line_points,
+                            meet, normalize, perspectivity, u_from_quartic, u_invariant)
 
-from util import collinear_brute, cross_ratio_brute, cross_ratio_lines_brute
+from util import (apply_line, collinear_brute, cross_ratio_brute, cross_ratio_lines_brute,
+                  mat_inv, mat_mul)
 
 
 def P(x, p=13):

@@ -2,9 +2,10 @@
 
 from itertools import combinations, permutations
 
-from dualnets.curves import compose
+from dualnets.curves import compose, restrict
 from dualnets.nets import verify
-from dualnets.plane import PValue, all_points, det3, incident, join, line_points, meet, normalize
+from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
+                            meet, normalize)
 
 
 def is_latin(square):
@@ -384,3 +385,113 @@ def hesse_4net_brute(p):
                           if all(member_is_zero(lam, mu, P) for P in line_points(L, p))])
             params.append((lam, mu))
     return verify(duals, p, meta={"family": "hesse", "n": 3, "p": p, "pencil_parameters": params})
+
+
+# ---------------------------------------------------------------------------
+# Field, matrix and curve helpers that only the tests call.  The library
+# keeps no function without a caller in src/, perfbench/ or the acceptance
+# tests (tests/test_imports.py checks this), so they live here.
+
+
+def legendre(a, p):
+    """Legendre symbol: 1 for a nonzero square, -1 for a non-square, 0 for 0."""
+    ls = pow(a % p, (p - 1) // 2, p)
+    return -1 if ls == p - 1 else ls
+
+
+def sqrt_mod(a, p):
+    """Square roots of a mod p.
+
+    Returns the pair (r, p-r) with r*r = a and r the smaller root when a
+    is a nonzero square, (0, 0) when a = 0, and None when a is a
+    non-residue.  Tonelli-Shanks.
+    """
+    a = a % p
+    if a == 0:
+        return (0, 0)
+    if legendre(a, p) != 1:
+        return None
+    # write p-1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return (min(r, p - r), max(r, p - r))
+
+
+def mat_mul(M, N, p):
+    return tuple(
+        tuple(sum(M[i][k] * N[k][j] for k in range(3)) % p for j in range(3))
+        for i in range(3)
+    )
+
+
+def mat_inv(M, p):
+    """Inverse via the adjugate; raises on singular matrices."""
+    det = det3(M, p)
+    if det == 0:
+        raise ValueError("singular matrix")
+    s = pow(det, -1, p)
+    a, b, c = M[0]
+    d, e, f = M[1]
+    g, h, i = M[2]
+    adj = (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    return tuple(tuple(x * s % p for x in row) for row in adj)
+
+
+def apply_line(M, line, p):
+    """Image of a line under the point map M: coefficients go through M^-T."""
+    Minv = mat_inv(M, p)
+    img = tuple(sum(Minv[j][i] * line[j] for j in range(3)) % p for i in range(3))
+    return normalize(img, p)
+
+
+def intersection_multiplicity(F, line, P, p):
+    """Multiplicity of F restricted to the line at P (d+1 means containment)."""
+    B1, B2 = _base_points(normalize(line, p), p)
+    Q = B2 if B1 == P else B1
+    g = restrict(F, P, Q)
+    for i, c in enumerate(g):
+        if c != 0:
+            return i
+    return F.degree + 1
+
+
+def corners_legendre(c, p):
+    """The three pairwise intersections of the Hessian lines of a j=0 Legendre cubic.
+
+    Requires c^2 - c + 1 = 0.  The Hessian splits as the vertical line
+    X = (c+1)/3 Z and the pair Y^2 = (1-2c)/3 Z^2, so the corners are
+    rational exactly when (1-2c)/3 is a square; a non-residue raises.
+    """
+    c %= p
+    if (c * c - c + 1) % p != 0:
+        raise ValueError("c^2 - c + 1 must vanish")
+    inv3 = pow(3, -1, p)
+    x0 = (c + 1) * inv3 % p
+    b2 = (1 - 2 * c) * inv3 % p
+    roots = sqrt_mod(b2, p)
+    if roots is None:
+        raise ValueError("(1-2c)/3 is not a square in GF(%d)" % p)
+    b = roots[0]
+    return {
+        normalize((x0, b, 1), p),
+        normalize((x0, -b, 1), p),
+        (1, 0, 0),
+    }
