@@ -162,6 +162,9 @@ def cmd_verify(net):
 
 
 def cmd_classify(net):
+    if net.k > 4:
+        print("error: classify needs a 3-net or a 4-net, got k = %d" % net.k, file=sys.stderr)
+        return 2
     if net.k == 3:
         _emit(nets.classify(net))
     else:
@@ -201,6 +204,9 @@ def _kappa_entry(kappa, p):
 
 
 def cmd_crossratio(net):
+    if net.k > 4:
+        print("error: crossratio needs a 3-net or a 4-net, got k = %d" % net.k, file=sys.stderr)
+        return 2
     if net.k == 3:
         centers = _sorted_centers(net)
         if centers is None:

@@ -6,8 +6,6 @@ net; constructions that cannot be realized at the requested parameters
 raise instead of degrading.
 """
 
-from itertools import product
-
 from .cubic_group import CurveGroup
 from .gf import nth_root_of_unity
 from .nets import NetViolation, verify
@@ -117,19 +115,6 @@ def algebraic_fermat(n, p):
     return verify(list(comps), p, meta=meta)
 
 
-def _subgroup_cosets(p, m):
-    """The order-m subgroup S of GF(p)* and one representative per coset."""
-    z = nth_root_of_unity(p, m)
-    S = sorted(pow(z, i, p) for i in range(m))
-    reps = []
-    seen = set()
-    for x in range(1, p):
-        if x not in seen:
-            reps.append(x)
-            seen.update(x * s % p for s in S)
-    return S, reps
-
-
 def tetrahedron(m, p):
     """Order-2m net whose components split over opposite tetrahedron edges.
 
@@ -147,16 +132,23 @@ def tetrahedron(m, p):
     the face laws then reduce to alpha*beta*gamma in -S, -alpha*d2 in d3*S
     and -beta*d3 in d1*S (the fourth condition follows), so gamma, d3, d1
     are determined up to S and the search runs over coset representatives
-    (alpha, beta, d2).  The verifier decides each candidate, and rejects
-    one whose Gamma and Delta halves share a point as a repeated point.
+    (alpha, beta, d2), each the least element x of its coset x*S, walked in
+    increasing order without storing the cosets.  The verifier decides each
+    candidate, and rejects one whose Gamma and Delta halves share a point
+    as a repeated point.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     n = 2 * m
     if (p - 1) % m != 0 or p <= n:
         raise ValueError("no realization found: need m | p-1 and p > 2m")
-    S, reps = _subgroup_cosets(p, m)
-    for alpha, beta, d2 in product(reps, repeat=3):
+    z = nth_root_of_unity(p, m)
+    S = sorted(pow(z, i, p) for i in range(m))
+
+    def reps():
+        return (x for x in range(1, p) if all(x <= x * s % p for s in S))
+
+    for alpha, beta, d2 in ((a, b, d) for a in reps() for b in reps() for d in reps()):
         gamma = (p - pow(alpha * beta, -1, p)) % p
         d3 = (p - alpha * d2 % p) % p
         d1 = alpha * beta * d2 % p

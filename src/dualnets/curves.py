@@ -3,7 +3,8 @@ Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
 and the polynomial identities behind the j=0 center criterion.
 """
 
-from .plane import PValue, _base_points, all_points, cross_ratio_lines, line_points, normalize
+from .plane import (PValue, _base_points, _quartic_invariants, all_points, cross_ratio_lines,
+                    line_points, normalize)
 
 
 def monomials(d):
@@ -114,22 +115,6 @@ def proportional(F, G):
     e0 = next(iter(F.coeffs))
     s = F.coeffs[e0] * pow(G.coeffs[e0], -1, F.p) % F.p
     return all(F.coeffs[e] == s * G.coeffs[e] % F.p for e in G.coeffs)
-
-
-def compose(F, M):
-    """Substitution F(M * (X,Y,Z)^T): each variable replaced by a row of M."""
-    p = F.p
-    rows = [HomPoly(1, {(1, 0, 0): M[v][0], (0, 1, 0): M[v][1], (0, 0, 1): M[v][2]}, p)
-            for v in range(3)]
-    one = HomPoly(0, {(0, 0, 0): 1}, p)
-    out = HomPoly(F.degree, {}, p)
-    for (i, j, k), c in F.coeffs.items():
-        term = one * c
-        for v, e in ((0, i), (1, j), (2, k)):
-            for _ in range(e):
-                term = term * rows[v]
-        out = out + term
-    return out
 
 
 def tangent_line(F, P):
@@ -293,14 +278,19 @@ def inflection_points(F):
 
 
 def j_of_cubic(F):
-    """j-invariant of a plane cubic with a rational inflection point.
+    """j-invariant of a plane cubic with a rational inflection point, read
+    off the binary quartic of tangents at its first flex O.
 
-    Moves an inflection to (0,1,0) with tangent Z = 0, reads off the
-    Weierstrass coefficients, completes the square and the cube, and
-    returns 1728 * 4A^3 / (4A^3 + 27B^2) as a PValue (inf for singular
-    cubics).  Returns None when no rational inflection exists or the
-    cubic is degenerate there.  Needs p >= 5: the Weierstrass step divides
-    by 2 and 3.
+    For W on a line X_i = 0 with O[i] != 0, F(sO + tW) = a s^2 t + b s t^2
+    + c t^3, with a, b, c forms in W of degree 1, 2, 3.  The line OW meets
+    F again where a s^2 + b s t + c t^2 = 0, so it is tangent there where
+    the quartic D = b^2 - 4ac vanishes: at the three tangents from O and
+    the flex tangent a = 0.  For y^2 z = x^3 + Ax + B, D = 4(x^3 + Ax + B),
+    whose invariants are I = -3A and J = -27B up to scale, so j is
+    1728 * 4I^3 / (4I^3 - J^2), a PValue (inf for singular cubics: a node
+    has 4I^3 = J^2 and a cusp I = J = 0).  Returns None when no rational
+    inflection exists or the flex tangent lies on F.  Needs p >= 5: j
+    divides by 2 and 3.
     """
     p = F.p
     if p < 5:
@@ -309,44 +299,28 @@ def j_of_cubic(F):
     if not infl:
         return None
     O = infl[0]
-    T = tangent_line(F, O)
-    # frame: second column O, first column a base point of the tangent other
-    # than O, third column the coordinate vertex e_i with T[i] != 0, which
-    # lies off the tangent
-    B1, B2 = _base_points(T, p)
-    P1 = B2 if B1 == O else B1
-    i = next(i for i in range(3) if T[i])
-    G = compose(F, tuple(zip(P1, O, (int(k == i) for k in range(3)))))
-    # O = (0,1,0) on G, its tangent Z = 0 and the flex there leave no Y^3,
-    # XY^2 or X^2 Y term
-    c300 = G.coeffs.get((3, 0, 0), 0)
-    c021 = G.coeffs.get((0, 2, 1), 0)
-    if c300 == 0 or c021 == 0:
+    i = next(i for i in range(3) if O[i])
+    U, V = _base_points(tuple(int(k == i) for k in range(3)), p)
+    # W = U + xV: a = a0 + a1 x, b = b0 + b1 x + b2 x^2, c = sum c[k] x^k
+    _, a0, b0, _ = restrict(F, O, U)
+    _, a1, b2, _ = restrict(F, O, V)
+    b1 = restrict(F, O, tuple(map(sum, zip(U, V))))[2] - b0 - b2
+    c = restrict(F, U, V)
+    # the flex tangent is O(a1 U - a0 V), where b vanishes too, so it lies
+    # on F exactly when c does
+    if sum(ck * pow(a1, 3 - k, p) * pow(-a0, k, p) for k, ck in enumerate(c)) % p == 0:
         return None
-    c201 = G.coeffs.get((2, 0, 1), 0)
-    c102 = G.coeffs.get((1, 0, 2), 0)
-    c003 = G.coeffs.get((0, 0, 3), 0)
-    c111 = G.coeffs.get((1, 1, 1), 0)
-    c012 = G.coeffs.get((0, 1, 2), 0)
-    # affine chart z = 1, normalized so y^2 + (l x + m) y = cubic(x)
-    s = pow(c021, -1, p)
-    l, mm = c111 * s % p, c012 * s % p
-    q3, q2, q1, q0 = (-c300 * s) % p, (-c201 * s) % p, (-c102 * s) % p, (-c003 * s) % p
-    # complete the square: Y^2 = e x^3 + f x^2 + g x + h
-    inv4 = pow(4, -1, p)
-    e = q3
-    f = (q2 + l * l * inv4) % p
-    g = (q1 + 2 * l * mm * inv4) % p
-    h = (q0 + mm * mm * inv4) % p
-    # rescale to v^2 = w^3 + A w + B
-    inv3 = pow(3, -1, p)
-    A = (g * e - f * f * inv3) % p
-    B = (h * e * e - f * g * e * inv3 + 2 * pow(f, 3, p) * pow(27, -1, p)) % p
-    den = (4 * pow(A, 3, p) + 27 * B * B) % p
+    I, J = _quartic_invariants(
+        b0 * b0 - 4 * a0 * c[0],
+        2 * b0 * b1 - 4 * (a0 * c[1] + a1 * c[0]),
+        b1 * b1 + 2 * b0 * b2 - 4 * (a0 * c[2] + a1 * c[1]),
+        2 * b1 * b2 - 4 * (a0 * c[3] + a1 * c[2]),
+        b2 * b2 - 4 * a1 * c[3], p)
+    den = (4 * pow(I, 3, p) - J * J) % p
     if den == 0:
-        # a singular cubic: a cusp has A = B = 0, where the ratio reads 0/0
+        # a singular cubic: a cusp has I = J = 0, where the ratio reads 0/0
         return PValue.infinity(p)
-    return PValue(1728 * 4 * pow(A, 3, p), den, p)
+    return PValue(1728 * 4 * pow(I, 3, p), den, p)
 
 
 def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):

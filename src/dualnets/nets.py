@@ -140,22 +140,21 @@ def lines_through_center(net, T):
     """The n net lines through a perspective center T, each mapped to its
     points {component index: point}; None when T is not a center.
 
-    T must be off the components, and each line through T then has to
-    contain exactly one point of every component.
+    T is a center exactly when, for each point P of component 0, the join
+    TP is a net line that does not hold T.  These n lines are distinct,
+    since a net line holds one point of component 0, and meet only in T,
+    so their kn points are all the net points.
     """
-    p = net.p
     classes = {}
-    for ci, comp in enumerate(net.components):
-        for P in comp:
-            if P == T:
-                return None
-            got = classes.setdefault(join(T, P, p), {})
-            if ci in got or len(classes) > net.n:
-                return None
-            got[ci] = P
-    # n lines with at most one point per component hold all kn points only
-    # when each holds exactly k
-    return classes if len(classes) == net.n else None
+    for P in net.components[0]:
+        if P == T:
+            return None
+        line = join(T, P, net.p)
+        pts = net.lines.get(line)
+        if pts is None or T in pts:
+            return None
+        classes[line] = dict(enumerate(pts))
+    return classes
 
 
 def is_perspective_center(net, T):

@@ -227,10 +227,16 @@ def u_from_quartic(a0, a1, a2, a3, a4, p):
     """
     if p < 5:
         raise ValueError("u_from_quartic needs p >= 5, got p = %d" % p)
-    f = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
-    j = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
+    I, J = _quartic_invariants(a0, a1, a2, a3, a4, p)
+    return PValue(pow(I, 3, p), pow(J, 2, p), p)
+
+
+def _quartic_invariants(a0, a1, a2, a3, a4, p):
+    """The invariants I, J of the binary quartic sum a_i x^i, mod p."""
+    I = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
+    J = (72 * a0 * a2 * a4 - 27 * a0 * a3 * a3 - 27 * a1 * a1 * a4
          - 2 * a2 ** 3 + 9 * a1 * a2 * a3) % p
-    return PValue(pow(f, 3, p), pow(j, 2, p), p)
+    return I, J
 
 
 # ---------------------------------------------------------------------------

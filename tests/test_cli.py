@@ -320,6 +320,20 @@ def test_centers_of_an_order_1_net_past_the_limit():
         assert _run_module(command, "-", stdin=doc).returncode == 0, command
 
 
+def test_classify_and_crossratio_refuse_k_above_4():
+    # five collinear points form an order-1 5-net: verify and centers answer,
+    # while classify and crossratio are defined for 3- and 4-nets only
+    doc = json.dumps({"p": 7, "components": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]],
+                                             [[1, 2, 0]], [[1, 3, 0]]]})
+    for command in ("classify", "crossratio"):
+        done = _run_module(command, "-", stdin=doc)
+        assert done.returncode == 2, command
+        assert done.stdout == "" and "Traceback" not in done.stderr, command
+        assert done.stderr == "error: %s needs a 3-net or a 4-net, got k = 5\n" % command
+    for command in ("verify", "centers"):
+        assert _run_module(command, "-", stdin=doc).returncode == 0, command
+
+
 def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
     # a nodal-cubic coset net moved by a projectivity: its node (1, 17, 0)
     # lies on Z = 0 but is no vertex of the coordinate triangle

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from dualnets.constructors import (algebraic_fermat, conic_line, hesse_4net,
                                    pencil_char_p, tetrahedron,
                                    triangular_cyclic)
@@ -209,6 +211,19 @@ def test_tetrahedron_other_primes():
     net11 = tetrahedron(2, 11)
     assert net11.n == 4
     assert find_centers(net11) == set()
+
+
+def test_tetrahedron_memory_does_not_grow_with_p():
+    # the coset representatives are walked, not stored: a set of all of
+    # GF(P)* would take tens of MiB at this P
+    tracemalloc.start()
+    try:
+        net = tetrahedron(2, 1000003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.n == 4 and net.meta["parameters"]["alpha"] == 1
+    assert peak < 2 ** 20
 
 
 def test_hesse_4net():

@@ -1,9 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from dualnets.curves import (HomPoly, compose,
-                             cubic_j0_identities, curve_points, fermat_cubic,
+from dualnets.curves import (HomPoly, cubic_j0_identities, curve_points, fermat_cubic,
                              hessian, inflection_points, j_invariant,
                              j_of_cubic, legendre_cubic, line_on_curve, monomials,
                              pencil_crossratio_check, proportional,
@@ -12,9 +12,10 @@ from dualnets.curves import (HomPoly, compose,
 from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
 from dualnets.plane import PValue, all_points, line_points, apply_point, normalize
-from util import (corners_legendre, hesse_4net_brute, intersection_multiplicity,
-                  intersection_multiplicity_brute, line_on_curve_brute, mat_inv,
-                  singular_type_brute)
+import util
+from util import (compose, corners_legendre, hesse_4net_brute, intersection_multiplicity,
+                  intersection_multiplicity_brute, j_of_cubic_weierstrass, line_on_curve_brute,
+                  mat_inv, singular_type_brute)
 
 
 def random_projectivity(rng, p):
@@ -348,15 +349,15 @@ def test_j_of_cubic_invariance_under_projectivities():
 
 
 def test_j_of_cubic_cusp_is_infinity():
-    # A = B = 0 in the Weierstrass form, so 1728 * 4A^3 / (4A^3 + 27B^2) is 0/0
+    # the tangent quartic has I = J = 0, so 1728 * 4I^3 / (4I^3 - J^2) is 0/0
     for p in (7, 13):
         cusp = HomPoly(3, {(3, 0, 0): 1, (0, 2, 1): -1}, p)  # Y^2 Z = X^3
         assert j_of_cubic(cusp) == PValue.infinity(p)
 
 
 def test_j_of_cubic_refuses_characteristic_2_and_3():
-    # the Weierstrass step divides by 2 and 3: every nonzero cubic gets a
-    # message naming the limit, never pow's "base is not invertible"
+    # j divides by 2 and 3: every nonzero cubic gets a message naming the
+    # limit, never pow's "base is not invertible"
     rng = random.Random(1601)
     for p in (2, 3):
         for _ in range(100):
@@ -371,7 +372,7 @@ def test_j_of_cubic_refuses_characteristic_2_and_3():
 def test_j_of_cubic_singular_scan():
     # Z q(X, Y) + c(X, Y) is singular at (0,0,1); a random projectivity moves
     # it.  With a rational flex, j is inf unless the cubic holds a line: then
-    # the flex lies on that line, its tangent, and the frame degenerates.
+    # the flex lies on that line, its tangent, and j is None.
     rng = random.Random(1601)
     irreducible = 0
     for p in (5, 7, 11, 13):
@@ -387,6 +388,47 @@ def test_j_of_cubic_singular_scan():
                 assert j_of_cubic(F) == PValue.infinity(p)
                 irreducible += 1
     assert irreducible >= 50
+
+
+def test_j_of_cubic_matches_weierstrass_oracle(monkeypatch):
+    # seeded cubics of every kind, some under a random projectivity: random,
+    # sparse, singular at a point, line * conic, three lines, Legendre and
+    # Hesse members; fewer at the larger p, where the flex scan costs p^2.
+    # Both sides start from the same first flex, so the scan runs once.
+    flexes = functools.lru_cache(maxsize=None)(inflection_points)
+    monkeypatch.setattr(curves, "inflection_points", flexes)
+    monkeypatch.setattr(util, "inflection_points", flexes)
+    rng = random.Random(18)
+    outcomes = []
+    for p, count in ((5, 700), (7, 600), (11, 400), (13, 250), (31, 60), (61, 20)):
+        lines = [HomPoly(1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), L)), p)
+                 for L in all_points(p)]
+        for trial in range(count):
+            kind = trial % 7
+            if kind == 0:
+                F = HomPoly(3, {e: rng.randrange(p) for e in monomials(3)}, p)
+            elif kind == 1:
+                F = HomPoly(3, {e: rng.randrange(p) for e in rng.sample(monomials(3), 3)}, p)
+            elif kind == 2:
+                F = HomPoly(3, {e: rng.randrange(p) for e in monomials(3) if e[2] < 2}, p)
+            elif kind == 3:
+                F = rng.choice(lines) * HomPoly(2, {e: rng.randrange(p) for e in monomials(2)}, p)
+            elif kind == 4:
+                F = rng.choice(lines) * rng.choice(lines) * rng.choice(lines)
+            elif kind == 5:
+                F = legendre_cubic(rng.randrange(p), p)
+            else:
+                F = HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1,
+                                (1, 1, 1): rng.randrange(p)}, p)
+            if trial % 2:
+                F = compose(F, random_projectivity(rng, p))
+            if F.is_zero:
+                continue
+            j = j_of_cubic(F)
+            assert j == j_of_cubic_weierstrass(F), (p, F)
+            outcomes.append("None" if j is None else "inf" if j.is_infinity else "finite")
+    assert len(outcomes) >= 2000
+    assert all(outcomes.count(kind) >= 100 for kind in ("None", "inf", "finite"))
 
 
 def test_singular_points_and_types():

@@ -528,6 +528,30 @@ def test_center_search_and_classify_work_bounds(monkeypatch):
         assert 0 < len(restricted) <= 7, (F, len(restricted))
 
 
+def test_lines_through_center_joins_once_per_point_of_component_0(monkeypatch):
+    # a candidate T costs n joins, center or not: TP for each P of
+    # component 0, then a lookup in the verifier's line table
+    built = [constructors.conic_line(5, 11), constructors.pencil_char_p(19),
+             constructors.algebraic_fermat(3, 19), constructors.triangular_cyclic(15, 181)]
+    candidates = [sorted(find_centers(net)) + [(1, 2, 3), net.components[0][-1],
+                                               net.components[2][0]] for net in built]
+    joins = []
+    real_join = nets.join
+    monkeypatch.setattr(nets, "join", lambda P, Q, p: joins.append(P) or real_join(P, Q, p))
+    centers = 0
+    for net, points in zip(built, candidates):
+        for T in points:
+            joins.clear()
+            classes = lines_through_center(net, T)
+            assert len(joins) <= net.n, (net, T)
+            if classes is not None:
+                centers += 1
+                assert len(classes) == net.n
+                assert sorted(P for pts in classes.values() for P in pts.values()) == \
+                    sorted(net.all_net_points())
+    assert centers >= 3
+
+
 def test_partitions_brute_counts():
     # 9!/(3!^3 3!) = 280 and 12!/(3!^4 4!) = 15400 unordered partitions
     for size, k, want in ((9, 3, 280), (12, 4, 15400)):

@@ -2,7 +2,7 @@
 
 from itertools import combinations, permutations
 
-from dualnets.curves import compose, restrict
+from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.nets import verify
 from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
                             meet, normalize)
@@ -286,6 +286,73 @@ def dual_net_partitions_brute(points, k, p):
     Exhaustive over partitions, only sane for a dozen points or so."""
     return [comps for comps in partitions_brute(points, k)
             if is_dual_net_brute(comps, p)]
+
+
+def compose(F, M):
+    """Substitution F(M * (X,Y,Z)^T): each variable replaced by a row of M."""
+    p = F.p
+    rows = [HomPoly(1, {(1, 0, 0): M[v][0], (0, 1, 0): M[v][1], (0, 0, 1): M[v][2]}, p)
+            for v in range(3)]
+    one = HomPoly(0, {(0, 0, 0): 1}, p)
+    out = HomPoly(F.degree, {}, p)
+    for (i, j, k), c in F.coeffs.items():
+        term = one * c
+        for v, e in ((0, i), (1, j), (2, k)):
+            for _ in range(e):
+                term = term * rows[v]
+        out = out + term
+    return out
+
+
+def j_of_cubic_weierstrass(F):
+    """j of a cubic over GF(p), p >= 5, by a change of frame: an inflection
+    is moved to (0,1,0) with tangent Z = 0, the Weierstrass coefficients
+    are read off, the square and the cube are completed, and the value is
+    1728 * 4A^3 / (4A^3 + 27B^2) (inf for singular cubics).  None when no
+    rational inflection exists or the cubic is degenerate there."""
+    p = F.p
+    infl = inflection_points(F)
+    if not infl:
+        return None
+    O = infl[0]
+    T = tangent_line(F, O)
+    # frame: second column O, first column a base point of the tangent other
+    # than O, third column the coordinate vertex e_i with T[i] != 0, which
+    # lies off the tangent
+    B1, B2 = _base_points(T, p)
+    P1 = B2 if B1 == O else B1
+    i = next(i for i in range(3) if T[i])
+    G = compose(F, tuple(zip(P1, O, (int(k == i) for k in range(3)))))
+    # O = (0,1,0) on G, its tangent Z = 0 and the flex there leave no Y^3,
+    # XY^2 or X^2 Y term
+    c300 = G.coeffs.get((3, 0, 0), 0)
+    c021 = G.coeffs.get((0, 2, 1), 0)
+    if c300 == 0 or c021 == 0:
+        return None
+    c201 = G.coeffs.get((2, 0, 1), 0)
+    c102 = G.coeffs.get((1, 0, 2), 0)
+    c003 = G.coeffs.get((0, 0, 3), 0)
+    c111 = G.coeffs.get((1, 1, 1), 0)
+    c012 = G.coeffs.get((0, 1, 2), 0)
+    # affine chart z = 1, normalized so y^2 + (l x + m) y = cubic(x)
+    s = pow(c021, -1, p)
+    l, mm = c111 * s % p, c012 * s % p
+    q3, q2, q1, q0 = (-c300 * s) % p, (-c201 * s) % p, (-c102 * s) % p, (-c003 * s) % p
+    # complete the square: Y^2 = e x^3 + f x^2 + g x + h
+    inv4 = pow(4, -1, p)
+    e = q3
+    f = (q2 + l * l * inv4) % p
+    g = (q1 + 2 * l * mm * inv4) % p
+    h = (q0 + mm * mm * inv4) % p
+    # rescale to v^2 = w^3 + A w + B
+    inv3 = pow(3, -1, p)
+    A = (g * e - f * f * inv3) % p
+    B = (h * e * e - f * g * e * inv3 + 2 * pow(f, 3, p) * pow(27, -1, p)) % p
+    den = (4 * pow(A, 3, p) + 27 * B * B) % p
+    if den == 0:
+        # a singular cubic: a cusp has A = B = 0, where the ratio reads 0/0
+        return PValue.infinity(p)
+    return PValue(1728 * 4 * pow(A, 3, p), den, p)
 
 
 def line_points_brute(line, p):
