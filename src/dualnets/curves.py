@@ -3,8 +3,8 @@ Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
 and the polynomial identities behind the j=0 center criterion.
 """
 
-from .plane import (PValue, _base_points, _quartic_invariants, all_points, cross_ratio_lines,
-                    line_points, normalize)
+from .plane import (PValue, _base_points, _quartic_invariants, cross_ratio_lines, dot, line_points,
+                    normalize)
 
 
 def monomials(d):
@@ -39,11 +39,11 @@ class HomPoly:
         return not self.coeffs
 
     def eval_at(self, P):
-        p = self.p
+        x, y, z = P
         total = 0
         for (i, j, k), c in self.coeffs.items():
-            total += c * pow(P[0], i, p) * pow(P[1], j, p) * pow(P[2], k, p)
-        return total % p
+            total += c * x ** i * y ** j * z ** k
+        return total % self.p
 
     def partial(self, var):
         out = {}
@@ -56,7 +56,18 @@ class HomPoly:
         return HomPoly(self.degree - 1, out, self.p)
 
     def gradient(self, P):
-        return tuple(self.partial(v).eval_at(P) for v in range(3))
+        """The three first partials at P, from one pass over the coefficients."""
+        x, y, z = P
+        gx = gy = gz = 0
+        for (i, j, k), c in self.coeffs.items():
+            if i:
+                gx += c * i * x ** (i - 1) * y ** j * z ** k
+            if j:
+                gy += c * j * x ** i * y ** (j - 1) * z ** k
+            if k:
+                gz += c * k * x ** i * y ** j * z ** (k - 1)
+        p = self.p
+        return (gx % p, gy % p, gz % p)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -131,31 +142,46 @@ def hessian(F):
     """Determinant of the matrix of second partials; degree 3(d-2) for degree d."""
     if F.degree < 2:
         raise ValueError("hessian needs degree >= 2")
-    H = [[F.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    return (H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
-            - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
-            + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
+    D = [F.partial(i) for i in range(3)]
+    # the matrix is symmetric: a, b, c on the diagonal, d = F_XY, e = F_XZ, f = F_YZ
+    a, d, e = (D[0].partial(j).coeffs for j in range(3))
+    b, f = D[1].partial(1).coeffs, D[1].partial(2).coeffs
+    c = D[2].partial(2).coeffs
+    out = {}
+    # abc + 2def - af^2 - be^2 - cd^2, multiplied out term by term
+    for s, u, v, w in ((1, a, b, c), (2, d, e, f), (-1, a, f, f), (-1, b, e, e), (-1, c, d, d)):
+        for (i1, j1, k1), c1 in u.items():
+            for (i2, j2, k2), c2 in v.items():
+                c12 = s * c1 * c2
+                for (i3, j3, k3), c3 in w.items():
+                    m = (i1 + i2 + i3, j1 + j2 + j3, k1 + k2 + k3)
+                    out[m] = out.get(m, 0) + c12 * c3
+    return HomPoly(3 * (F.degree - 2), out, F.p)
 
 
 def restrict(F, B1, B2):
-    """Coefficients [g_0..g_d] of F(s*B1 + t*B2) = sum g_i s^(d-i) t^i.
+    """Coefficients [g_0..g_d] of F(s*B1 + t*B2) = sum g_i s^(d-i) t^i, for
+    a form F of degree d <= 3.
 
     The binary restriction to the line spanned by B1, B2; B1 is the t=0
     end, B2 the s=0 end.  All-zero output means the line lies on the curve.
-    Each monomial is multiplied out one linear factor s*B1[v] + t*B2[v] at
-    a time.
+    The ends are F(B1) and F(B2).  The coefficient of s^(d-1) t is the
+    derivative of F(B1 + t*B2) at t = 0, grad F(B1) . B2, and by symmetry
+    that of s t^(d-1) is grad F(B2) . B1.  These are identities over the
+    integers, so they hold in every characteristic, and up to degree 3 they
+    give every coefficient.
     """
-    p = F.p
-    g = [0] * (F.degree + 1)
-    for e, c in F.coeffs.items():
-        term = [c]
-        for v in range(3):
-            a, b = B1[v], B2[v]
-            for _ in range(e[v]):
-                term = [(a * x + b * y) % p for x, y in zip(term + [0], [0] + term)]
-        for r, x in enumerate(term):
-            g[r] += x
-    return [x % p for x in g]
+    d = F.degree
+    if d > 3:
+        raise ValueError("restrict needs a form of degree at most 3")
+    g = [F.eval_at(B1)]
+    if d >= 2:
+        g.append(dot(F.gradient(B1), B2, F.p))
+    if d == 3:
+        g.append(dot(F.gradient(B2), B1, F.p))
+    if d >= 1:
+        g.append(F.eval_at(B2))
+    return g
 
 
 def _peval(u, x, p):
@@ -164,6 +190,34 @@ def _peval(u, x, p):
     for c in reversed(u):
         total = (total * x + c) % p
     return total
+
+
+def _roots(u, p):
+    """The sorted t in GF(p) with u[0] + u[1] t + ... + u[d] t^d = 0, and
+    all of GF(p) when every u[i] is 0.
+
+    Degree 1 is solved; higher degrees are scanned with Horner's rule
+    written out in the comprehension, one mod per value.
+    """
+    d = len(u) - 1
+    while d >= 0 and u[d] % p == 0:
+        d -= 1
+    if d <= 0:
+        return list(range(p)) if d < 0 else []
+    if d == 1:
+        return [-u[0] * pow(u[1], -1, p) % p]
+    if d == 2:
+        a0, a1, a2 = u[:3]
+        return [t for t in range(p) if ((a2 * t + a1) * t + a0) % p == 0]
+    if d == 3:
+        a0, a1, a2, a3 = u[:4]
+        return [t for t in range(p) if (((a3 * t + a2) * t + a1) * t + a0) % p == 0]
+    # values of every degree-d prefix at all t at once, highest coefficient first
+    ts = range(p)
+    vals = [u[d]] * p
+    for c in reversed(u[:d]):
+        vals = [v * t + c for v, t in zip(vals, ts)]
+    return [t for t, v in zip(ts, vals) if v % p == 0]
 
 
 def line_on_curve(F, line, p):
@@ -203,8 +257,7 @@ def rational_lines(F):
         if any(g):
             break
     # the zeros on M: B1 + t*B2 at each root t of g, and B2 when g[-1] = F(B2) = 0
-    zeros = [tuple((B1[i] + t * B2[i]) % p for i in range(3))
-             for t in range(p) if _peval(g, t, p) == 0]
+    zeros = [tuple((B1[i] + t * B2[i]) % p for i in range(3)) for t in _roots(g, p)]
     if g[-1] == 0:
         zeros.append(B2)
     # the lines through a point Z are the points of the dual line Z
@@ -229,13 +282,37 @@ def fermat_cubic(p):
     return HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): -1}, p)
 
 
-def curve_points(F):
-    """The points of PG(2,p) on F = 0, in all_points order (a plane scan).
+def _points(F):
+    """The points of F = 0 in all_points order, one line through (0,0,1)
+    at a time.
 
-    Every routine that needs the points of a curve asks this function, so
-    a faster way to list them changes this body only.
+    Every point but (0,0,1) lies on exactly one such line: (1, y, z) on
+    Y = yX for y in GF(p), then (0, 1, z) on X = 0.  With
+    F(1, y, z) = sum_k f_k(y) z^k, where f[k][j] is the coefficient of
+    X^(d-j-k) Y^j Z^k, each line contributes the roots in z of its
+    restriction, in ascending order; a line on F restricts to zero and
+    contributes every z.  F(0, 1, z) keeps the y^(d-k) term of each f_k,
+    and (0,0,1) is on F when Z^d is missing.
     """
-    return [P for P in all_points(F.p) if F.eval_at(P) == 0]
+    p, d = F.p, F.degree
+    f = [[0] * (d - k + 1) for k in range(d + 1)]
+    for (_, j, k), c in F.coeffs.items():
+        f[k][j] = c
+    for y in range(p):
+        for z in _roots([_peval(fk, y, p) for fk in f], p):
+            yield (1, y, z)
+    for z in _roots([f[k][d - k] for k in range(d + 1)], p):
+        yield (0, 1, z)
+    if not f[d][0]:
+        yield (0, 0, 1)
+
+
+def curve_points(F):
+    """The points of PG(2,p) on F = 0, in all_points order: the roots of F
+    on each of the p + 1 lines through (0,0,1), then that point itself.
+    p^2 + O(p) Horner steps and no list of the plane.
+    """
+    return list(_points(F))
 
 
 def singular_points(F):
@@ -272,9 +349,11 @@ def j_invariant(c, p):
 
 
 def inflection_points(F):
-    """Nonsingular points of F where the Hessian vanishes, in all_points order."""
+    """Nonsingular points of F where the Hessian vanishes, in all_points
+    order, yielded one at a time: a caller that wants only the first stops
+    the line sweep there."""
     H = hessian(F)
-    return [P for P in curve_points(F) if H.eval_at(P) == 0 and F.gradient(P) != (0, 0, 0)]
+    return (P for P in _points(F) if H.eval_at(P) == 0 and F.gradient(P) != (0, 0, 0))
 
 
 def j_of_cubic(F):
@@ -295,16 +374,17 @@ def j_of_cubic(F):
     p = F.p
     if p < 5:
         raise ValueError("j_of_cubic needs p >= 5, got p = %d" % p)
-    infl = inflection_points(F)
-    if not infl:
+    O = next(inflection_points(F), None)
+    if O is None:
         return None
-    O = infl[0]
     i = next(i for i in range(3) if O[i])
     U, V = _base_points(tuple(int(k == i) for k in range(3)), p)
-    # W = U + xV: a = a0 + a1 x, b = b0 + b1 x + b2 x^2, c = sum c[k] x^k
-    _, a0, b0, _ = restrict(F, O, U)
-    _, a1, b2, _ = restrict(F, O, V)
-    b1 = restrict(F, O, tuple(map(sum, zip(U, V))))[2] - b0 - b2
+    # W = U + xV: a = a0 + a1 x, b = b0 + b1 x + b2 x^2, c = sum c[k] x^k,
+    # where a = grad F(O) . W, b = grad F(W) . O and c = F(W) as in restrict
+    gO = F.gradient(O)
+    a0, a1 = dot(gO, U, p), dot(gO, V, p)
+    b0, bUV, b2 = (dot(F.gradient(W), O, p) for W in (U, tuple(map(sum, zip(U, V))), V))
+    b1 = bUV - b0 - b2
     c = restrict(F, U, V)
     # the flex tangent is O(a1 U - a0 V), where b vanishes too, so it lies
     # on F exactly when c does

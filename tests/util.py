@@ -311,10 +311,9 @@ def j_of_cubic_weierstrass(F):
     1728 * 4A^3 / (4A^3 + 27B^2) (inf for singular cubics).  None when no
     rational inflection exists or the cubic is degenerate there."""
     p = F.p
-    infl = inflection_points(F)
-    if not infl:
+    O = next(inflection_points(F), None)
+    if O is None:
         return None
-    O = infl[0]
     T = tangent_line(F, O)
     # frame: second column O, first column a base point of the tangent other
     # than O, third column the coordinate vertex e_i with T[i] != 0, which
