@@ -12,6 +12,10 @@ from .gf import is_prime, nth_root_of_unity
 from .plane import _base_points, normalize
 
 FERMAT_PRIME_SCAN_CAP = 500
+# the largest p CurveGroup accepts: listing the points takes p^2 Horner
+# steps, about 0.3 s at p = 1000, and find_invariant_subgroup walks the
+# multiples of every point
+CURVE_GROUP_MAX_P = 1000
 
 
 class CurveGroup:
@@ -20,6 +24,9 @@ class CurveGroup:
     def __init__(self, p: int):
         if p % 3 != 1:
             raise ValueError("p = 1 (mod 3) required, got p=%d" % p)
+        if p > CURVE_GROUP_MAX_P:
+            raise ValueError("p = %d exceeds the curve group limit CURVE_GROUP_MAX_P = %d"
+                             % (p, CURVE_GROUP_MAX_P))
         self.p = p
         self.curve = fermat_cubic(p)
         self.O = normalize((1, -1, 0), p)

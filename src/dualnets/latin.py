@@ -356,10 +356,13 @@ def isomorphic(G, H):
     H-elements.  The images h of G's greedy generators g are chosen one
     at a time, among elements of the same order, and phi is closed by the
     walk from 0 over right multiplication by the chosen generators:
-    phi(x*g) = phi(x)*h on every edge, with phi injective.  Once every
-    generator has an image, phi is defined on all of G and is a
-    homomorphism, since phi(x*w) = phi(x)*phi(w) extends from the
-    generators to every product w of them.
+    phi(x*g) = phi(x)*h on every edge, with phi injective.  Each new
+    generator extends the partial map: the elements already mapped need
+    only its edge, the elements it reaches need every edge, and the first
+    conflict or repeated image rejects h.  Once every generator has an
+    image, phi is defined on all of G and is a homomorphism, since
+    phi(x*w) = phi(x)*phi(w) extends from the generators to every product
+    w of them.
     """
     n = len(G)
     if len(H) != n:
@@ -370,30 +373,35 @@ def isomorphic(G, H):
         return None
     gens = _generators(G)
 
-    def walk(images):
-        phi = {0: 0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, h in zip(gens, images):
+    def close(phi, pairs):
+        phi = dict(phi)
+        used = set(phi.values())
+        work = [(x, pairs[-1:]) for x in phi]
+        while work:
+            x, edges = work.pop()
+            for g, h in edges:
                 y, hy = G[x][g], H[phi[x]][h]
                 if y not in phi:
+                    if hy in used:
+                        return None
                     phi[y] = hy
-                    frontier.append(y)
+                    used.add(hy)
+                    work.append((y, pairs))
                 elif phi[y] != hy:
                     return None
-        return phi if len(set(phi.values())) == len(phi) else None
+        return phi
 
-    def extend(images):
-        phi = walk(images)
-        if phi is None or len(images) == len(gens):
+    def extend(phi, pairs):
+        if len(pairs) == len(gens):
             return phi
-        g = gens[len(images)]
+        g = gens[len(pairs)]
         for h in range(n):
             if oh[h] == og[g]:
-                full = extend(images + [h])
-                if full is not None:
-                    return full
+                grown = close(phi, pairs + [(g, h)])
+                if grown is not None:
+                    full = extend(grown, pairs + [(g, h)])
+                    if full is not None:
+                        return full
         return None
 
-    return extend([])
+    return extend({0: 0}, [])

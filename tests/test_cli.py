@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from dualnets.cli import load_document, main, net_document, to_jsonable
+from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 
 
 def run(capsys, *argv):
@@ -318,6 +319,16 @@ def test_centers_of_an_order_1_net_past_the_limit():
         assert done.stderr.startswith("error: ") and "limit of 1000000" in done.stderr, command
     for command in ("verify", "classify"):
         assert _run_module(command, "-", stdin=doc).returncode == 0, command
+
+
+def test_fermat_past_the_curve_group_limit():
+    # listing the points of the Fermat cubic over GF(1000003) takes about
+    # 10^12 Horner steps; construct refuses before listing any
+    done = _run_module("construct", "fermat", "--n", "3", "--p", "1000003")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert "CURVE_GROUP_MAX_P = %d" % CURVE_GROUP_MAX_P in done.stderr
+    assert FERMAT_PRIME_SCAN_CAP < CURVE_GROUP_MAX_P
 
 
 def test_classify_and_crossratio_refuse_k_above_4():

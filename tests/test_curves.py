@@ -13,7 +13,7 @@ from dualnets.cubic_group import CurveGroup
 from dualnets.plane import PValue, all_points, line_points, apply_point, normalize
 from util import (compose, corners_legendre, hesse_4net_brute, intersection_multiplicity,
                   intersection_multiplicity_brute, j_of_cubic_weierstrass, line_on_curve_brute,
-                  mat_inv, singular_type_brute)
+                  mat_inv, restrict_expanded, singular_type_brute)
 
 
 def random_projectivity(rng, p):
@@ -98,11 +98,15 @@ def test_restrict_endpoints():
             monomials(d), rng.randint(1, len(monomials(d))))}, p)
         B1, B2 = (tuple(rng.randrange(p) for _ in range(3)) for _ in range(2))
         g = restrict(F, B1, B2)
+        assert g == restrict_expanded(F, B1, B2), (F, B1, B2)
         assert len(g) == d + 1
         for _ in range(3):
             s, t = rng.randrange(p), rng.randrange(p)
             value = sum(c * pow(s, d - i, p) * pow(t, i, p) for i, c in enumerate(g)) % p
             assert value == F.eval_at(tuple(s * a + t * b for a, b in zip(B1, B2))), (F, B1, B2)
+    # the polars give every coefficient only up to degree 3
+    with pytest.raises(ValueError, match="degree at most 3"):
+        restrict(HomPoly(4, {(4, 0, 0): 1}, 5), (1, 0, 0), (0, 1, 0))
 
 
 def test_tangent_line_and_multiplicity():
@@ -161,19 +165,29 @@ def test_line_routines_match_plane_scan_oracles():
             X * X * Y, (Y + Z) * (Y + Z) * (Y + Z), xyz_poly(p),
             xyz_poly(p) + X * X * X + Y * Y * Y, Y * Y * Z - X * X * X,
             (Y + Z) * (Y + Z) * (X + Z),
+            # X = 0, and lines through (0,0,1), on which the line sweep of
+            # curve_points finds every point
+            X * (Y * Y + Y * Z + Z * Z), (X + Y) * (X * X + Y * Z), (Y + X * 2) * X * (Y + Z),
         ] + [HomPoly(3, {e: rng.randrange(1, p) for e in rng.sample(monos, 4)}, p)
              for _ in range(12)]
         for F in cubics:
             assert rational_lines(F) == sorted(
                 line for line in all_points(p) if line_on_curve_brute(F, line, p)), (p, F)
-            # the point lists against direct filters of the plane
+        # the point lists against direct filters of the plane, on the cubics
+        # and on lines and conics, among them X = 0, double lines and line
+        # pairs through (0,0,1)
+        forms = cubics + [X, Y + Z * 3, X * X, X * Y, (X + Y) * (X + Y * 2), X * Z + Y * Y] + [
+            HomPoly(d, {e: rng.randrange(p) for e in monomials(d)}, p)
+            for d in (1, 2) for _ in range(4)]
+        for F in forms:
             on = [P for P in all_points(p) if F.eval_at(P) == 0]
             singular = [P for P in on if F.gradient(P) == (0, 0, 0)]
-            H = hessian(F)
             assert curve_points(F) == on, (p, F)
             assert singular_points(F) == set(singular), (p, F)
-            assert list(inflection_points(F)) == [P for P in on if H.eval_at(P) == 0
-                                            and P not in singular], (p, F)
+            if F.degree >= 2:
+                H = hessian(F)
+                assert list(inflection_points(F)) == [P for P in on if H.eval_at(P) == 0
+                                                      and P not in singular], (p, F)
     p = 13
     assert rational_lines(xyz_poly(p)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert rational_lines(fermat_cubic(p)) == []
@@ -192,6 +206,7 @@ def test_line_routines_match_plane_scan_oracles():
             HomPoly(3, {e: rng.randrange(1, p) for e in rng.sample(monos, 4)}, p)
             for _ in range(3)]:
         on = [P for P in all_points(p) if F.eval_at(P) == 0]
+        assert curve_points(F) == on, F
         assert rational_lines(F) == sorted(line for line in all_points(p) if sum(
             (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0 for P in on) == p + 1), F
 
@@ -239,8 +254,19 @@ def test_no_plane_scan_inside_line_routines(monkeypatch):
     for G in (F, xyz_poly(p), F + xyz_poly(p) * 4):
         rational_lines(G)
     assert calls == []
+    # a curve's points are read off the lines through (0,0,1), so no point
+    # listing, no curve group and no pencil member of classify scans the plane
+    F = fermat_cubic(p)
+    curve_points(F)
+    singular_points(F)
+    list(inflection_points(F))
+    j_of_cubic(F)
+    hesse = constructors.hesse_4net(p)
+    for i in range(hesse.k):
+        nets.classify(nets.derived_net(hesse, i))
+    CurveGroup(61)
     group = CurveGroup(19)
-    calls.clear()
+    assert calls == []
     line_calls.clear()
     for P in group.points:
         group.scalar_mul(7, P)

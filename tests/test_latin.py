@@ -14,7 +14,7 @@ from dualnets.latin import (_index2_characters, complete_mapping_exists,
 from dualnets.plane import incident, join
 
 from util import (abelianized_product_nonzero_brute, count_transversals_brute,
-                  index2_subgroups_brute, is_associative_brute, is_latin,
+                  index2_subgroups_brute, is_associative_brute, is_latin, isomorphic_walk,
                   principal_isotope_brute, quadrangle_criterion,
                   transversal_search_brute)
 
@@ -135,7 +135,8 @@ def test_isomorphic_on_catalog_pairs():
     # every pair of equal order and relabelled copies: an answer is a
     # bijective homomorphism, and the isomorphic pairs are the three the
     # catalog names twice.  Q8 x Z2 has the element orders of Z4 x Z4, so
-    # only the relations tell those two apart.
+    # only the relations tell those two apart.  The search that extends its
+    # partial maps returns what the walk that rebuilds them returns.
     tables = dict(group_catalog(16), Q8xZ2=direct_product(quaternion_group(), cyclic_group(2)))
     assert is_associative_brute(tables["Q8xZ2"])
     assert sorted(element_orders(tables["Q8xZ2"])) == sorted(element_orders(tables["Z4xZ4"]))
@@ -148,6 +149,7 @@ def test_isomorphic_on_catalog_pairs():
             for seed in range(2):
                 H2 = relabelled(H, "%s:%d" % (b, seed))
                 phi = isomorphic(G, H2)
+                assert phi == isomorphic_walk(G, H2), (a, b)
                 assert (phi is not None) == (a == b or {a, b} in twins), (a, b)
                 if phi is not None:
                     assert sorted(phi) == sorted(phi.values()) == list(range(n)), (a, b)

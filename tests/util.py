@@ -3,6 +3,7 @@
 from itertools import combinations, permutations
 
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
+from dualnets.latin import _generators, element_orders
 from dualnets.nets import verify
 from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
                             meet, normalize)
@@ -528,6 +529,23 @@ def apply_line(M, line, p):
     return normalize(img, p)
 
 
+def restrict_expanded(F, B1, B2):
+    """The coefficients of F(s*B1 + t*B2), by powers of t, for a form of any
+    degree: each monomial is multiplied out one linear factor
+    s*B1[v] + t*B2[v] at a time."""
+    p = F.p
+    g = [0] * (F.degree + 1)
+    for e, c in F.coeffs.items():
+        term = [c]
+        for v in range(3):
+            a, b = B1[v], B2[v]
+            for _ in range(e[v]):
+                term = [(a * x + b * y) % p for x, y in zip(term + [0], [0] + term)]
+        for r, x in enumerate(term):
+            g[r] += x
+    return [x % p for x in g]
+
+
 def intersection_multiplicity(F, line, P, p):
     """Multiplicity of F restricted to the line at P (d+1 means containment)."""
     B1, B2 = _base_points(normalize(line, p), p)
@@ -561,3 +579,46 @@ def corners_legendre(c, p):
         normalize((x0, -b, 1), p),
         (1, 0, 0),
     }
+
+
+def isomorphic_walk(G, H):
+    """latin.isomorphic as it was before its partial maps were extended in
+    place: for every candidate image of every generator, phi is rebuilt by
+    the walk from 0 over all the chosen generators, and injectivity is
+    checked once the walk ends."""
+    n = len(G)
+    if len(H) != n:
+        return None
+    og = element_orders(G)
+    oh = element_orders(H)
+    if sorted(og) != sorted(oh):
+        return None
+    gens = _generators(G)
+
+    def walk(images):
+        phi = {0: 0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g, h in zip(gens, images):
+                y, hy = G[x][g], H[phi[x]][h]
+                if y not in phi:
+                    phi[y] = hy
+                    frontier.append(y)
+                elif phi[y] != hy:
+                    return None
+        return phi if len(set(phi.values())) == len(phi) else None
+
+    def extend(images):
+        phi = walk(images)
+        if phi is None or len(images) == len(gens):
+            return phi
+        g = gens[len(images)]
+        for h in range(n):
+            if oh[h] == og[g]:
+                full = extend(images + [h])
+                if full is not None:
+                    return full
+        return None
+
+    return extend([])
