@@ -1,0 +1,52 @@
+"""The layer ladder in bench/ladder.py: its entry schema and its counters."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+LADDER = os.path.join(ROOT, "bench", "ladder.py")
+
+
+def check_entry(entry):
+    assert sorted(entry) == ["commit", "host", "quick", "rungs", "src_modified", "utc"]
+    assert sorted(entry["host"]) == ["cpus", "machine", "python"]
+    assert entry["rungs"]
+    for rung in entry["rungs"]:
+        assert sorted(rung) == ["counts", "k", "layer", "min_s", "name", "size"]
+        assert rung["k"] >= 1 and rung["min_s"] > 0
+        assert all(isinstance(v, int) and v > 0 for v in rung["counts"].values())
+
+
+def quick_run(*extra):
+    done = subprocess.run([sys.executable, LADDER, "--quick", *extra], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
+    history = str(tmp_path / "layers.json")
+    first = quick_run("--append", history)
+    second = quick_run("--append", history)
+    for entry in (first, second):
+        check_entry(entry)
+        assert entry["quick"] is True
+    # one rung per layer, and the counters repeat exactly; times are not compared
+    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets"]
+    assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
+        == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
+    # the classify rung reads its cubics' points off lines, not a plane listing
+    assert "plane.all_points" not in first["rungs"][1]["counts"]
+    assert first["rungs"][1]["counts"]["nets.classify"] == 4
+    with open(history) as fh:
+        assert json.load(fh) == [first, second]
+
+
+def test_recorded_entries_keep_the_schema():
+    with open(os.path.join(ROOT, "BENCH_layers.json")) as fh:
+        history = json.load(fh)
+    assert history
+    for entry in history:
+        check_entry(entry)
