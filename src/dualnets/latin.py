@@ -376,19 +376,23 @@ def isomorphic(G, H):
     def close(phi, pairs):
         phi = dict(phi)
         used = set(phi.values())
-        work = [(x, pairs[-1:]) for x in phi]
-        while work:
-            x, edges = work.pop()
-            for g, h in edges:
+        # the first `old` elements of work are mapped already; the others
+        # are reached through the new edge
+        work, old, last = list(phi), len(phi), pairs[-1:]
+        i = 0
+        while i < len(work):
+            x = work[i]
+            for g, h in (last if i < old else pairs):
                 y, hy = G[x][g], H[phi[x]][h]
                 if y not in phi:
                     if hy in used:
                         return None
                     phi[y] = hy
                     used.add(hy)
-                    work.append((y, pairs))
+                    work.append(y)
                 elif phi[y] != hy:
                     return None
+            i += 1
         return phi
 
     def extend(phi, pairs):
