@@ -80,12 +80,12 @@ def _git(*args):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def entry(quick=False, k=K):
+def entry(quick=False):
     rungs = []
     for layer, name, setup, sizes in RUNGS:
         for p in sizes[:1] if quick else sizes:
-            min_s, counts = measure(setup(p), k)
-            rungs.append({"layer": layer, "name": name, "size": {"p": p}, "k": k,
+            min_s, counts = measure(setup(p), K)
+            rungs.append({"layer": layer, "name": name, "size": {"p": p}, "k": K,
                           "min_s": round(min_s, 6), "counts": counts})
     status = _git("status", "--porcelain", "--", "src")
     return {

@@ -13,8 +13,7 @@ from .plane import _base_points, normalize
 
 FERMAT_PRIME_SCAN_CAP = 500
 # the largest p CurveGroup accepts: listing the points takes p^2 Horner
-# steps, about 0.3 s at p = 1000, and find_invariant_subgroup walks the
-# multiples of every point
+# steps, and find_invariant_subgroup walks the multiples of every point
 CURVE_GROUP_MAX_P = 1000
 
 

@@ -376,8 +376,8 @@ def isomorphic(G, H):
     def close(phi, pairs):
         phi = dict(phi)
         used = set(phi.values())
-        # the first `old` elements of work are mapped already; the others
-        # are reached through the new edge
+        # work lists the elements mapped already, which need only the new
+        # edge, then those reached since, which need every edge
         work, old, last = list(phi), len(phi), pairs[-1:]
         i = 0
         while i < len(work):

@@ -582,10 +582,9 @@ def corners_legendre(c, p):
 
 
 def isomorphic_walk(G, H):
-    """latin.isomorphic as it was before its partial maps were extended in
-    place: for every candidate image of every generator, phi is rebuilt by
-    the walk from 0 over all the chosen generators, and injectivity is
-    checked once the walk ends."""
+    """latin.isomorphic's search with phi rebuilt for every candidate image
+    of every generator, by the walk from 0 over all the chosen generators,
+    and injectivity checked once the walk ends."""
     n = len(G)
     if len(H) != n:
         return None
