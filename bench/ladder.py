@@ -1,4 +1,5 @@
-"""Layer ladder: time and count the curve kernel and classify on fixed sizes.
+"""Layer ladder: time and count the curve kernel, classify and CLI start-up
+on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
@@ -6,10 +7,16 @@
 
 It runs the program from the src/ next to this directory and takes its work
 counters from perfbench/tracing.py, which it imports and does not change.
-Each rung is timed untraced as the best of k runs, then run once more under
-perfbench's Tracer to record its counters: a tracer key that names a
-function counts its calls (curves.restrict is perfbench's
+Each in-process rung is timed untraced as the best of k runs, then run once
+more under perfbench's Tracer to record its counters: a tracer key that
+names a function counts its calls (curves.restrict is perfbench's
 curves.restrict.calls), and plane.all_points.points counts listed points.
+
+The cli layer times one dualnets command in a fresh interpreter, as the best
+of k wall times.  The package is copied without bytecode and run with
+PYTHONDONTWRITEBYTECODE=1, so every process compiles the modules it imports,
+as in a fresh source checkout.  One more run counts the dualnets modules it
+loaded (dualnets.modules) and their bytes of source (dualnets.source_bytes).
 Counts do not drift with the host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
@@ -23,8 +30,10 @@ import datetime
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,6 +64,28 @@ RUNGS = (
 )
 
 
+# cli rungs: (argv, the construct argv whose document is the standard
+# input, or None); --quick keeps the first
+CLI_RUNGS = (
+    ("construct triangular --n 15 --p 181", None),
+    ("construct fermat --n 7 --p 61", None),
+    ("verify -", "construct triangular --n 15 --p 181"),
+    ("classify -", "construct tetrahedron --m 6 --p 61"),
+    ("classify -", "construct hesse4 --p 13"),
+)
+# what the installed `dualnets` console script runs
+ENTRY = "import sys; from dualnets.cli import main; sys.exit(main())"
+FOOTPRINT = """
+import contextlib, io, json, os, sys
+from dualnets.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "dualnets"]
+print(json.dumps({"code": code, "dualnets.modules": len(mods),
+                  "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods)}))
+"""
+
+
 def measure(run, k):
     """(best untraced seconds of k runs, tracer counters of one more run)."""
     best = float("inf")
@@ -69,6 +100,46 @@ def measure(run, k):
     finally:
         tracer.uninstall()
     return best, dict(sorted(tracer.counts.items()))
+
+
+def measure_cli(argv, stdin, env, k):
+    """(best wall seconds of k fresh `dualnets argv` processes, their footprint)."""
+    def child(code):
+        done = subprocess.run([sys.executable, "-c", code] + argv, input=stdin,
+                              capture_output=True, text=True, env=env, timeout=300)
+        if done.returncode != 0:
+            raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
+        return done.stdout
+
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        child(ENTRY)
+        best = min(best, time.perf_counter() - start)
+    counts = json.loads(child(FOOTPRINT))
+    del counts["code"]
+    return best, counts
+
+
+def cli_rungs(quick):
+    """The cli rungs, run on a bytecode-free copy of the package."""
+    rungs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(os.path.join(ROOT, "src", "dualnets"), os.path.join(tmp, "dualnets"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        for command, document in CLI_RUNGS[:1] if quick else CLI_RUNGS:
+            stdin = None
+            if document is not None:
+                stdin = subprocess.run([sys.executable, "-c", ENTRY] + document.split(),
+                                       capture_output=True, text=True, env=env,
+                                       timeout=300, check=True).stdout
+            min_s, counts = measure_cli(command.split(), stdin, env, K)
+            size = {"argv": command} if document is None else {"argv": command,
+                                                              "stdin": document}
+            rungs.append({"layer": "cli", "name": "dualnets CLI in a fresh interpreter",
+                          "size": size, "k": K, "min_s": round(min_s, 6), "counts": counts})
+    return rungs
 
 
 def _git(*args):
@@ -87,6 +158,7 @@ def entry(quick=False):
             min_s, counts = measure(setup(p), K)
             rungs.append({"layer": layer, "name": name, "size": {"p": p}, "k": K,
                           "min_s": round(min_s, 6), "counts": counts})
+    rungs += cli_rungs(quick)
     status = _git("status", "--porcelain", "--", "src")
     return {
         "commit": _git("rev-parse", "--short", "HEAD"),

@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 # Each CLI command imports only the layers it runs; a submodule not yet
 # imported is loaded on first attribute access (PEP 562), so
 # `dualnets.curves` works after a bare `import dualnets`.
-_SUBMODULES = ("gf", "plane", "curves", "cubic_group", "latin", "nets", "constructors", "cli")
+_SUBMODULES = ("gf", "plane", "curves", "cubic_group", "latin", "nets", "constructors", "cli",
+               "demos")
 
 
 def __getattr__(name):

@@ -8,9 +8,11 @@ are re-verified on every load; nothing trusts a stored flag.
 Exit codes: 0 success, 1 mathematical failure (a net fails verification,
 or a demo prints a FAIL line), 2 usage or parameter errors.
 
-A process runs one command, so each command imports what it needs beyond
-nets, gf and plane: only construct and the demos load constructors and
-latin, and of the inspection commands only classify loads curves.
+A process runs one command, and it imports and compiles only the layers
+that command runs beyond nets, gf and plane: construct loads constructors,
+and cubic_group and curves for the fermat family only; of the inspection
+commands only classify loads curves, and only when the net's points lie on
+a cubic; only demo loads the demos module.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import sys
 
 from . import nets
 from .gf import is_prime
-from .plane import PValue, apply_point, normalize, perspectivity
+from .plane import PValue
 
 
 def to_jsonable(obj):
@@ -223,119 +225,15 @@ def cmd_crossratio(net):
     return 0
 
 
-def _demo_pencil():
-    from . import constructors
-
-    checks = []
-    net = constructors.pencil_char_p(5)
-    checks.append(("pencil net of order 5 verifies with the characteristic "
-                   "exception", net.char_exception))
-    checks.append(("classifies as pencil", nets.classify(net)["tag"] == "pencil"))
-    centers = nets.find_centers(net)
-    checks.append(("a perspective center exists", len(centers) >= 1))
-    constant = bool(centers)
-    for T in sorted(centers):
-        try:
-            nets.constant_cross_ratio(net, T)
-        except (ValueError, AssertionError):
-            constant = False
-    checks.append(("cross-ratio is constant at every center", constant))
-    return checks
-
-
-def _demo_conic_line():
-    from . import constructors, latin
-
-    checks = []
-    net = constructors.conic_line(5, 11, 1)
-    p = net.p
-    checks.append(("conic-line net (n=5, p=11) verifies",
-                   isinstance(net, nets.DualNet)))
-    T = (0, 0, 1)
-    centers = nets.find_centers(net)
-    checks.append(("center (0,0,1) found", T in centers))
-    kappa = nets.constant_cross_ratio(net, T)
-    checks.append(("kappa = -1", kappa == PValue.of(p - 1, p)))
-    M = perspectivity(T, (0, 0, 1), p - 1, p)
-    image = {normalize(apply_point(M, P, p), p) for P in net.components[1]}
-    checks.append(("the ratio -1 homology carries the second component onto "
-                   "the third", image == set(net.components[2])))
-    square = latin.from_net(net)
-    checks.append(("latin square has a transversal",
-                   latin.transversal_search(square) is not None))
-    return checks
-
-
-def _demo_fermat():
-    from . import constructors
-
-    checks = []
-    net = constructors.algebraic_fermat(3, 19)
-    p = net.p
-    checks.append(("coset net on the Fermat cubic (n=3, p=19) verifies",
-                   isinstance(net, nets.DualNet)))
-    centers = nets.find_centers(net)
-    checks.append(("center (0,0,1) is a perspective center",
-                   (0, 0, 1) in centers))
-    corners = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    checks.append(("all centers are corners of the coordinate triangle",
-                   centers <= corners and len(centers) <= 3))
-    good = bool(centers)
-    for T in sorted(centers):
-        kappa = nets.constant_cross_ratio(net, T)
-        if kappa.is_infinity or (kappa.value ** 2 - kappa.value + 1) % p != 0:
-            good = False
-    checks.append(("kappa^2 - kappa + 1 = 0 at every center", good))
-    checks.append(("classifies as proper-algebraic",
-                   nets.classify(net)["tag"] == "proper-algebraic"))
-    return checks
-
-
-def _demo_j0_identities():
-    import random
-
-    from .curves import cubic_j0_identities
-
-    checks = []
-    p = 101
-    rng = random.Random(20260818)
-    ok1 = ok2 = True
-    for _ in range(50):
-        a, b, c, m = (rng.randrange(p) for _ in range(4))
-        report = cubic_j0_identities(a, b, c, m, p)
-        ok1 = ok1 and report["identity1"]
-        ok2 = ok2 and report["identity2"]
-    checks.append(("identity (1) holds at 50 random samples over GF(101)", ok1))
-    checks.append(("identity (2) holds at 50 random samples over GF(101)", ok2))
-    return checks
-
-
-def _demo_negative_sweeps():
-    from . import constructors
-
-    checks = []
-    cases = [
-        ("triangular cyclic n=5, p=11", constructors.triangular_cyclic(5, 11)),
-        ("triangular cyclic n=7, p=29", constructors.triangular_cyclic(7, 29)),
-        ("tetrahedron m=2, p=13", constructors.tetrahedron(2, 13)),
-    ]
-    for desc, net in cases:
-        checks.append(("no perspective center for %s" % desc,
-                       len(nets.find_centers(net)) == 0))
-    return checks
-
-
-DEMOS = {
-    "pencil": _demo_pencil,
-    "conic-line": _demo_conic_line,
-    "fermat": _demo_fermat,
-    "j0-identities": _demo_j0_identities,
-    "negative-sweeps": _demo_negative_sweeps,
-}
+# The demo walk-throughs, by name.  Each is the function in dualnets.demos
+# named with "_" for "-"; only cmd_demo imports that module.
+DEMOS = ("pencil", "conic-line", "fermat", "j0-identities", "negative-sweeps")
 
 
 def cmd_demo(args):
-    checks = DEMOS[args.name]()
+    from . import demos
+
+    checks = demos.run(args.name)
     all_passed = True
     for claim, passed in checks:
         print("%s %s" % ("PASS" if passed else "FAIL", claim))

@@ -6,9 +6,12 @@ net; constructions that cannot be realized at the requested parameters
 raise instead of degrading.
 """
 
-from .cubic_group import CurveGroup
 from .gf import nth_root_of_unity
 from .nets import NetViolation, verify
+
+# the largest p pencil_char_p accepts: its net has p^2 lines, and verify
+# makes 3p^2 joins to check them
+PENCIL_MAX_P = 500
 
 
 def triangular_cyclic(n, p, c=1):
@@ -39,6 +42,8 @@ def pencil_char_p(p):
     """
     if p < 5:
         raise ValueError("p must be at least 5")
+    if p > PENCIL_MAX_P:
+        raise ValueError("p = %d exceeds the pencil limit PENCIL_MAX_P = %d" % (p, PENCIL_MAX_P))
     lam1 = [(a, 0, 1) for a in range(p)]
     lam2 = [(b, 1, 1) for b in range(p)]
     lam3 = [(c, 2, 1) for c in range(p)]
@@ -90,6 +95,8 @@ def algebraic_fermat(n, p):
     case for n = 3 over GF(7) and GF(13), where the nine rational points
     form a group of exponent 3 and no order-3 coset net exists.
     """
+    from .cubic_group import CurveGroup  # the only builder on the curve layers
+
     group = CurveGroup(p)
     if p <= n:
         raise ValueError("p must exceed n")

@@ -13,7 +13,7 @@ from .plane import _base_points, normalize
 
 FERMAT_PRIME_SCAN_CAP = 500
 # the largest p CurveGroup accepts: listing the points takes p^2 Horner
-# steps, and find_invariant_subgroup walks the multiples of every point
+# steps, and find_invariant_subgroup walks up to n multiples of every point
 CURVE_GROUP_MAX_P = 1000
 
 
@@ -69,10 +69,13 @@ class CurveGroup:
             k >>= 1
         return R
 
-    def _multiples(self, P):
-        """The cyclic subgroup generated by P, as O, P, 2P, ... in order."""
+    def _multiples(self, P, limit=None):
+        """The cyclic subgroup generated by P, as O, P, 2P, ... in order;
+        None once it passes limit elements."""
         out, R = [self.O], P
         while R != self.O:
+            if len(out) == limit:
+                return None
             out.append(R)
             R = self.add(R, P)
         return out
@@ -89,12 +92,18 @@ class CurveGroup:
         """A cyclic subgroup H of order n with u(H) = H, or None.
 
         Scans points in lexicographic order for a generator of order
-        exactly n, then tests u-invariance of the generated subgroup
-        directly.
+        exactly n, walking at most n multiples of each, then tests
+        u-invariance of the generated subgroup directly.  None at once
+        when n does not divide the group order (Lagrange).
         """
+        if n < 1 or len(self.points) % n:
+            return None
         for g in self.points:
-            H = frozenset(self._multiples(g))
-            if len(H) == n and all(self.u_auto(h) in H for h in H):
+            multiples = self._multiples(g, n)
+            if multiples is None or len(multiples) < n:
+                continue
+            H = frozenset(multiples)
+            if all(self.u_auto(h) in H for h in H):
                 return g, H
         return None
 

@@ -7,10 +7,6 @@ from .plane import (PValue, _base_points, _quartic_invariants, cross_ratio_lines
                     normalize)
 
 
-def monomials(d):
-    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
-
-
 class HomPoly:
     """Homogeneous polynomial in X, Y, Z over GF(p).
 
@@ -434,60 +430,3 @@ def pencil_crossratio_check(F, G, alpha, beta, alpha2, beta2):
         if k != kappa:
             ok = False
     return {"kappa": kappa, "per_point": values, "pass": ok}
-
-
-def cubic_j0_identities(a, b, c, m, p):
-    """The two exact identities behind the j = 0 perspectivity criterion.
-
-    Setting up the quartic t*h1(t) with h1(t) = (a+t)(a+t-1)(a+t-c) - (b+tm)^2
-    and reading off f(m), g(m) as the two coefficient cores of the u-invariant
-    (with the denominator core negated, a free sign since only g^2 matters),
-    the report checks at the given m:
-
-      (1) 3 f'(m) g(m) - 2 f(m) g'(m)
-            = 54 (b^2 - a(a-1)(a-c))^2 (beta0 + beta1 m + beta2 m^2 + beta3 m^3)
-      (2) beta0*gamma0 + beta1*gamma1 + beta2*gamma2 + beta3*gamma3
-            = 18 c^2 (c-1)^2 (c^2 - c + 1)
-
-    The betas vanish simultaneously exactly at the corner specialization
-    a = (c+1)/3, b^2 = (1-2c)/3 when c^2 - c + 1 = 0.
-    """
-    a %= p
-    b %= p
-    c %= p
-    m %= p
-    # alpha_i (of t^i in t*h1(t)) at m and its m-derivative; alpha_1 is constant
-    a1 = (a * (a - 1) * (a - c) - b * b) % p
-    a2, da2 = (3 * a * a - 2 * a - 2 * a * c + c - 2 * b * m) % p, -2 * b
-    a3, da3 = (3 * a - 1 - c - m * m) % p, -2 * m
-    # f = 12 a0 a4 - 3 a1 a3 + a2^2 with a0 = 0, a4 = 1
-    f = (a2 * a2 - 3 * a1 * a3) % p
-    df = 2 * a2 * da2 - 3 * a1 * da3
-    # g = -(72 a0 a2 a4 - 27 a0 a3^2 - 27 a1^2 a4 - 2 a2^3 + 9 a1 a2 a3)
-    g = (27 * a1 * a1 + 2 * a2 ** 3 - 9 * a1 * a2 * a3) % p
-    dg = 6 * a2 * a2 * da2 - 9 * a1 * (da2 * a3 + a2 * da3)
-    beta = [
-        2 * b * (c * c - c + 1) % p,
-        (2 * a * c - 2 * a * c * c - 2 * a + 3 * b * b + c * c + c) % p,
-        (-2 * b * (3 * a - 1 - c)) % p,
-        (3 * a * a - 2 * a * c + c - 2 * a) % p,
-    ]
-    gamma = [
-        (-3 * b * (c - 2) * (2 * c - 1) * (c + 1)) % p,
-        (-2 * (c * c - c + 1)
-         * (6 * a - 4 + 3 * c + 6 * a * c * c + 3 * c * c - 4 * c ** 3 - 6 * a * c)) % p,
-        (-6 * b * pow(c * c - c + 1, 2, p)) % p,
-        (-8 * pow(c * c - c + 1, 3, p)) % p,
-    ]
-    lhs1 = (3 * df * g - 2 * f * dg) % p
-    rhs1 = 54 * pow(b * b - a * (a - 1) * (a - c), 2, p) * _peval(beta, m, p) % p
-    lhs2 = sum(bi * gi for bi, gi in zip(beta, gamma)) % p
-    rhs2 = 18 * pow(c * (c - 1), 2, p) * (c * c - c + 1) % p
-    return {
-        "beta": beta,
-        "gamma": gamma,
-        "identity1": lhs1 == rhs1,
-        "identity2": lhs2 == rhs2,
-        "lhs1": lhs1, "rhs1": rhs1,
-        "lhs2": lhs2, "rhs2": rhs2,
-    }

@@ -22,7 +22,7 @@ keep the whole-plane sweep of the definition as the oracle for both.
 
 from itertools import product
 
-from .plane import cross_ratio, det3, incident, join, line_points, meet, normalize
+from .plane import cross_ratio, det3, incident, join, line_points, meet, monomials, normalize
 
 
 _MAX_CENTERS = 10 ** 6  # the most centers find_centers lists for an order-1 net
@@ -259,12 +259,13 @@ def _proj_combinations(basis, p):
 
 
 _CONIC_MONOMIALS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+_CUBIC_MONOMIALS = monomials(3)
 
 
-def _fit_forms(points, monomials, p):
+def _fit_forms(points, exponents, p):
     rows = [[pow(P[0], i, p) * pow(P[1], j, p) * pow(P[2], k, p) % p
-             for (i, j, k) in monomials] for P in points]
-    return _nullspace(rows, len(monomials), p)
+             for (i, j, k) in exponents] for P in points]
+    return _nullspace(rows, len(exponents), p)
 
 
 def _conic_is_nonsingular(v, p):
@@ -385,34 +386,31 @@ def classify(net):
                     "conic": v,
                 }
 
-    from . import curves  # only the cubic fit needs the curve layer
-
-    pts = net.all_net_points()
-    cubic_monomials = curves.monomials(3)
-    basis = _fit_forms(pts, cubic_monomials, p)
+    basis = _fit_forms(net.all_net_points(), _CUBIC_MONOMIALS, p)
     if len(basis) > 2:
         return {"tag": "unknown", "reason": "cubic fit dimension %d" % len(basis)}
-    irreducible = []
-    for v in _proj_combinations(basis, p):
-        F = curves.HomPoly(3, dict(zip(cubic_monomials, v)), p)
-        if not curves.rational_lines(F):
-            irreducible.append(F)
-    if irreducible:
-        F = irreducible[0]
-        sing = sorted(curves.singular_points(F))
-        js = [curves.j_of_cubic(G) for G in irreducible]
-        info = {
-            "tag": "proper-algebraic",
-            "cubic": sorted(F.coeffs.items()),
-            "cubic_space_dim": len(basis),
-            "singular": sing,
-            "j_values": sorted({str(j) for j in js if j is not None}),
-        }
-        if js[0] is not None:
-            info["j"] = js[0]
-        if len(sing) == 1:
-            info["singular_type"] = curves.singular_type(F, sing[0])
-        return info
+    if basis:
+        from . import curves  # only a fitted cubic needs the curve layer
+
+        forms = (curves.HomPoly(3, dict(zip(_CUBIC_MONOMIALS, v)), p)
+                 for v in _proj_combinations(basis, p))
+        irreducible = [F for F in forms if not curves.rational_lines(F)]
+        if irreducible:
+            F = irreducible[0]
+            sing = sorted(curves.singular_points(F))
+            js = [curves.j_of_cubic(G) for G in irreducible]
+            info = {
+                "tag": "proper-algebraic",
+                "cubic": sorted(F.coeffs.items()),
+                "cubic_space_dim": len(basis),
+                "singular": sing,
+                "j_values": sorted({str(j) for j in js if j is not None}),
+            }
+            if js[0] is not None:
+                info["j"] = js[0]
+            if len(sing) == 1:
+                info["singular_type"] = curves.singular_type(F, sing[0])
+            return info
 
     tet = _try_tetrahedron(net)
     if tet is not None:

@@ -73,6 +73,12 @@ def line_points(line, p):
     return sorted(pts, key=lambda P: (P[0] == 0, P[0] == 0 and P[1] == 0, P))
 
 
+def monomials(d):
+    """The exponents (i, j, k) of the monomials X^i Y^j Z^k of degree d,
+    by i, then j."""
+    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+
+
 class PValue:
     """An element of the projective line over GF(p): a scalar or infinity.
 

@@ -11,9 +11,9 @@ import time
 
 from dualnets import constructors, latin, nets
 from dualnets.cubic_group import CurveGroup, find_fermat_prime_for_order
-from dualnets.curves import (HomPoly, cubic_j0_identities, fermat_cubic,
-                             hessian, j_invariant, pencil_crossratio_check,
-                             proportional)
+from dualnets.curves import (HomPoly, fermat_cubic, hessian, j_invariant,
+                             pencil_crossratio_check, proportional)
+from dualnets.demos import cubic_j0_identities
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_point,
                             cross_ratio, normalize, perspectivity,
                             u_from_quartic, u_invariant)

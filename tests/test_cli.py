@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from dualnets.cli import load_document, main, net_document, to_jsonable
+from dualnets.constructors import PENCIL_MAX_P
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 
 
@@ -331,6 +332,16 @@ def test_fermat_past_the_curve_group_limit():
     assert FERMAT_PRIME_SCAN_CAP < CURVE_GROUP_MAX_P
 
 
+def test_pencil_past_its_limit():
+    # an order-p pencil net costs 3p^2 joins to verify, about 3 * 10^12 at
+    # p = 1000003; construct refuses before listing a point
+    for p in (PENCIL_MAX_P + 3, 1000003):
+        done = _run_module("construct", "pencil", "--p", str(p))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("error: p = %d exceeds the pencil limit PENCIL_MAX_P = %d\n"
+                               % (p, PENCIL_MAX_P))
+
+
 def test_classify_and_crossratio_refuse_k_above_4():
     # five collinear points form an order-1 5-net: verify and centers answer,
     # while classify and crossratio are defined for 3- and 4-nets only
@@ -381,9 +392,9 @@ def _fresh_python(code, *argv):
 
 def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
     # one process runs one command, so importing a layer it never calls is
-    # start-up time on every inspection op
+    # start-up time on every op
     unused = {"dualnets.curves", "dualnets.cubic_group", "dualnets.constructors",
-              "dualnets.latin"}
+              "dualnets.latin", "dualnets.demos"}
     tri, doc = construct(capsys, tmp_path, "tri", "triangular", "--n", "5", "--p", "11")
     doc["components"][1][0] = [1, 2, 3]
     bad = tmp_path / "bad.json"
@@ -393,10 +404,24 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
         code, loaded = json.loads(_fresh_python(FOOTPRINT, *argv))
         assert code == want, argv
         assert not set(loaded) & unused, (argv, loaded)
+    # construct loads the curve layers for the fermat family only
+    for argv in (("triangular", "--n", "5", "--p", "11"), ("pencil", "--p", "7"),
+                 ("conic-line", "--n", "5", "--p", "11"), ("fermat", "--n", "3", "--p", "19"),
+                 ("tetrahedron", "--m", "3", "--p", "13"), ("hesse4", "--p", "13")):
+        code, loaded = json.loads(_fresh_python(FOOTPRINT, "construct", *argv))
+        curve_layers = {"dualnets.curves", "dualnets.cubic_group"} if argv[0] == "fermat" else set()
+        assert code == 0 and set(loaded) & unused == {"dualnets.constructors"} | curve_layers, \
+            (argv, loaded)
+    # classify loads curves only when the points lie on a cubic: the order-6
+    # tetrahedron net over GF(13) has a cubic fit of dimension 0
     fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
-    code, loaded = json.loads(_fresh_python(FOOTPRINT, "classify", fermat))
-    assert code == 0 and "dualnets.curves" in loaded
-    assert not set(loaded) & (unused - {"dualnets.curves"}), loaded
+    tet, _ = construct(capsys, tmp_path, "tet", "tetrahedron", "--m", "3", "--p", "13")
+    for path, want in ((fermat, {"dualnets.curves"}), (tet, set())):
+        code, loaded = json.loads(_fresh_python(FOOTPRINT, "classify", path))
+        assert code == 0 and set(loaded) & unused == want, (path, loaded)
+    # only demo loads the demos module
+    code, loaded = json.loads(_fresh_python(FOOTPRINT, "demo", "j0-identities"))
+    assert code == 0 and set(loaded) & unused == {"dualnets.demos"}, loaded
     # the package loads a layer on first attribute access
     hook = ("import sys, dualnets.cli; assert 'dualnets.curves' not in sys.modules; "
             "print(dualnets.curves.j_of_cubic.__module__)")

@@ -2,10 +2,11 @@ import random
 from itertools import combinations, product
 
 from dualnets.cubic_group import CurveGroup, find_fermat_prime_for_order
+from dualnets.gf import is_prime
 from dualnets.plane import normalize
 from dualnets import nets
 
-from util import collinear_brute
+from util import collinear_brute, find_invariant_subgroup_walk
 
 KNOWN_POINTS_13 = [
     (0, 1, 1), (0, 1, 3), (0, 1, 9),
@@ -98,6 +99,17 @@ def test_invariant_subgroup_p13():
     assert gen in H
     assert G.find_invariant_subgroup(9) is None  # no cyclic subgroup of order 9
     assert G.find_invariant_subgroup(2) is None
+
+
+def test_invariant_subgroup_matches_the_whole_walk():
+    # Lagrange's test and the cut after n multiples find the same first
+    # generator as walking every point's whole subgroup
+    for p in range(7, 100, 6):
+        if not is_prime(p):
+            continue
+        G = CurveGroup(p)
+        for n in range(-1, 13):
+            assert G.find_invariant_subgroup(n) == find_invariant_subgroup_walk(G, n), (p, n)
 
 
 def test_coset_net_always_collides_p13():

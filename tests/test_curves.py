@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from dualnets.curves import (HomPoly, cubic_j0_identities, curve_points, fermat_cubic,
+from dualnets.curves import (HomPoly, curve_points, fermat_cubic,
                              hessian, inflection_points, j_invariant,
-                             j_of_cubic, legendre_cubic, line_on_curve, monomials,
+                             j_of_cubic, legendre_cubic, line_on_curve,
                              pencil_crossratio_check, proportional,
                              rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
+from dualnets.demos import cubic_j0_identities
 from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
-from dualnets.plane import PValue, all_points, line_points, apply_point, normalize
+from dualnets.plane import PValue, all_points, line_points, apply_point, monomials, normalize
 from util import (compose, corners_legendre, hesse_4net_brute, intersection_multiplicity,
                   intersection_multiplicity_brute, j_of_cubic_weierstrass, line_on_curve_brute,
                   mat_inv, restrict_expanded, singular_type_brute)

@@ -34,12 +34,16 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
         check_entry(entry)
         assert entry["quick"] is True
     # one rung per layer, and the counters repeat exactly; times are not compared
-    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets"]
+    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets", "cli"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
     # the classify rung reads its cubics' points off lines, not a plane listing
     assert "plane.all_points" not in first["rungs"][1]["counts"]
     assert first["rungs"][1]["counts"]["nets.classify"] == 4
+    # construct triangular loads the package, cli, gf, plane, nets and
+    # constructors, and not the curve layers
+    assert first["rungs"][2]["size"] == {"argv": "construct triangular --n 15 --p 181"}
+    assert first["rungs"][2]["counts"]["dualnets.modules"] == 6
     with open(history) as fh:
         assert json.load(fh) == [first, second]
 

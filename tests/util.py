@@ -621,3 +621,17 @@ def isomorphic_walk(G, H):
         return None
 
     return extend([])
+
+
+def find_invariant_subgroup_walk(group, n):
+    """CurveGroup.find_invariant_subgroup by the whole walk: every point's
+    full cyclic subgroup, in lexicographic order of the points, without
+    Lagrange's test or a cut after n multiples."""
+    for g in group.points:
+        H, R = {group.O}, g
+        while R != group.O:
+            H.add(R)
+            R = group.add(R, g)
+        if len(H) == n and all(group.u_auto(h) in H for h in H):
+            return g, frozenset(H)
+    return None
