@@ -13,14 +13,17 @@ names a function counts its calls (curves.restrict is perfbench's
 curves.restrict.calls), and plane.all_points.points counts listed points.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
-of k wall times.  The package is copied without bytecode and run with
+of k wall times (min_s) and the best of their k CPU times, user plus system,
+from getrusage deltas of the waited-for children (min_cpu_s); the CPU time
+does not count the time the host spends on other processes.  The package is copied without bytecode and run with
 PYTHONDONTWRITEBYTECODE=1, so every process compiles the modules it imports,
 as in a fresh source checkout.  One more run counts the dualnets modules it
 loaded (dualnets.modules) and their bytes of source (dualnets.source_bytes).
 Counts do not drift with the host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s and counts.  BENCH_layers.json is
+per rung, its layer, name, size, k, min_s (and min_cpu_s on cli rungs) and
+counts.  BENCH_layers.json is
 a list of such entries, oldest first; a change that claims speed appends
 its parent's entry and its own, measured in one session.
 """
@@ -30,6 +33,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -103,8 +107,14 @@ def measure(run, k):
     return best, dict(sorted(tracer.counts.items()))
 
 
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def measure_cli(argv, stdin, env, k):
-    """(best wall seconds of k fresh `dualnets argv` processes, their footprint)."""
+    """(best wall seconds and best CPU seconds of k fresh `dualnets argv`
+    processes, their footprint)."""
     def child(code):
         done = subprocess.run([sys.executable, "-c", code] + argv, input=stdin,
                               capture_output=True, text=True, env=env, timeout=300)
@@ -112,12 +122,14 @@ def measure_cli(argv, stdin, env, k):
             raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
         return done.stdout
 
-    best = float("inf")
+    best = best_cpu = float("inf")
     for _ in range(k):
+        cpu = _children_cpu_s()
         start = time.perf_counter()
         child(ENTRY)
         best = min(best, time.perf_counter() - start)
-    return best, json.loads(child(FOOTPRINT))
+        best_cpu = min(best_cpu, _children_cpu_s() - cpu)
+    return best, best_cpu, json.loads(child(FOOTPRINT))
 
 
 def cli_rungs(quick):
@@ -133,11 +145,12 @@ def cli_rungs(quick):
                 stdin = subprocess.run([sys.executable, "-c", ENTRY] + document.split(),
                                        capture_output=True, text=True, env=env,
                                        timeout=300, check=True).stdout
-            min_s, counts = measure_cli(command.split(), stdin, env, K)
+            min_s, min_cpu_s, counts = measure_cli(command.split(), stdin, env, K)
             size = {"argv": command} if document is None else {"argv": command,
                                                               "stdin": document}
             rungs.append({"layer": "cli", "name": "dualnets CLI in a fresh interpreter",
-                          "size": size, "k": K, "min_s": round(min_s, 6), "counts": counts})
+                          "size": size, "k": K, "min_s": round(min_s, 6),
+                          "min_cpu_s": round(min_cpu_s, 6), "counts": counts})
     return rungs
 
 

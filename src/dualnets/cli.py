@@ -5,8 +5,11 @@ with an optional "meta" object (constructor name and parameters; a
 boolean "char_exception" marks the deliberate n = p construction).  Documents
 are re-verified on every load; nothing trusts a stored flag.
 
-Exit codes: 0 success, 1 mathematical failure (a net fails verification,
-or a demo prints a FAIL line), 2 usage or parameter errors.
+Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter
+errors.  Commands raise instead of printing errors, and main alone turns
+an exception into an exit code: NetViolation exits 1 with the violation
+report on stdout, ValueError and OSError exit 2 with "error: ..." on
+stderr.  A demo that prints a FAIL line also exits 1.
 
 A process runs one command, and it imports and compiles only the layers
 that command runs beyond nets, gf and plane: construct loads constructors,
@@ -107,22 +110,6 @@ def _violation_report(exc):
     return report
 
 
-def _load_net(path):
-    """The loader in front of every inspection command.
-
-    Returns (net, exit_code); exactly one of the two is None.
-    """
-    try:
-        net = load_document(_read_input(path))
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        print("error: %s" % exc, file=sys.stderr)
-        return None, 2
-    except nets.NetViolation as exc:
-        _emit(_violation_report(exc))
-        return None, 1
-    return net, None
-
-
 # family -> (builder in constructors, the options passed to it in order).
 # cmd_construct imports constructors and looks the builder up by name at
 # call time, so a rebound one is used.
@@ -142,17 +129,10 @@ def cmd_construct(args):
     builder, params = FAMILIES[args.family]
     missing = [name for name in params if getattr(args, name) is None]
     if missing:
-        print("error: %s requires --%s" % (args.family, " --".join(missing)),
-              file=sys.stderr)
-        return 2
-    try:
-        if not is_prime(args.p):
-            print("error: p=%d is not prime" % args.p, file=sys.stderr)
-            return 2
-        net = getattr(constructors, builder)(*(getattr(args, name) for name in params))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise ValueError("%s requires --%s" % (args.family, " --".join(missing)))
+    if not is_prime(args.p):
+        raise ValueError("p=%d is not prime" % args.p)
+    net = getattr(constructors, builder)(*(getattr(args, name) for name in params))
     _emit(net_document(net))
     return 0
 
@@ -165,8 +145,7 @@ def cmd_verify(net):
 
 def cmd_classify(net):
     if net.k > 4:
-        print("error: classify needs a 3-net or a 4-net, got k = %d" % net.k, file=sys.stderr)
-        return 2
+        raise ValueError("classify needs a 3-net or a 4-net, got k = %d" % net.k)
     if net.k == 3:
         _emit(nets.classify(net))
     else:
@@ -176,19 +155,8 @@ def cmd_classify(net):
     return 0
 
 
-def _sorted_centers(net):
-    """The sorted centers; None after a usage error when find_centers refuses."""
-    try:
-        return sorted(nets.find_centers(net))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return None
-
-
 def cmd_centers(net):
-    centers = _sorted_centers(net)
-    if centers is None:
-        return 2
+    centers = sorted(nets.find_centers(net))
     _emit({"centers": [list(T) for T in centers], "count": len(centers)})
     return 0
 
@@ -207,12 +175,9 @@ def _kappa_entry(kappa, p):
 
 def cmd_crossratio(net):
     if net.k > 4:
-        print("error: crossratio needs a 3-net or a 4-net, got k = %d" % net.k, file=sys.stderr)
-        return 2
+        raise ValueError("crossratio needs a 3-net or a 4-net, got k = %d" % net.k)
     if net.k == 3:
-        centers = _sorted_centers(net)
-        if centers is None:
-            return 2
+        centers = sorted(nets.find_centers(net))
         rows = []
         for T in centers:
             entry = _kappa_entry(nets.constant_cross_ratio(net, T), net.p)
@@ -276,10 +241,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if not hasattr(args, "netfile"):
+    try:
+        if hasattr(args, "netfile"):
+            return args.func(load_document(_read_input(args.netfile)))
         return args.func(args)
-    net, code = _load_net(args.netfile)
-    return code if net is None else args.func(net)
+    except nets.NetViolation as exc:
+        _emit(_violation_report(exc))
+        return 1
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

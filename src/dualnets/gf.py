@@ -56,7 +56,7 @@ def factorize(n: int) -> dict:
 def nth_root_of_unity(p: int, n: int) -> int:
     """A primitive n-th root of unity in GF(p): multiplicative order exactly n.
 
-    The first g^((p-1)/n), g = 2, 3, ..., of order exactly n; only n is
+    The first g^((p-1)/n), g = 1, 2, ..., of order exactly n; only n is
     factorized, never p-1.  Every such root generates the one subgroup of
     order n of GF(p)*.  Raises ValueError when n does not divide p-1 (no
     such root exists).
@@ -64,7 +64,7 @@ def nth_root_of_unity(p: int, n: int) -> int:
     if n <= 0 or (p - 1) % n != 0:
         raise ValueError("n=%d does not divide p-1=%d" % (n, p - 1))
     primes = factorize(n)
-    for g in range(2, p):
+    for g in range(1, p):
         xi = pow(g, (p - 1) // n, p)
         if all(pow(xi, n // q, p) != 1 for q in primes):
             return xi

@@ -26,6 +26,7 @@ from .plane import cross_ratio, det3, incident, join, line_points, meet, monomia
 
 
 _MAX_CENTERS = 10 ** 6  # the most centers find_centers lists for an order-1 net
+VERIFY_MAX_JOINS = 3 * 500 ** 2  # the k n^2 joins verify makes at most: an order-500 3-net
 
 
 class NetViolation(Exception):
@@ -75,7 +76,8 @@ def verify(components, p, allow_char_exception=False, meta=None):
     Each point P of component 0 groups the other net points by their join
     with P; a line through P passes when its group holds one point of each
     component, P counted in component 0.  That is at most k n^2 joins and
-    no incidence test.
+    no incidence test; a net with k n^2 > VERIFY_MAX_JOINS raises
+    ValueError before the first join.
 
     Only the lines PQ with Q in component 1 are checked.  That suffices:
     if they all pass, the n of them through one P are distinct and meet
@@ -110,6 +112,10 @@ def verify(components, p, allow_char_exception=False, meta=None):
             seen[P] = i
     if not allow_char_exception and p <= n:
         raise NetViolation("p=%d must exceed the order n=%d" % (p, n))
+    if len(comps) * n * n > VERIFY_MAX_JOINS:
+        raise ValueError("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
+                         "VERIFY_MAX_JOINS = %d" % (len(comps), n, len(comps) * n * n,
+                                                    VERIFY_MAX_JOINS))
 
     lines = {}
     for P in comps[0]:

@@ -7,6 +7,7 @@ import sys
 from dualnets.cli import load_document, main, net_document, to_jsonable
 from dualnets.constructors import PENCIL_MAX_P
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
+from dualnets.nets import VERIFY_MAX_JOINS
 
 
 def run(capsys, *argv):
@@ -354,6 +355,40 @@ def test_classify_and_crossratio_refuse_k_above_4():
         assert done.stderr == "error: %s needs a 3-net or a 4-net, got k = 5\n" % command
     for command in ("verify", "centers"):
         assert _run_module(command, "-", stdin=doc).returncode == 0, command
+
+
+def test_order_1_constructions_over_gf2():
+    # the one root of unity in GF(2) has order 1, so the order-1
+    # triangular net is built
+    done = _run_module("construct", "triangular", "--n", "1", "--p", "2")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["components"] == [[[1, 0, 1]], [[0, 1, 1]], [[1, 1, 0]]]
+    # the order-1 conic-line points put (1, 1, 1) in components 1 and 2:
+    # construct reports the violation as verify does, with no traceback
+    done = _run_module("construct", "conic-line", "--n", "1", "--p", "2")
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout) == {
+        "verified": False, "component": 2,
+        "error": "components 1 and 2 are not disjoint at (1, 1, 1)"}
+
+
+def test_verifier_join_limit():
+    # an order-1001 triangular net costs 3 * 1001^2 joins to verify: the
+    # hand-made document and the construction are refused before a join
+    p, n = 2003, 1001
+    roots = [x for x in range(1, p) if pow(x, n, p) == 1]
+    doc = json.dumps({"p": p, "components": [[[1, 0, r] for r in roots],
+                                             [[0, 1, r] for r in roots],
+                                             [[r, p - 1, 0] for r in roots]]})
+    want = ("error: k = 3, n = 1001: k n^2 = 3006003 joins exceed the verifier limit "
+            "VERIFY_MAX_JOINS = %d\n" % VERIFY_MAX_JOINS)
+    runs = [_run_module(command, "-", stdin=doc)
+            for command in ("verify", "classify", "centers", "crossratio")]
+    runs.append(_run_module("construct", "triangular", "--n", str(n), "--p", str(p)))
+    for done in runs:
+        assert done.returncode == 2 and done.stdout == "" and done.stderr == want, done.args
+    # every pencil net that construct writes stays within the limit
+    assert 3 * PENCIL_MAX_P ** 2 <= VERIFY_MAX_JOINS
 
 
 def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):

@@ -42,8 +42,10 @@ def test_factorize():
 
 def test_nth_root_of_unity_generates_the_roots():
     # the powers of the root are exactly the n-th roots of unity in GF(p),
-    # for every odd prime below 400 and every divisor n of p - 1
-    for p in filter(is_prime_brute, range(3, 400)):
+    # for every prime below 400 and every divisor n of p - 1; over GF(2)
+    # the one root, of order 1, is 1
+    assert nth_root_of_unity(2, 1) == 1
+    for p in filter(is_prime_brute, range(2, 400)):
         for n in (d for d in range(1, p) if (p - 1) % d == 0):
             xi = nth_root_of_unity(p, n)
             assert {pow(xi, i, p) for i in range(n)} == \

@@ -83,3 +83,42 @@ def test_uncalled_public_names_sees_only_outside_calls():
                         "def g():\n    return 0\n\ndef _h():\n    return 1\n\nclass C:\n    pass\n"}
     assert uncalled_public_names(defining, {}) == [("m.py", "C"), ("m.py", "f")]
     assert uncalled_public_names(defining, {"t.py": "from m import C\nm.f(3)\n"}) == []
+
+
+def exit_code_sites(source):
+    """(function, line) of each place outside main that picks an exit code:
+    an except clause that does more than re-raise as ValueError, or a use of
+    sys.stderr."""
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler):
+                raised = node.body[0] if len(node.body) == 1 else None
+                if not (isinstance(raised, ast.Raise) and isinstance(raised.exc, ast.Call)
+                        and getattr(raised.exc.func, "id", None) == "ValueError"):
+                    sites.append((owner, node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr == "stderr" \
+                    and getattr(node.value, "id", None) == "sys":
+                sites.append((owner, node.lineno))
+    return sites
+
+
+def test_only_main_turns_errors_into_exit_codes():
+    # commands raise; main alone catches NetViolation (exit 1) and
+    # ValueError/OSError (exit 2), and load_document only re-raises a
+    # parse error as ValueError
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert exit_code_sites(fh.read()) == []
+
+
+def test_exit_code_sites_finds_a_catch_outside_main():
+    source = ("import sys\n\ndef load(text):\n    try:\n        return int(text)\n"
+              "    except TypeError as exc:\n        raise ValueError(str(exc))\n\n"
+              "def cmd(x):\n    try:\n        return load(x)\n    except ValueError:\n"
+              "        return 2\n\ndef warn():\n    print('x', file=sys.stderr)\n\n"
+              "def main():\n    try:\n        return cmd(1)\n    except ValueError:\n"
+              "        print('error', file=sys.stderr)\n        return 2\n")
+    assert exit_code_sites(source) == [("cmd", 12), ("warn", 16)]

@@ -14,8 +14,12 @@ def check_entry(entry):
     assert sorted(entry["host"]) == ["cpus", "machine", "python"]
     assert entry["rungs"]
     for rung in entry["rungs"]:
-        assert sorted(rung) == ["counts", "k", "layer", "min_s", "name", "size"]
+        # cli rungs may carry their children's CPU time; older entries lack it
+        keys = ["counts", "k", "layer", "min_s", "name", "size"]
+        assert sorted(rung) in (keys, sorted(keys + ["min_cpu_s"]))
         assert rung["k"] >= 1 and rung["min_s"] > 0
+        if "min_cpu_s" in rung:
+            assert rung["layer"] == "cli" and rung["min_cpu_s"] > 0
         assert all(isinstance(v, int) and v > 0 for v in rung["counts"].values())
 
 
@@ -43,6 +47,7 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     # construct triangular loads the package, cli, gf, plane, nets and
     # constructors, and not the curve layers
     assert first["rungs"][2]["size"] == {"argv": "construct triangular --n 15 --p 181"}
+    assert "min_cpu_s" in first["rungs"][2]
     assert first["rungs"][2]["counts"]["dualnets.modules"] == 6
     with open(history) as fh:
         assert json.load(fh) == [first, second]

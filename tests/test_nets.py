@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dualnets import constructors, curves, latin, nets
 from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
@@ -499,6 +501,21 @@ def test_verify_work_bound(monkeypatch):
         net_lines(net)
     crossratio_4net(h4)
     assert calls == {"join": 0, "incident": 0}
+
+
+def test_verify_refuses_past_the_join_limit(monkeypatch):
+    # the limit is on k n^2 and is checked before the first join: a net at
+    # the limit verifies, and below it verify raises without joining
+    joins = []
+    monkeypatch.setattr(nets, "join", lambda *args: joins.append(args) or join(*args))
+    net = constructors.triangular_cyclic(5, 11)
+    monkeypatch.setattr(nets, "VERIFY_MAX_JOINS", 3 * 5 ** 2)
+    assert verify(net.components, 11).lines == net.lines
+    monkeypatch.setattr(nets, "VERIFY_MAX_JOINS", 3 * 5 ** 2 - 1)
+    joins.clear()
+    with pytest.raises(ValueError, match=r"k n\^2 = 75 joins exceed .* VERIFY_MAX_JOINS = 74"):
+        verify(net.components, 11)
+    assert joins == []
 
 
 def test_center_search_and_classify_work_bounds(monkeypatch):
