@@ -14,18 +14,18 @@ curves.restrict.calls), and plane.all_points.points counts listed points.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
 of k wall times (min_s) and the best of their k CPU times, user plus system,
-from getrusage deltas of the waited-for children (min_cpu_s); the CPU time
-does not count the time the host spends on other processes.  The package is copied without bytecode and run with
-PYTHONDONTWRITEBYTECODE=1, so every process compiles the modules it imports,
-as in a fresh source checkout.  One more run counts the dualnets modules it
-loaded (dualnets.modules) and their bytes of source (dualnets.source_bytes).
-Counts do not drift with the host; the times do.  Standard library only.
+from getrusage deltas of the waited-for children (min_cpu_s).  The package
+is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1, so every
+process compiles the modules it imports, as in a fresh source checkout.
+One more run counts the dualnets modules it loaded (dualnets.modules) and
+their bytes of source (dualnets.source_bytes).  Counts do not drift with the
+host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
 per rung, its layer, name, size, k, min_s (and min_cpu_s on cli rungs) and
-counts.  BENCH_layers.json is
-a list of such entries, oldest first; a change that claims speed appends
-its parent's entry and its own, measured in one session.
+counts.  BENCH_layers.json is a list of such entries, oldest first; a change
+that claims speed appends its parent's entry and its own, measured in one
+session.
 """
 
 import argparse
