@@ -1,5 +1,5 @@
-"""Layer ladder: time and count the curve kernel, classify and CLI start-up
-on fixed sizes.
+"""Layer ladder: time and count the curve kernel, the verifier, the center
+search, classify and CLI start-up on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
@@ -11,6 +11,8 @@ Each in-process rung is timed untraced as the best of k runs, then run once
 more under perfbench's Tracer to record its counters: a tracer key that
 names a function counts its calls (curves.restrict is perfbench's
 curves.restrict.calls), and plane.all_points.points counts listed points.
+A counter that stays 0 is left out: the center search on a triangular net
+finds no center, so its rungs carry no nets.find_centers.found.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
 of k wall times (min_s) and the best of their k CPU times, user plus system,
@@ -45,6 +47,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import dualnets  # noqa: E402
 from dualnets import constructors, curves, nets  # noqa: E402
+from dualnets.gf import find_prime  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 K = 5  # untraced runs per rung; the best is kept
@@ -61,10 +64,25 @@ def _classify_hesse(p):
     return lambda: [nets.classify(net) for net in derived]
 
 
-# (layer, name, setup, sizes); --quick keeps the first size of each layer
+def _verify_triangular(n):
+    net = constructors.triangular_cyclic(n, find_prime(n))
+    return lambda: nets.verify(net.components, net.p)
+
+
+def _centers_triangular(n):
+    net = constructors.triangular_cyclic(n, find_prime(n))
+    return lambda: nets.find_centers(net)
+
+
+# (layer, name, setup, size key, sizes); --quick keeps the first size of
+# each rung
 RUNGS = (
-    ("curves", "curve_points(fermat_cubic(p))", _curve_points, (101, 1009)),
-    ("nets", "classify(derived nets of hesse_4net(p))", _classify_hesse, (13, 61, 97)),
+    ("curves", "curve_points(fermat_cubic(p))", _curve_points, "p", (101, 1009)),
+    ("nets", "classify(derived nets of hesse_4net(p))", _classify_hesse, "p", (13, 61, 97)),
+    ("nets", "verify(triangular_cyclic(n, find_prime(n)))", _verify_triangular, "n",
+     (15, 63, 251)),
+    ("nets", "find_centers(triangular_cyclic(n, find_prime(n)))", _centers_triangular, "n",
+     (15, 63, 251)),
 )
 
 
@@ -104,7 +122,7 @@ def measure(run, k):
         run()
     finally:
         tracer.uninstall()
-    return best, dict(sorted(tracer.counts.items()))
+    return best, {key: v for key, v in sorted(tracer.counts.items()) if v}
 
 
 def _children_cpu_s():
@@ -165,10 +183,10 @@ def _git(*args):
 
 def entry(quick=False):
     rungs = []
-    for layer, name, setup, sizes in RUNGS:
-        for p in sizes[:1] if quick else sizes:
-            min_s, counts = measure(setup(p), K)
-            rungs.append({"layer": layer, "name": name, "size": {"p": p}, "k": K,
+    for layer, name, setup, key, sizes in RUNGS:
+        for size in sizes[:1] if quick else sizes:
+            min_s, counts = measure(setup(size), K)
+            rungs.append({"layer": layer, "name": name, "size": {key: size}, "k": K,
                           "min_s": round(min_s, 6), "counts": counts})
     rungs += cli_rungs(quick)
     status = _git("status", "--porcelain", "--", "src")

@@ -88,14 +88,6 @@ class HomPoly:
     def __sub__(self, other):
         return self + (other * (self.p - 1))
 
-    def __eq__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        return (self.degree, self.p) == (other.degree, other.p) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.degree, self.p, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
         if self.is_zero:
             return "HomPoly(0)"
@@ -190,12 +182,14 @@ def _peval(u, x, p):
 
 def _roots(u, p):
     """The sorted t in GF(p) with u[0] + u[1] t + ... + u[d] t^d = 0, and
-    all of GF(p) when every u[i] is 0.
+    all of GF(p) when every u[i] is 0; u has at most 4 entries.
 
-    Degree 1 is solved; higher degrees are scanned with Horner's rule
+    Degree 1 is solved; degrees 2 and 3 are scanned with Horner's rule
     written out in the comprehension, one mod per value.
     """
     d = len(u) - 1
+    if d > 3:
+        raise ValueError("root finding needs a polynomial of degree at most 3")
     while d >= 0 and u[d] % p == 0:
         d -= 1
     if d <= 0:
@@ -205,15 +199,8 @@ def _roots(u, p):
     if d == 2:
         a0, a1, a2 = u[:3]
         return [t for t in range(p) if ((a2 * t + a1) * t + a0) % p == 0]
-    if d == 3:
-        a0, a1, a2, a3 = u[:4]
-        return [t for t in range(p) if (((a3 * t + a2) * t + a1) * t + a0) % p == 0]
-    # values of every degree-d prefix at all t at once, highest coefficient first
-    ts = range(p)
-    vals = [u[d]] * p
-    for c in reversed(u[:d]):
-        vals = [v * t + c for v, t in zip(vals, ts)]
-    return [t for t, v in zip(ts, vals) if v % p == 0]
+    a0, a1, a2, a3 = u
+    return [t for t in range(p) if (((a3 * t + a2) * t + a1) * t + a0) % p == 0]
 
 
 def line_on_curve(F, line, p):

@@ -64,6 +64,15 @@ class DualNet:
         return "DualNet(k=%d, n=%d, p=%d)" % (self.k, self.n, self.p)
 
 
+def _check_joins(k, n):
+    """Raise ValueError when verifying a k-net of order n would take more
+    than VERIFY_MAX_JOINS joins.  The constructors call it before they build
+    anything; a non-positive order passes, for their own checks to refuse."""
+    if n > 0 and k * n * n > VERIFY_MAX_JOINS:
+        raise ValueError("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
+                         "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
+
+
 def verify(components, p, allow_char_exception=False, meta=None):
     """Check the dual k-net axioms and return a DualNet with its line table.
 
@@ -112,10 +121,7 @@ def verify(components, p, allow_char_exception=False, meta=None):
             seen[P] = i
     if not allow_char_exception and p <= n:
         raise NetViolation("p=%d must exceed the order n=%d" % (p, n))
-    if len(comps) * n * n > VERIFY_MAX_JOINS:
-        raise ValueError("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
-                         "VERIFY_MAX_JOINS = %d" % (len(comps), n, len(comps) * n * n,
-                                                    VERIFY_MAX_JOINS))
+    _check_joins(len(comps), n)
 
     lines = {}
     for P in comps[0]:

@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
+import pytest
+
 from dualnets.cli import load_document, main, net_document, to_jsonable
-from dualnets.constructors import PENCIL_MAX_P
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -277,11 +279,18 @@ def test_huge_primes(capsys, tmp_path):
     assert rc == 2 and out == "" and "2^64" in err
 
 
-def _run_module(*argv, stdin=None, timeout=10):
+def _run_module(*argv, stdin=None, timeout=10, max_bytes=None):
+    """Run `python -m dualnets.cli argv`; max_bytes caps the child's
+    address space, so a runaway allocation fails there and not here."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cap = None
+    if max_bytes is not None:
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run([sys.executable, "-m", "dualnets.cli", *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=env, timeout=timeout,
+                          preexec_fn=cap)
 
 
 def test_root_of_unity_for_a_large_prime():
@@ -336,11 +345,11 @@ def test_fermat_past_the_curve_group_limit():
 def test_pencil_past_its_limit():
     # an order-p pencil net costs 3p^2 joins to verify, about 3 * 10^12 at
     # p = 1000003; construct refuses before listing a point
-    for p in (PENCIL_MAX_P + 3, 1000003):
+    for p in (503, 1000003):
         done = _run_module("construct", "pencil", "--p", str(p))
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr == ("error: p = %d exceeds the pencil limit PENCIL_MAX_P = %d\n"
-                               % (p, PENCIL_MAX_P))
+        assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d joins exceed the verifier "
+                               "limit VERIFY_MAX_JOINS = 750000\n" % (p, 3 * p * p))
 
 
 def test_classify_and_crossratio_refuse_k_above_4():
@@ -387,8 +396,32 @@ def test_verifier_join_limit():
     runs.append(_run_module("construct", "triangular", "--n", str(n), "--p", str(p)))
     for done in runs:
         assert done.returncode == 2 and done.stdout == "" and done.stderr == want, done.args
-    # every pencil net that construct writes stays within the limit
-    assert 3 * PENCIL_MAX_P ** 2 <= VERIFY_MAX_JOINS
+    # the pencil nets that construct writes are those with p <= 499
+    assert 3 * 499 ** 2 <= VERIFY_MAX_JOINS < 3 * 503 ** 2
+
+
+BIG_ORDER, BIG_P = 288230376151711813, 1152921504606847253  # p = 4 n + 1, both prime
+
+
+@pytest.mark.parametrize("argv, n", [
+    (("triangular", "--n", "1000000", "--p", "22000001"), 1000000),
+    (("triangular", "--n", "100000000", "--p", "600000001"), 100000000),
+    (("triangular", "--n", str(BIG_ORDER), "--p", str(BIG_P)), BIG_ORDER),
+    (("conic-line", "--n", str(BIG_ORDER), "--p", str(BIG_P)), BIG_ORDER),
+    (("tetrahedron", "--m", "100000000", "--p", "600000001"), 200000000),
+    (("tetrahedron", "--m", str(BIG_ORDER), "--p", str(BIG_P)), 2 * BIG_ORDER),
+    (("pencil", "--p", "503"), 503),
+    (("pencil", "--p", "1000003"), 1000003),
+])
+def test_construct_refuses_oversized_orders(argv, n):
+    # each order's net is past the verifier's limit, and construct says so
+    # before it seeks a root of unity or builds a point: no list of n
+    # points fits under the 1 GiB cap, and factorizing the large order by
+    # trial division would outlast the timeout
+    done = _run_module("construct", *argv, timeout=10, max_bytes=2 ** 30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d joins exceed the verifier limit "
+                           "VERIFY_MAX_JOINS = %d\n" % (n, 3 * n * n, VERIFY_MAX_JOINS))
 
 
 def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):

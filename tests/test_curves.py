@@ -110,6 +110,14 @@ def test_restrict_endpoints():
         restrict(HomPoly(4, {(4, 0, 0): 1}, 5), (1, 0, 0), (0, 1, 0))
 
 
+def test_curve_points_refuses_quartics():
+    # the point listing solves for roots of degree at most 3, whatever the
+    # restrictions of a quartic to the lines through (0,0,1) reduce to
+    for quartic in ({(4, 0, 0): 1}, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}):
+        with pytest.raises(ValueError, match="degree at most 3"):
+            curve_points(HomPoly(4, quartic, 5))
+
+
 def test_tangent_line_and_multiplicity():
     p = 13
     F = fermat_cubic(p)

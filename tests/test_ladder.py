@@ -37,18 +37,27 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     for entry in (first, second):
         check_entry(entry)
         assert entry["quick"] is True
-    # one rung per layer, and the counters repeat exactly; times are not compared
-    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets", "cli"]
+    # one size per rung, and the counters repeat exactly; times are not compared
+    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets", "nets", "nets", "cli"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
     # the classify rung reads its cubics' points off lines, not a plane listing
     assert "plane.all_points" not in first["rungs"][1]["counts"]
     assert first["rungs"][1]["counts"]["nets.classify"] == 4
+    # the verifier joins each point of component 0 with the 3n - 1 other
+    # net points; the center search tests the n^2 candidates of a net
+    # that has no center, and leaves out the found counter that stays 0
+    verify, centers = first["rungs"][2:4]
+    assert verify["size"] == centers["size"] == {"n": 15}
+    assert verify["counts"] == {"nets.verify": 1, "plane.join": 15 * (3 * 15 - 1)}
+    assert centers["counts"]["nets.find_centers.tested"] == 15 ** 2
+    assert "nets.find_centers.found" not in centers["counts"]
     # construct triangular loads the package, cli, gf, plane, nets and
     # constructors, and not the curve layers
-    assert first["rungs"][2]["size"] == {"argv": "construct triangular --n 15 --p 181"}
-    assert "min_cpu_s" in first["rungs"][2]
-    assert first["rungs"][2]["counts"]["dualnets.modules"] == 6
+    cli = first["rungs"][-1]
+    assert cli["size"] == {"argv": "construct triangular --n 15 --p 181"}
+    assert "min_cpu_s" in cli
+    assert cli["counts"]["dualnets.modules"] == 6
     with open(history) as fh:
         assert json.load(fh) == [first, second]
 
