@@ -3,7 +3,7 @@ search, classify and CLI start-up on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
-    python3 bench/ladder.py --quick                    # smallest rung per layer
+    python3 bench/ladder.py --quick                    # smallest sizes, first cli rung
 
 It runs the program from the src/ next to this directory and takes its work
 counters from perfbench/tracing.py, which it imports and does not change.
@@ -203,7 +203,8 @@ def entry(quick=False):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--quick", action="store_true", help="the smallest rung of each layer")
+    ap.add_argument("--quick", action="store_true",
+                    help="the smallest size of each in-process rung and the first cli rung")
     ap.add_argument("--append", metavar="PATH",
                     help="add the entry to this JSON list (created when missing)")
     args = ap.parse_args(argv)

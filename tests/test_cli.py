@@ -281,16 +281,16 @@ def test_huge_primes(capsys, tmp_path):
 
 def _run_module(*argv, stdin=None, timeout=10, max_bytes=None):
     """Run `python -m dualnets.cli argv`; max_bytes caps the child's
-    address space, so a runaway allocation fails there and not here."""
+    address space, so a runaway allocation fails in the child alone."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    cap = None
-    if max_bytes is not None:
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
     return subprocess.run([sys.executable, "-m", "dualnets.cli", *argv], input=stdin,
                           capture_output=True, text=True, env=env, timeout=timeout,
-                          preexec_fn=cap)
+                          preexec_fn=cap if max_bytes is not None else None)
 
 
 def test_root_of_unity_for_a_large_prime():
