@@ -74,6 +74,12 @@ def _centers_triangular(n):
     return lambda: nets.find_centers(net)
 
 
+def _classify_tetrahedron(m):
+    # the net is built here, so the constructor's verify is not counted
+    net = constructors.tetrahedron(m, {6: 61, 12: 193}[m])
+    return lambda: nets.classify(net)
+
+
 # (layer, name, setup, size key, sizes); --quick keeps the first size of
 # each rung
 RUNGS = (
@@ -83,6 +89,8 @@ RUNGS = (
      (15, 63, 251)),
     ("nets", "find_centers(triangular_cyclic(n, find_prime(n)))", _centers_triangular, "n",
      (15, 63, 251)),
+    ("nets", "classify(tetrahedron(m, p)), (m, p) = (6, 61), (12, 193)", _classify_tetrahedron,
+     "m", (6, 12)),
 )
 
 
