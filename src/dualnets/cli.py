@@ -162,15 +162,10 @@ def cmd_centers(net):
 
 
 def _kappa_entry(kappa, p):
-    entry = {"kappa": repr(kappa)}
-    if kappa.is_infinity:
-        entry["kappa_squared_minus_kappa_plus_one_zero"] = False
-        entry["kappa_plus_one_zero"] = False
-    else:
-        v = kappa.value
-        entry["kappa_squared_minus_kappa_plus_one_zero"] = (v * v - v + 1) % p == 0
-        entry["kappa_plus_one_zero"] = (v + 1) % p == 0
-    return entry
+    v = kappa.value  # finite: a cross-ratio of four distinct collinear points
+    return {"kappa": repr(kappa),
+            "kappa_squared_minus_kappa_plus_one_zero": (v * v - v + 1) % p == 0,
+            "kappa_plus_one_zero": (v + 1) % p == 0}
 
 
 def cmd_crossratio(net):

@@ -7,8 +7,9 @@ component in exactly one point.  The verifier groups the other net points
 by their join with each point of component 0 and checks only the lines
 from component 0 to component 1; a counting argument (in verify) covers
 every other line.  The same pass yields the net-line table, each of the
-n^2 net lines with its k points, which net_lines, crossratio_4net and
-latin.from_net read instead of joining again.
+n^2 net lines with its k points, which net_lines, crossratio_4net,
+classify's tetrahedral step and latin.from_net read instead of joining
+again.
 
 A perspective center T is a point whose lines split the kn net points into
 n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
@@ -329,31 +330,34 @@ def _collinear_splits(comp, p):
 
 
 def _try_tetrahedron(net):
-    """Greedy check of the two-halves-per-component structure.
+    """The first split of each component into two collinear halves, and
+    labelling (G_i, D_i), whose faces (G1,G2,G3), (G1,D2,D3), (D1,G2,D3),
+    (D1,D2,G3) are dual 3-nets of order n/2, as classify reports it; else
+    None.  Reads the line table and verifies nothing.
 
-    Looks for a split of every component into two collinear halves and a
-    labeling (G_i, D_i) such that the four triples (G1,G2,G3), (G1,D2,D3),
-    (D1,G2,D3), (D1,D2,G3) each verify as dual 3-nets of order n/2.
+    Label a point 0 in G_i and 1 in D_i: the faces are the label triples
+    of even sum.  If every net line has an even sum, the line through
+    points of two components of a face is a net line, so it meets each
+    component once, and its third point lies in the same face: the faces
+    are nets.  If the faces are nets, the face holding the first two points
+    of a net line meets the line in a point of the third component, which
+    can only be its third point: the sum is even.  Swapping G and D in one
+    component flips every sum, so a split triple works when the sums over
+    the line table all agree, as labelled when even and with the halves of
+    the third component swapped when odd.  That is the first labelling that
+    face verification in the order (0,0,0), (0,0,1), ... accepts.  No face
+    fails on p > n/2: the n^2 net lines are distinct, so p^2 + p + 1 >= n^2
+    and p >= n.  Only an even n >= 4 has splits.
     """
-    if net.n % 2 or net.n < 4:
-        return None
     p = net.p
-    all_splits = [_collinear_splits(comp, p) for comp in net.components]
-
-    def faces_ok(halves):
-        (g1, d1), (g2, d2), (g3, d3) = halves
-        for triple in ((g1, g2, g3), (g1, d2, d3), (d1, g2, d3), (d1, d2, g3)):
-            try:
-                verify(triple, p)
-            except NetViolation:
-                return False
-        return True
-
-    for s1, s2, s3, o1, o2, o3 in product(*all_splits, (0, 1), (0, 1), (0, 1)):
-        ordered = [(s[o], s[1 - o]) for s, o in ((s1, o1), (s2, o2), (s3, o3))]
-        halves = tuple((g[0], d[0]) for g, d in ordered)
-        if faces_ok(halves):
-            return {"halves": halves, "lines": tuple((g[1], d[1]) for g, d in ordered)}
+    for splits in product(*(_collinear_splits(comp, p) for comp in net.components)):
+        second = [set(s[1][0]) for s in splits]
+        parities = {sum(P in d for P, d in zip(pts, second)) % 2 for pts in net.lines.values()}
+        if len(parities) == 1:
+            if parities == {1}:
+                splits = splits[:2] + (splits[2][::-1],)
+            return {"tag": "tetrahedron", "halves": tuple((g[0], d[0]) for g, d in splits),
+                    "lines": tuple((g[1], d[1]) for g, d in splits)}
     return None
 
 
@@ -366,10 +370,13 @@ def classify(net):
        conic: conic-line;
     3. all kn points on a common irreducible cubic: proper-algebraic,
        annotated with the singular points and j-invariant data;
-    4. every component a union of two collinear halves with the four-face
-       incidence: tetrahedron.  The halves of a component are found from
-       the at most n - 1 lines through its first point (_collinear_splits),
-       not from its subsets;
+    4. every component a union of two collinear halves whose four faces
+       are dual nets: tetrahedron.  The halves of a component are found
+       from the at most n - 1 lines through its first point
+       (_collinear_splits), not from its subsets.  With the points of one
+       half labelled 0 and of the other 1, the faces of a split triple are
+       nets exactly when all net lines have label sums of one parity, so
+       one pass over the line table decides it (_try_tetrahedron);
     5. otherwise unknown.
     """
     if net.k != 3:
@@ -424,10 +431,7 @@ def classify(net):
                 info["singular_type"] = curves.singular_type(F, sing[0])
             return info
 
-    tet = _try_tetrahedron(net)
-    if tet is not None:
-        return {"tag": "tetrahedron", "halves": tet["halves"], "lines": tet["lines"]}
-    return {"tag": "unknown"}
+    return _try_tetrahedron(net) or {"tag": "unknown"}
 
 
 def extend_to_4net(net):

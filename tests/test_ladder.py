@@ -52,6 +52,12 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert verify["counts"] == {"nets.verify": 1, "plane.join": 15 * (3 * 15 - 1)}
     assert centers["counts"]["nets.find_centers.tested"] == 15 ** 2
     assert "nets.find_centers.found" not in centers["counts"]
+    # classify decides the tetrahedral split from the line table, with no
+    # verify of a face
+    tetrahedron = first["rungs"][4]
+    assert tetrahedron["size"] == {"m": 6}
+    assert tetrahedron["counts"]["nets.classify"] == 1
+    assert "nets.verify" not in tetrahedron["counts"]
     # construct triangular loads the package, cli, gf, plane, nets and
     # constructors, and not the curve layers
     cli = first["rungs"][-1]

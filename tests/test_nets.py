@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,8 @@ from dualnets.nets import (DualNet, NetViolation, classify,
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
                             line_points, meet)
 from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute,
-                  partitions_brute, verify_pairs_brute)
+                  partitions_brute, tetrahedron_faces_brute, tetrahedron_faces_verify,
+                  verify_pairs_brute)
 
 
 def test_verify_accepts_and_normalizes():
@@ -262,6 +264,57 @@ def test_classify_tetrahedron_order_24_work_bound(monkeypatch):
     (g1, d1), (g2, d2), (g3, d3) = info["halves"]
     for face in ((g1, g2, g3), (g1, d2, d3), (d1, g2, d3), (d1, d2, g3)):
         verify(face, 193)
+
+
+def test_tetrahedron_split_matches_face_verification(monkeypatch):
+    # the parity pass over the line table finds the split triple and
+    # labelling that face verification finds first, and None where it does
+    hesse = [derived_net(constructors.hesse_4net(p), i) for p in (7, 13) for i in range(4)]
+    built = ([constructors.tetrahedron(m, p) for m, p in (
+        (2, 7), (3, 13), (4, 29), (5, 31), (6, 43), (7, 43), (8, 89), (9, 109), (10, 151),
+        (12, 193))]
+        + [constructors.triangular_cyclic(n, p) for n, p in ((4, 5), (6, 7), (8, 17))]
+        + [constructors.algebraic_fermat(3, 19), constructors.algebraic_fermat(7, 61)] + hesse)
+    for net in built:
+        assert nets._try_tetrahedron(net) == tetrahedron_faces_brute(net), net
+    # one split triple at a time, so that the helper also fails: on the
+    # order-4 nets each component has 3 splits, and a labelling's faces
+    # verify exactly when every net line has an even label sum
+    real = nets._collinear_splits
+    combinations = passed = 0
+    for m, p in ((2, 7), (2, 13), (2, 19), (3, 13)):
+        net = constructors.tetrahedron(m, p)
+        for splits in product(*(real(comp, p) for comp in net.components)):
+            chosen = dict(zip(net.components, splits))
+            monkeypatch.setattr(nets, "_collinear_splits",
+                                lambda comp, p, chosen=chosen: [chosen[comp]])
+            assert nets._try_tetrahedron(net) == tetrahedron_faces_brute(net), (m, p, splits)
+            for labels in product((0, 1), repeat=3):
+                halves = tuple((s[o][0], s[1 - o][0]) for s, o in zip(splits, labels))
+                even = all(sum(P in d for P, (g, d) in zip(pts, halves)) % 2 == 0
+                           for pts in net.lines.values())
+                faces = tetrahedron_faces_verify(halves, p)
+                assert even == faces, (m, p, splits, labels)
+                combinations += 1
+                passed += faces
+    assert (combinations, passed) == (656, 40)
+
+
+def test_classify_never_verifies(monkeypatch):
+    # classify reads the verified net's line table; it builds no sub-net
+    hesse = constructors.hesse_4net(13)
+    built = ([constructors.triangular_cyclic(5, 11), constructors.pencil_char_p(5),
+              constructors.conic_line(5, 11), constructors.algebraic_fermat(3, 19),
+              constructors.tetrahedron(3, 13), constructors.tetrahedron(6, 61)]
+             + [derived_net(hesse, i) for i in range(4)])
+    reports = [classify(net) for net in built]
+    assert [r["tag"] for r in reports].count("tetrahedron") == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called verify")
+
+    monkeypatch.setattr(nets, "verify", refuse)
+    assert [classify(net) for net in built] == reports
 
 
 def test_classify_rejects_4nets():

@@ -1,10 +1,11 @@
 """Shared independent oracles for the test suite."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.latin import _generators, element_orders
-from dualnets.nets import verify
+from dualnets import nets
+from dualnets.nets import NetViolation, verify
 from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
                             meet, normalize)
 
@@ -235,6 +236,36 @@ def collinear_splits_brute(comp, p):
         if l1 != l2 and all(incident(P, l2, p) for P in other):
             out.append(((half, l1), (other, l2)))
     return out
+
+
+def tetrahedron_faces_verify(halves, p):
+    """The four faces (G1,G2,G3), (G1,D2,D3), (D1,G2,D3), (D1,D2,G3) of the
+    halves ((G1, D1), (G2, D2), (G3, D3)) all verify as dual 3-nets."""
+    (g1, d1), (g2, d2), (g3, d3) = halves
+    try:
+        for face in ((g1, g2, g3), (g1, d2, d3), (d1, g2, d3), (d1, d2, g3)):
+            verify(face, p)
+    except NetViolation:
+        return False
+    return True
+
+
+def tetrahedron_faces_brute(net):
+    """classify's tetrahedral step by face verification: for every split
+    triple from nets._collinear_splits (itself checked against
+    collinear_splits_brute) and every labelling (o1, o2, o3) in the order
+    (0,0,0), (0,0,1), ..., G_i is the half o_i of split i and D_i the
+    other.  The first split triple and labelling whose four faces verify,
+    as classify reports it, or None."""
+    p = net.p
+    all_splits = [nets._collinear_splits(comp, p) for comp in net.components]
+    for s1, s2, s3, o1, o2, o3 in product(*all_splits, (0, 1), (0, 1), (0, 1)):
+        ordered = [(s[o], s[1 - o]) for s, o in ((s1, o1), (s2, o2), (s3, o3))]
+        halves = tuple((g[0], d[0]) for g, d in ordered)
+        if tetrahedron_faces_verify(halves, p):
+            return {"tag": "tetrahedron", "halves": halves,
+                    "lines": tuple((g[1], d[1]) for g, d in ordered)}
+    return None
 
 
 def is_dual_net_brute(comps, p):
