@@ -351,8 +351,8 @@ def _try_tetrahedron(net):
     """
     p = net.p
     for splits in product(*(_collinear_splits(comp, p) for comp in net.components)):
-        second = [set(s[1][0]) for s in splits]
-        parities = {sum(P in d for P, d in zip(pts, second)) % 2 for pts in net.lines.values()}
+        ones = [set(s[1][0]) for s in splits]  # the points labelled 1
+        parities = {sum(P in d for P, d in zip(pts, ones)) % 2 for pts in net.lines.values()}
         if len(parities) == 1:
             if parities == {1}:
                 splits = splits[:2] + (splits[2][::-1],)

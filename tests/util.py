@@ -2,9 +2,9 @@
 
 from itertools import combinations, permutations, product
 
+from dualnets import nets
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.latin import _generators, element_orders
-from dualnets import nets
 from dualnets.nets import NetViolation, verify
 from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
                             meet, normalize)
