@@ -1,5 +1,5 @@
 """Layer ladder: time and count the curve kernel, the verifier, the center
-search, classify and CLI start-up on fixed sizes.
+search, classify, the latin searches and CLI start-up on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
@@ -46,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import dualnets  # noqa: E402
-from dualnets import constructors, curves, nets  # noqa: E402
+from dualnets import constructors, curves, latin, nets  # noqa: E402
 from dualnets.gf import find_prime  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
@@ -80,6 +80,17 @@ def _classify_tetrahedron(m):
     return lambda: nets.classify(net)
 
 
+def _transversal(group):
+    table = {"D10": latin.dihedral_group(10),
+             "Z2xZ10": latin.direct_product(latin.cyclic_group(2), latin.cyclic_group(10))}[group]
+    return lambda: latin.transversal_search(table)
+
+
+def _complete_mappings(max_order):
+    tables = list(latin.group_catalog(max_order).values())
+    return lambda: [latin.complete_mapping_exists(table) for table in tables]
+
+
 # (layer, name, setup, size key, sizes); --quick keeps the first size of
 # each rung
 RUNGS = (
@@ -91,6 +102,9 @@ RUNGS = (
      (15, 63, 251)),
     ("nets", "classify(tetrahedron(m, p)), (m, p) = (6, 61), (12, 193)", _classify_tetrahedron,
      "m", (6, 12)),
+    ("latin", "transversal_search(table)", _transversal, "group", ("D10", "Z2xZ10")),
+    ("latin", "complete_mapping_exists(table) for each table of group_catalog(max_order)",
+     _complete_mappings, "max_order", (16,)),
 )
 
 
