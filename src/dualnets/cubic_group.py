@@ -29,7 +29,7 @@ class CurveGroup:
         self.p = p
         self.curve = fermat_cubic(p)
         self.O = normalize((1, -1, 0), p)
-        self.points = tuple(sorted(curve_points(self.curve)))
+        self.points = tuple(curve_points(self.curve))
         r = nth_root_of_unity(p, 3)
         # smallest primitive cube root of unity, fixed per field for determinism
         self.epsilon = min(r, r * r % p)

@@ -1,6 +1,5 @@
 """Plane curves over GF(p): homogeneous ternary polynomials, tangents,
-Hessians, Legendre cubics, the j-invariant, pencil tangent cross-ratios,
-and the polynomial identities behind the j=0 center criterion.
+Hessians, curve points, the j-invariant and pencil tangent cross-ratios.
 """
 
 from .plane import (PValue, _base_points, _quartic_invariants, cross_ratio_lines, dot, line_points,
@@ -249,50 +248,37 @@ def rational_lines(F):
     return sorted(L for L in candidates if L != M and line_on_curve(F, L, p))
 
 
-def legendre_cubic(c, p):
-    """Y^2 Z = X(X - Z)(X - cZ), homogenized.  Nonsingular iff c(c-1) != 0."""
-    c %= p
-    return HomPoly(3, {
-        (3, 0, 0): 1,
-        (2, 0, 1): -(1 + c),
-        (1, 0, 2): c,
-        (0, 2, 1): -1,
-    }, p)
-
-
 def fermat_cubic(p):
     """X^3 + Y^3 - Z^3."""
     return HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): -1}, p)
 
 
 def _points(F):
-    """The points of F = 0 in all_points order, one line through (0,0,1)
-    at a time.
+    """The points of F = 0, sorted, one line through (0,0,1) at a time.
 
-    Every point but (0,0,1) lies on exactly one such line: (1, y, z) on
-    Y = yX for y in GF(p), then (0, 1, z) on X = 0.  With
-    F(1, y, z) = sum_k f_k(y) z^k, where f[k][j] is the coefficient of
-    X^(d-j-k) Y^j Z^k, each line contributes the roots in z of its
-    restriction, in ascending order; a line on F restricts to zero and
-    contributes every z.  F(0, 1, z) keeps the y^(d-k) term of each f_k,
-    and (0,0,1) is on F when Z^d is missing.
+    (0,0,1) is on F when Z^d is missing.  Every other point lies on exactly
+    one such line: (0, 1, z) on X = 0, then (1, y, z) on Y = yX for y in
+    GF(p).  With F(1, y, z) = sum_k f_k(y) z^k, where f[k][j] is the
+    coefficient of X^(d-j-k) Y^j Z^k, each line contributes the roots in z
+    of its restriction, in ascending order; a line on F restricts to zero
+    and contributes every z.  F(0, 1, z) keeps the y^(d-k) term of each f_k.
     """
     p, d = F.p, F.degree
     f = [[0] * (d - k + 1) for k in range(d + 1)]
     for (_, j, k), c in F.coeffs.items():
         f[k][j] = c
+    if not f[d][0]:
+        yield (0, 0, 1)
+    for z in _roots([f[k][d - k] for k in range(d + 1)], p):
+        yield (0, 1, z)
     for y in range(p):
         for z in _roots([_peval(fk, y, p) for fk in f], p):
             yield (1, y, z)
-    for z in _roots([f[k][d - k] for k in range(d + 1)], p):
-        yield (0, 1, z)
-    if not f[d][0]:
-        yield (0, 0, 1)
 
 
 def curve_points(F):
-    """The points of PG(2,p) on F = 0, in all_points order: the roots of F
-    on each of the p + 1 lines through (0,0,1), then that point itself.
+    """The points of PG(2,p) on F = 0, sorted: (0,0,1) when it is on F,
+    then the roots of F on each of the p + 1 lines through it.
     p^2 + O(p) Horner steps and no list of the plane.
     """
     return list(_points(F))
@@ -332,9 +318,9 @@ def j_invariant(c, p):
 
 
 def inflection_points(F):
-    """Nonsingular points of F where the Hessian vanishes, in all_points
-    order, yielded one at a time: a caller that wants only the first stops
-    the line sweep there."""
+    """Nonsingular points of F where the Hessian vanishes, sorted, yielded
+    one at a time: a caller that wants only the first stops the line sweep
+    there."""
     H = hessian(F)
     return (P for P in _points(F) if H.eval_at(P) == 0 and F.gradient(P) != (0, 0, 0))
 

@@ -367,7 +367,11 @@ def classify(net):
     1. all components linear: triangular (carrier triangle) or pencil
        (concurrent carriers);
     2. one component linear, the other 2n points on a common nonsingular
-       conic: conic-line;
+       conic: conic-line; the conic fit has dimension at most 2, since a
+       2-point component is linear, so n >= 3, and three non-collinear
+       points of the other 2n with a fourth impose 4 independent
+       conditions (for each of the four, a line pair through the other
+       three misses it);
     3. all kn points on a common irreducible cubic: proper-algebraic,
        annotated with the singular points and j-invariant data;
     4. every component a union of two collinear halves whose four faces
@@ -393,10 +397,7 @@ def classify(net):
     if len(linear_idx) == 1:
         li = linear_idx[0]
         others = [P for i, c in enumerate(net.components) if i != li for P in c]
-        basis = _fit_forms(others, _CONIC_MONOMIALS, p)
-        if len(basis) > 2:
-            return {"tag": "unknown", "reason": "conic fit dimension %d" % len(basis)}
-        for v in _proj_combinations(basis, p):
+        for v in _proj_combinations(_fit_forms(others, _CONIC_MONOMIALS, p), p):
             if _conic_is_nonsingular(v, p):
                 return {
                     "tag": "conic-line",

@@ -54,15 +54,15 @@ def meet(l, m, p):
 
 
 def all_points(p):
-    """Every point of PG(2,p), in normalized form: p^2 + p + 1 of them."""
-    pts = [(1, y, z) for y in range(p) for z in range(p)]
+    """Every point of PG(2,p), in normalized form and sorted: p^2 + p + 1 of them."""
+    pts = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(p)]
-    pts.append((0, 0, 1))
+    pts += [(1, y, z) for y in range(p) for z in range(p)]
     return pts
 
 
 def line_points(line, p):
-    """The p + 1 points on a line, in all_points order, built in O(p).
+    """The p + 1 points on a line, sorted, built in O(p).
 
     The points are B1 + t*B2 for t in GF(p) plus B2 itself, for the base
     points of the line.
@@ -70,7 +70,7 @@ def line_points(line, p):
     B1, B2 = _base_points(normalize(line, p), p)
     pts = [normalize(tuple(B1[i] + t * B2[i] for i in range(3)), p) for t in range(p)]
     pts.append(B2)
-    return sorted(pts, key=lambda P: (P[0] == 0, P[0] == 0 and P[1] == 0, P))
+    return sorted(pts)
 
 
 def monomials(d):

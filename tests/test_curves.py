@@ -4,7 +4,7 @@ import pytest
 
 from dualnets.curves import (HomPoly, curve_points, fermat_cubic,
                              hessian, inflection_points, j_invariant,
-                             j_of_cubic, legendre_cubic, line_on_curve,
+                             j_of_cubic, line_on_curve,
                              pencil_crossratio_check, proportional,
                              rational_lines, restrict,
                              singular_points, singular_type, tangent_line)
@@ -13,8 +13,8 @@ from dualnets import constructors, cubic_group, curves, nets, plane
 from dualnets.cubic_group import CurveGroup
 from dualnets.plane import PValue, all_points, line_points, apply_point, monomials, normalize
 from util import (compose, corners_legendre, hesse_4net_brute, intersection_multiplicity,
-                  intersection_multiplicity_brute, j_of_cubic_weierstrass, line_on_curve_brute,
-                  mat_inv, restrict_expanded, singular_type_brute)
+                  intersection_multiplicity_brute, j_of_cubic_weierstrass, legendre_cubic,
+                  line_on_curve_brute, mat_inv, restrict_expanded, singular_type_brute)
 
 
 def random_projectivity(rng, p):

@@ -13,7 +13,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 # Library API that only the tests call today.  Any other public function or
 # class needs a caller in src/, perfbench/ or tests/test_acceptance.py;
 # helpers that only tests use belong in tests/util.py.
-ONLY_TESTS_CALL = {"extend_to_4net", "legendre_cubic"}
+ONLY_TESTS_CALL = {"extend_to_4net"}
 
 
 def unused_imports(source):

@@ -119,6 +119,7 @@ def test_catalog_contents():
     assert isomorphic(catalog["D2"], catalog["Z2xZ2"]) is not None
     assert isomorphic(catalog["Z4"], catalog["Z2xZ2"]) is None
     assert isomorphic(catalog["D3"], catalog["Z6"]) is None
+    assert isomorphic(catalog["Z4"], catalog["Z6"]) is None
 
 
 def quaternion_group():

@@ -10,7 +10,7 @@ from dualnets.nets import (DualNet, NetViolation, classify,
                            lines_through_center, net_lines, verify)
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
                             line_points, meet)
-from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute,
+from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute, legendre_cubic,
                   partitions_brute, tetrahedron_faces_brute, tetrahedron_faces_verify,
                   verify_pairs_brute)
 
@@ -592,7 +592,7 @@ def test_center_search_and_classify_work_bounds(monkeypatch):
     assert 0 < len(restricted) <= 7
     # 4 restrictions at most choose the reference line, and each zero on it
     # is smooth, so only its tangent is tested
-    for F in [curves.fermat_cubic(61)] + [curves.legendre_cubic(c, 13) for c in range(2, 13)]:
+    for F in [curves.fermat_cubic(61)] + [legendre_cubic(c, 13) for c in range(2, 13)]:
         restricted.clear()
         assert curves.rational_lines(F) == []
         assert 0 < len(restricted) <= 7, (F, len(restricted))

@@ -27,10 +27,11 @@ def test_normalize_canonical_form():
 
 def test_incidence_counts():
     # PG(2,p) has p^2+p+1 points, each line holds p+1 of them, and
-    # line_points lists them in the order of the plane scan
+    # all_points and line_points list them sorted
     for p in (5, 7, 13):
         pts = all_points(p)
         assert len(pts) == p * p + p + 1
+        assert pts == sorted(pts)
         lines = pts + [(2, 4, 6), (p + 1, 0, 0), (0, 3 * p - 2, 5), (p - 1, p - 1, p - 1)]
         for line in lines:
             on = [Q for Q in pts if incident(Q, line, p)]

@@ -387,7 +387,7 @@ def j_of_cubic_weierstrass(F):
 
 
 def line_points_brute(line, p):
-    """The points of a line in all_points order, by scanning the whole plane."""
+    """The points of a line, sorted, by scanning the whole plane."""
     return [P for P in all_points(p)
             if (P[0] * line[0] + P[1] * line[1] + P[2] * line[2]) % p == 0]
 
@@ -586,6 +586,17 @@ def intersection_multiplicity(F, line, P, p):
         if c != 0:
             return i
     return F.degree + 1
+
+
+def legendre_cubic(c, p):
+    """Y^2 Z = X(X - Z)(X - cZ), homogenized.  Nonsingular iff c(c-1) != 0."""
+    c %= p
+    return HomPoly(3, {
+        (3, 0, 0): 1,
+        (2, 0, 1): -(1 + c),
+        (1, 0, 2): c,
+        (0, 2, 1): -1,
+    }, p)
 
 
 def corners_legendre(c, p):
