@@ -38,8 +38,8 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
         check_entry(entry)
         assert entry["quick"] is True
     # one size per rung, and the counters repeat exactly; times are not compared
-    assert [r["layer"] for r in first["rungs"]] == ["curves", "nets", "nets", "nets", "nets", "latin",
-                                                  "latin", "cli"]
+    assert [r["layer"] for r in first["rungs"]] \
+        == ["curves", "nets", "nets", "nets", "nets", "latin", "latin", "cli"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
     # the classify rung reads its cubics' points off lines, not a plane listing
