@@ -16,7 +16,10 @@ finds no center, so its rungs carry no nets.find_centers.found.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
 of k wall times (min_s) and the best of their k CPU times, user plus system,
-from getrusage deltas of the waited-for children (min_cpu_s).  The package
+from getrusage deltas of the waited-for children (min_cpu_s).  Before each
+child it also runs perfbench's reference_loop, a fixed pure-Python loop,
+and records the best of those k times (ref_s), so min_s / ref_s can be
+compared between sessions on hosts of different speed.  The package
 is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1, so every
 process compiles the modules it imports, as in a fresh source checkout.
 One more run counts the dualnets modules it loaded (dualnets.modules) and
@@ -24,8 +27,8 @@ their bytes of source (dualnets.source_bytes).  Counts do not drift with the
 host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s (and min_cpu_s on cli rungs) and
-counts.  BENCH_layers.json is a list of such entries, oldest first; a change
+per rung, its layer, name, size, k, min_s (and min_cpu_s and ref_s on cli
+rungs) and counts.  BENCH_layers.json is a list of such entries, oldest first; a change
 that claims speed appends its parent's entry and its own, measured in one
 session.
 """
@@ -48,6 +51,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import dualnets  # noqa: E402
 from dualnets import constructors, curves, latin, nets  # noqa: E402
 from dualnets.gf import find_prime  # noqa: E402
+from run import reference_loop  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 K = 5  # untraced runs per rung; the best is kept
@@ -81,8 +85,11 @@ def _classify_tetrahedron(m):
 
 
 def _transversal(group):
+    Z = latin.cyclic_group
     table = {"D10": latin.dihedral_group(10),
-             "Z2xZ10": latin.direct_product(latin.cyclic_group(2), latin.cyclic_group(10))}[group]
+             "Z2xZ10": latin.direct_product(Z(2), Z(10)),
+             "D12": latin.dihedral_group(12),
+             "Z4xZ6": latin.direct_product(Z(4), Z(6))}[group]
     return lambda: latin.transversal_search(table)
 
 
@@ -102,7 +109,8 @@ RUNGS = (
      (15, 63, 251)),
     ("nets", "classify(tetrahedron(m, p)), (m, p) = (6, 61), (12, 193)", _classify_tetrahedron,
      "m", (6, 12)),
-    ("latin", "transversal_search(table)", _transversal, "group", ("D10", "Z2xZ10")),
+    ("latin", "transversal_search(table)", _transversal, "group",
+     ("D10", "Z2xZ10", "D12", "Z4xZ6")),
     ("latin", "complete_mapping_exists(table) for each table of group_catalog(max_order)",
      _complete_mappings, "max_order", (16,)),
 )
@@ -154,7 +162,8 @@ def _children_cpu_s():
 
 def measure_cli(argv, stdin, env, k):
     """(best wall seconds and best CPU seconds of k fresh `dualnets argv`
-    processes, their footprint)."""
+    processes, best seconds of the k reference loops run one before each
+    child, their footprint)."""
     def child(code):
         done = subprocess.run([sys.executable, "-c", code] + argv, input=stdin,
                               capture_output=True, text=True, env=env, timeout=300)
@@ -162,14 +171,15 @@ def measure_cli(argv, stdin, env, k):
             raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
         return done.stdout
 
-    best = best_cpu = float("inf")
+    best = best_cpu = best_ref = float("inf")
     for _ in range(k):
+        best_ref = min(best_ref, reference_loop())
         cpu = _children_cpu_s()
         start = time.perf_counter()
         child(ENTRY)
         best = min(best, time.perf_counter() - start)
         best_cpu = min(best_cpu, _children_cpu_s() - cpu)
-    return best, best_cpu, json.loads(child(FOOTPRINT))
+    return best, best_cpu, best_ref, json.loads(child(FOOTPRINT))
 
 
 def cli_rungs(quick):
@@ -185,12 +195,13 @@ def cli_rungs(quick):
                 stdin = subprocess.run([sys.executable, "-c", ENTRY] + document.split(),
                                        capture_output=True, text=True, env=env,
                                        timeout=300, check=True).stdout
-            min_s, min_cpu_s, counts = measure_cli(command.split(), stdin, env, K)
+            min_s, min_cpu_s, ref_s, counts = measure_cli(command.split(), stdin, env, K)
             size = {"argv": command} if document is None else {"argv": command,
                                                               "stdin": document}
             rungs.append({"layer": "cli", "name": "dualnets CLI in a fresh interpreter",
                           "size": size, "k": K, "min_s": round(min_s, 6),
-                          "min_cpu_s": round(min_cpu_s, 6), "counts": counts})
+                          "min_cpu_s": round(min_cpu_s, 6), "ref_s": round(ref_s, 6),
+                          "counts": counts})
     return rungs
 
 

@@ -14,12 +14,15 @@ def check_entry(entry):
     assert sorted(entry["host"]) == ["cpus", "machine", "python"]
     assert entry["rungs"]
     for rung in entry["rungs"]:
-        # cli rungs may carry their children's CPU time; older entries lack it
+        # cli rungs may carry their children's CPU time and the reference
+        # loop's time; older entries lack them
         keys = ["counts", "k", "layer", "min_s", "name", "size"]
-        assert sorted(rung) in (keys, sorted(keys + ["min_cpu_s"]))
+        assert sorted(rung) in (keys, sorted(keys + ["min_cpu_s"]),
+                                sorted(keys + ["min_cpu_s", "ref_s"]))
         assert rung["k"] >= 1 and rung["min_s"] > 0
-        if "min_cpu_s" in rung:
-            assert rung["layer"] == "cli" and rung["min_cpu_s"] > 0
+        for extra in ("min_cpu_s", "ref_s"):
+            if extra in rung:
+                assert rung["layer"] == "cli" and rung[extra] > 0
         assert all(isinstance(v, int) and v > 0 for v in rung["counts"].values())
 
 
@@ -63,7 +66,7 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     # constructors, and not the curve layers
     cli = first["rungs"][-1]
     assert cli["size"] == {"argv": "construct triangular --n 15 --p 181"}
-    assert "min_cpu_s" in cli
+    assert "min_cpu_s" in cli and "ref_s" in cli
     assert cli["counts"]["dualnets.modules"] == 6
     with open(history) as fh:
         assert json.load(fh) == [first, second]
