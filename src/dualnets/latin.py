@@ -6,20 +6,24 @@ normalized with identity 0.
 
 One pipeline serves squares and group tables.  A square is relabelled to
 its principal loop isotope with identity 0, a group exactly when Light's
-test (associativity against a generating set) passes.  A group has no
-transversal when its Sylow 2-subgroup is nontrivial cyclic (Hall and
-Paige), which one scan of element orders decides.  Otherwise one
-backtracking search finds the first transversal in column order, pruned
-for group isotopes by index-2 quotient counting: a homomorphism chi of G
-onto Z/2 has chi(g*h) = chi(g) + chi(h), so a transversal, which meets
-each row, column and symbol once, holds n/4 cells of each type
-(chi(row), chi(column)); a partial transversal with no room left for a
-type under some chi is cut.  The count is necessary for a completion, so
-the search returns the same first transversal as without it, only
-sooner.  A complete mapping of a group table is a transversal's columns;
-a group table with identity 0 is its own principal isotope, so
-complete_mapping_exists searches the table directly, with no isotope to
-build and no Light's test.
+test (associativity against a generating set) passes and 0 is in the
+column of every generator.  A group has no transversal when its Sylow
+2-subgroup is nontrivial cyclic (Hall and Paige), which one scan of
+element orders decides.  Otherwise one backtracking search finds the
+first transversal in column order, pruned for group isotopes by index-2
+quotient counting: a homomorphism chi of G onto Z/2 has
+chi(g*h) = chi(g) + chi(h), so a transversal, which meets each row,
+column and symbol once, holds n/4 cells of each type (chi(row),
+chi(column)); a partial transversal with no room left for a type under
+some chi is cut.
+The count is necessary for a completion, so the search returns the same
+first transversal as without it, only sooner.  A search that meets n
+dead ends also checks forward on packed integers, cutting a cell that
+leaves a later row or a free symbol with no cell in a free column, which
+is again necessary for a completion.  A complete mapping of a group
+table is a transversal's columns; a group table with identity 0 is its
+own principal isotope, so complete_mapping_exists searches the table
+directly, with no isotope to build and no Light's test.
 """
 
 
@@ -90,6 +94,18 @@ def _backtrack_transversal(square, characters=()):
     cells hold fewer than n.)  The test is only a necessary condition for
     a completion, so it cuts dead subtrees and nothing else: the first
     transversal found is the same as without it.
+
+    Once the search has met n dead ends (rows with no candidate that
+    completes), it also checks forward.  After placing a cell in row i,
+    (a) every later row must still have a cell in a free column with a
+    free symbol, and (b) every free symbol must still sit in a free column
+    of some later row.  A completion places one cell in each later row,
+    in a free column with a free symbol, and uses every free symbol once
+    in those rows, so both are necessary, and again only dead subtrees are
+    cut.  The check reads the packed integers of _forward_check_tables.
+    They cost O(n^2) to build, about as much as n dead ends, each of which
+    scans a row of n cells.  So a search that ends sooner never builds them
+    and one that goes on builds them once.
     """
     n = len(square)
     cols_used = [False] * n
@@ -97,8 +113,11 @@ def _backtrack_transversal(square, characters=()):
     col = [None] * n
     # per character, the cells of type 2*chi(row) + chi(column) still open
     cuts = [(rchi, cchi, [n // 4] * 4) for rchi, cchi in characters]
+    dead = 0
+    checks = state = None  # the forward check, once n dead ends are met
 
     def rec(i):
+        nonlocal dead, checks, state
         if i == n:
             return True
         for j in range(n):
@@ -111,6 +130,12 @@ def _backtrack_transversal(square, characters=()):
                 if not left[2 * rchi[i] + cchi[j]]:
                     break
             else:
+                if checks is not None:
+                    low, guard, col_keep, sym_keep, sym_done, row_keep, row_done, _ = checks
+                    x = state[i] & col_keep[j] & sym_keep[s] | sym_done[s]
+                    if (x - low) & guard != guard:
+                        continue
+                    state[i + 1] = x & row_keep[i + 1] | row_done[i + 1]
                 cols_used[j] = syms_used[s] = True
                 col[i] = j
                 for rchi, cchi, left in cuts:
@@ -120,9 +145,67 @@ def _backtrack_transversal(square, characters=()):
                 for rchi, cchi, left in cuts:
                     left[2 * rchi[i] + cchi[j]] += 1
                 cols_used[j] = syms_used[s] = False
+        dead += 1
+        if dead == n:
+            checks = _forward_check_tables(square)
+            _, _, col_keep, sym_keep, sym_done, row_keep, row_done, start = checks
+            # state[r]: rows 0..r-1 placed, and row r about to be
+            state = [start]
+            for r in range(i):
+                c = col[r]
+                t = square[r][c]
+                x = state[r] & col_keep[c] & sym_keep[t] | sym_done[t]
+                state.append(x & row_keep[r + 1] | row_done[r + 1])
+            state += [None] * (n - i)
         return False
 
     return list(enumerate(col)) if rec(0) else None
+
+
+def _forward_check_tables(square):
+    """The packed tables of the forward check in _backtrack_transversal.
+
+    A state is one integer of 2n blocks of n + 2 bits: bits 0..n-1 are
+    columns, bit n marks the block done, bit n + 1 is its guard, which is
+    always set.  Row block r holds the free columns c of the cells (r, c)
+    with a free symbol; symbol block t holds the free columns c with
+    square[r][c] == t in some row r not yet placed.  A block is done once
+    its row is placed or its symbol used, and then needs no cell.  So a
+    state passes when every block is nonzero below its guard, which is
+    (x - low) & guard == guard: subtracting 1 from a block clears its guard
+    only when the block is 0, and never borrows from the next.
+
+    Returns (low, guard, col_keep, sym_keep, sym_done, row_keep, row_done,
+    start).  low has bit 0 of every block set and guard every guard bit.
+    Placing a cell (i, j) with symbol s ANDs the state with col_keep[j],
+    which clears column j in every block, and sym_keep[s], which clears the
+    row cells holding s, and ORs in sym_done[s], which marks symbol block s
+    done.  It also ANDs row_keep[i], which clears the symbol cells whose
+    last row is i, and ORs in row_done[i], which marks row block i done;
+    the search applies these before it tries the cells of row i, and start
+    is the state in which it tries those of row 0.  row_keep and row_done
+    have an entry n that changes nothing.
+    """
+    n = len(square)
+    w = n + 2
+    low = sum(1 << b * w for b in range(2 * n))
+    guard = low << n + 1
+    sym_cells = [0] * n  # row blocks: the cells holding symbol t
+    last = {}  # symbol blocks: bit of (t, c) -> the last row with t in column c
+    for r, row in enumerate(square):
+        for c, t in enumerate(row):
+            sym_cells[t] |= 1 << r * w + c
+            last[(n + t) * w + c] = r
+    row_cells = [0] * (n + 1)  # symbol blocks: the cells whose last row is r
+    for bit, r in last.items():
+        row_cells[r] |= 1 << bit
+    col_keep = [~(low << j) for j in range(n)]
+    sym_keep = [~cells for cells in sym_cells]
+    sym_done = [1 << (n + t) * w + n for t in range(n)]
+    row_keep = [~cells for cells in row_cells]
+    row_done = [1 << r * w + n for r in range(n)] + [0]
+    start = (guard + sum(sym_cells) + sum(row_cells)) & row_keep[0] | row_done[0]
+    return low, guard, col_keep, sym_keep, sym_done, row_keep, row_done, start
 
 
 def _generated_subgroup(table, gens):
@@ -256,12 +339,17 @@ def _group_isotopy(square):
     by sw, the swap of 0 and e: row i is labelled rows[i] = sw(square[i][0]),
     column j is labelled cols[j] = sw(square[0][j]), and
     table[rows[i]][cols[j]] = sw(square[i][j]).  Row 0 and column 0 of the
-    table are then the identity 0.  The loop is a group iff Light's test
-    passes: (x*y)*g = x*(y*g) for every g of a generating set.  The g that
-    pass are closed under products (if g and h pass, then
+    table are then the identity 0.  Light's test proves the product
+    associative: (x*y)*g = x*(y*g) for every g of a generating set.  The g
+    that pass are closed under products (if g and h pass, then
     (x*y)*(g*h) = ((x*y)*g)*h = (x*(y*g))*h = x*((y*g)*h) = x*(y*(g*h))),
     and every element is a product of generators taken from 0, so all
-    elements pass.
+    elements pass.  That makes the table a monoid, which need not be
+    latin: ((0, 1), (1, 1)) passes.  In a finite monoid, x*g = 0 makes g a
+    unit: y -> g*y is injective (x*(g*y) = y), hence onto, so g*z = 0 for
+    some z, and z = x*g*z = x.  Units are closed under products and every
+    element is a product of generators, so the table is a group exactly
+    when 0 is also in the column of every generator.
     """
     n = len(square)
     sw = list(range(n))
@@ -279,6 +367,8 @@ def _group_isotopy(square):
         table[r] = [sw[row[j]] for j in col_of]
     for g in _generators(table):
         right = [row[g] for row in table]  # y -> y*g
+        if 0 not in right:
+            return None
         for row in table:  # x -> x*y
             if [right[xy] for xy in row] != [row[yg] for yg in right]:
                 return None

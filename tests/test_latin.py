@@ -278,11 +278,19 @@ def relabelled(table, seed):
     return tuple(map(tuple, out))
 
 
-ORDER_20 = {
+# theta of order 20 was computed once with the plain search, theta of order
+# 24 with the search pruned by index-2 counting alone
+PINNED_WITNESSES = {
     "D10": (dihedral_group(10),
             [0, 1, 2, 3, 4, 10, 12, 11, 15, 17, 9, 14, 8, 18, 13, 6, 7, 5, 19, 16]),
     "Z2xZ10": (direct_product(cyclic_group(2), cyclic_group(10)),
                [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 6, 7, 8, 9, 15, 16, 17, 18, 19, 5]),
+    "D12": (dihedral_group(12),
+            [0, 1, 2, 3, 4, 5, 12, 14, 13, 17, 20, 23, 9, 10, 11, 16, 15, 22, 21, 7, 8, 6,
+             19, 18]),
+    "Z4xZ6": (direct_product(cyclic_group(4), cyclic_group(6)),
+              [0, 1, 2, 4, 5, 6, 3, 7, 8, 12, 13, 14, 10, 11, 15, 19, 20, 9, 21, 23, 17, 22,
+               16, 18]),
 }
 
 
@@ -322,10 +330,56 @@ def test_complete_mapping_witness_is_first_transversal_on_relabellings():
             exists, theta = complete_mapping_exists(G)
             assert exists, name
             assert theta == [j for _, j in transversal_search_brute(G)], (name, seed)
-    # the plain search takes about 7 s on each of these; theta was computed
-    # with it once
-    for name, (table, theta) in ORDER_20.items():
+    # the plain search takes about 7 s on each of order 20, and the search
+    # with index-2 counting alone 0.3-0.4 s on each of order 24
+    for name, (table, theta) in PINNED_WITNESSES.items():
         assert complete_mapping_exists(table) == (True, theta), name
+
+
+def test_forward_check_tables_are_built_after_n_dead_ends(monkeypatch):
+    # the search builds the forward check's tables once it has met n dead
+    # ends, and a search that ends sooner never builds them
+    builds = []
+    real = latin._forward_check_tables
+    monkeypatch.setattr(latin, "_forward_check_tables",
+                        lambda square: builds.append(len(square)) or real(square))
+    built = []
+    for name, table in sorted(group_catalog(16).items()):
+        complete_mapping_exists(table)
+        if builds:
+            assert builds == [16], name
+            built.append(name)
+            builds.clear()
+    assert built == ["D8", "Z4xZ4"]
+    for name, (table, theta) in PINNED_WITNESSES.items():
+        assert complete_mapping_exists(table) == (True, theta), name
+        assert builds == ([] if len(table) == 20 else [24]), name
+        builds.clear()
+    for n in range(1, 13):
+        transversal_search(cyclic_group(n))
+    assert builds == []
+
+
+def test_transversal_search_matches_brute_on_random_arrays(monkeypatch):
+    # arrays over range(n) that need not be latin.  An array isotopic to a
+    # group is latin, so every other array gets no coordinatizing group (the
+    # monoid ((0, 1), (1, 1)) passes Light's test but is no group).  Most of
+    # these arrays have no transversal, and many searches meet n dead ends,
+    # so the forward check is cross-checked as well.
+    builds = []
+    real = latin._forward_check_tables
+    monkeypatch.setattr(latin, "_forward_check_tables",
+                        lambda square: builds.append(1) or real(square))
+    assert is_group_coordinatizable(((0, 1), (1, 1))) is None
+    assert transversal_search(((0, 1), (1, 1))) == [(0, 0), (1, 1)]
+    rng = random.Random(1601)
+    for n in range(2, 8):
+        for v in range(200):
+            square = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if not is_latin(square):
+                assert is_group_coordinatizable(square) is None, square
+            assert transversal_search(square) == transversal_search_brute(square), square
+    assert len(builds) > 300
 
 
 def test_complete_mapping_exists_builds_no_isotope(monkeypatch):
@@ -347,7 +401,7 @@ def test_complete_mapping_positive_groups_are_fast():
     # isotopes runs the same pruned search
     catalog = group_catalog(16)
     tables = {name: catalog[name] for name in ("D8", "Z2xZ8", "Z2xZ2xZ4")}
-    tables.update((name, table) for name, (table, _) in ORDER_20.items())
+    tables.update((name, table) for name, (table, _) in PINNED_WITNESSES.items())
     for name, table in tables.items():
         n = len(table)
         isotope = shuffled_isotope(table, name)
@@ -361,8 +415,8 @@ def test_complete_mapping_positive_groups_are_fast():
             assert elapsed < 1.0, "%s took %.2fs, bound is 1s" % (name, elapsed)
         (exists, theta), cells, isotope_cells = results
         assert exists and [j for _, j in cells] == theta, name
-        if name in ORDER_20:
-            assert theta == ORDER_20[name][1], name
+        if name in PINNED_WITNESSES:
+            assert theta == PINNED_WITNESSES[name][1], name
         assert [i for i, _ in isotope_cells] == list(range(n)), name
         assert sorted(j for _, j in isotope_cells) == list(range(n)), name
         assert sorted(isotope[i][j] for i, j in isotope_cells) == list(range(n)), name
