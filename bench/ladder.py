@@ -28,9 +28,9 @@ host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
 per rung, its layer, name, size, k, min_s (and min_cpu_s and ref_s on cli
-rungs) and counts.  BENCH_layers.json is a list of such entries, oldest first; a change
-that claims speed appends its parent's entry and its own, measured in one
-session.
+rungs) and counts.  BENCH_layers.json is a list of such entries, oldest
+first; a change that claims speed appends its parent's entry and its own,
+measured in one session.
 """
 
 import argparse
