@@ -7,7 +7,10 @@ search, classify, the latin searches and CLI start-up on fixed sizes.
 
 It runs the program from the src/ next to this directory and takes its work
 counters from perfbench/tracing.py, which it imports and does not change.
-Each in-process rung is timed untraced as the best of k runs, then run once
+Each in-process rung is timed untraced as the best of k runs, with
+perfbench's reference_loop, a fixed pure-Python loop, run before each and
+the best of those k times recorded (ref_s), so min_s / ref_s can be
+compared between sessions on hosts of different speed.  Then it runs once
 more under perfbench's Tracer to record its counters: a tracer key that
 names a function counts its calls (curves.restrict is perfbench's
 curves.restrict.calls), and plane.all_points.points counts listed points.
@@ -16,18 +19,18 @@ finds no center, so its rungs carry no nets.find_centers.found.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
 of k wall times (min_s) and the best of their k CPU times, user plus system,
-from getrusage deltas of the waited-for children (min_cpu_s).  Before each
-child it also runs perfbench's reference_loop, a fixed pure-Python loop,
-and records the best of those k times (ref_s), so min_s / ref_s can be
-compared between sessions on hosts of different speed.  The package
+from getrusage deltas of the waited-for children (min_cpu_s), with ref_s
+from a reference loop before each child.  The package
 is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1, so every
 process compiles the modules it imports, as in a fresh source checkout.
-One more run counts the dualnets modules it loaded (dualnets.modules) and
-their bytes of source (dualnets.source_bytes).  Counts do not drift with the
-host; the times do.  Standard library only.
+One more run counts the dualnets modules it loaded (dualnets.modules),
+their bytes of source (dualnets.source_bytes), and the other modules that
+importing dualnets.cli and running main added to sys.modules
+(python.modules), which is standard library the command loads.  Counts do
+not drift with the host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s (and min_cpu_s and ref_s on cli
+per rung, its layer, name, size, k, min_s, ref_s (and min_cpu_s on cli
 rungs) and counts.  BENCH_layers.json is a list of such entries, oldest
 first; a change that claims speed appends its parent's entry and its own,
 measured in one session.
@@ -129,20 +132,25 @@ CLI_RUNGS = (
 ENTRY = "import sys; from dualnets.cli import main; sys.exit(main())"
 FOOTPRINT = """
 import contextlib, io, json, os, sys
+before = set(sys.modules)
 from dualnets.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "dualnets"]
+python = [name for name in sys.modules if name not in before and name.split(".")[0] != "dualnets"]
 print(json.dumps({"dualnets.modules": len(mods),
-                  "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods)}))
+                  "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods),
+                  "python.modules": len(python)}))
 sys.exit(code)
 """
 
 
 def measure(run, k):
-    """(best untraced seconds of k runs, tracer counters of one more run)."""
-    best = float("inf")
+    """(best untraced seconds of k runs, best seconds of the k reference
+    loops run one before each, tracer counters of one more run)."""
+    best = best_ref = float("inf")
     for _ in range(k):
+        best_ref = min(best_ref, reference_loop())
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
@@ -152,7 +160,7 @@ def measure(run, k):
         run()
     finally:
         tracer.uninstall()
-    return best, {key: v for key, v in sorted(tracer.counts.items()) if v}
+    return best, best_ref, {key: v for key, v in sorted(tracer.counts.items()) if v}
 
 
 def _children_cpu_s():
@@ -218,9 +226,10 @@ def entry(quick=False):
     rungs = []
     for layer, name, setup, key, sizes in RUNGS:
         for size in sizes[:1] if quick else sizes:
-            min_s, counts = measure(setup(size), K)
+            min_s, ref_s, counts = measure(setup(size), K)
             rungs.append({"layer": layer, "name": name, "size": {key: size}, "k": K,
-                          "min_s": round(min_s, 6), "counts": counts})
+                          "min_s": round(min_s, 6), "ref_s": round(ref_s, 6),
+                          "counts": counts})
     rungs += cli_rungs(quick)
     status = _git("status", "--porcelain", "--", "src")
     return {

@@ -108,6 +108,34 @@ def test_construct_usage_errors(capsys, tmp_path):
     assert rc == 2
 
 
+MALFORMED = (
+    (),
+    ("nonsense",),
+    ("construct",),
+    ("construct", "moebius", "--p", "11"),
+    ("construct", "triangular", "--n", "x", "--p", "11"),
+    ("construct", "triangular", "--p", "11", "--n"),
+    ("construct", "triangular", "--n", "5", "--p", "11", "--q", "3"),
+    ("verify", "a", "b"),
+    ("verify",),
+    ("demo", "nope"),
+)
+COMMANDS = ("construct", "verify", "classify", "centers", "crossratio", "demo")
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("argv", [(flag,) for flag in ("-h", "--help")]
+                         + [(command, flag) for command in COMMANDS for flag in ("-h", "--help")])
+def test_help_prints_usage_on_stdout(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and out.startswith("usage: dualnets") and err == "", argv
+
+
 def test_verify_failure_is_exit_one(capsys, tmp_path):
     path, doc = construct(capsys, tmp_path, "cl",
                           "conic-line", "--n", "5", "--p", "11")

@@ -14,16 +14,23 @@ def check_entry(entry):
     assert sorted(entry["host"]) == ["cpus", "machine", "python"]
     assert entry["rungs"]
     for rung in entry["rungs"]:
-        # cli rungs may carry their children's CPU time and the reference
-        # loop's time; older entries lack them
+        # every rung may carry the reference loop's time and cli rungs their
+        # children's CPU time; older entries lack them
         keys = ["counts", "k", "layer", "min_s", "name", "size"]
-        assert sorted(rung) in (keys, sorted(keys + ["min_cpu_s"]),
+        assert sorted(rung) in (keys, sorted(keys + ["ref_s"]), sorted(keys + ["min_cpu_s"]),
                                 sorted(keys + ["min_cpu_s", "ref_s"]))
         assert rung["k"] >= 1 and rung["min_s"] > 0
-        for extra in ("min_cpu_s", "ref_s"):
-            if extra in rung:
-                assert rung["layer"] == "cli" and rung[extra] > 0
-        assert all(isinstance(v, int) and v > 0 for v in rung["counts"].values())
+        if "min_cpu_s" in rung:
+            assert rung["layer"] == "cli" and rung["min_cpu_s"] > 0
+        if "ref_s" in rung:
+            assert rung["ref_s"] > 0
+        # tracer counters that stay 0 are left out; the count of standard
+        # library modules a cli command loads may be 0, and older entries lack it
+        counts = dict(rung["counts"])
+        if "python.modules" in counts:
+            python = counts.pop("python.modules")
+            assert rung["layer"] == "cli" and isinstance(python, int) and python >= 0
+        assert all(isinstance(v, int) and v > 0 for v in counts.values())
 
 
 def quick_run(*extra):
@@ -45,6 +52,8 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
         == ["curves", "nets", "nets", "nets", "nets", "latin", "latin", "cli"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
+    # every in-process rung records the reference loop's time
+    assert all(r["ref_s"] > 0 for r in first["rungs"])
     # the classify rung reads its cubics' points off lines, not a plane listing
     assert "plane.all_points" not in first["rungs"][1]["counts"]
     assert first["rungs"][1]["counts"]["nets.classify"] == 4
@@ -68,6 +77,8 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert cli["size"] == {"argv": "construct triangular --n 15 --p 181"}
     assert "min_cpu_s" in cli and "ref_s" in cli
     assert cli["counts"]["dualnets.modules"] == 6
+    # argparse and the gettext, locale and _locale it pulls in
+    assert cli["counts"]["python.modules"] == 4
     with open(history) as fh:
         assert json.load(fh) == [first, second]
 
