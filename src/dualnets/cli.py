@@ -6,20 +6,26 @@ boolean "char_exception" marks the deliberate n = p construction).  Documents
 are re-verified on every load; nothing trusts a stored flag.
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter
-errors.  Commands raise instead of printing errors, and main alone turns
-an exception into an exit code: NetViolation exits 1 with the violation
-report on stdout, ValueError and OSError exit 2 with "error: ..." on
-stderr.  A demo that prints a FAIL line also exits 1.
+errors.  parse_args and the commands raise instead of printing errors, and
+main alone turns an exception into an exit code: NetViolation exits 1 with
+the violation report on stdout, ValueError (a usage error too) and OSError
+exit 2 with one "error: ..." line on stderr.  A demo that prints a FAIL
+line also exits 1.  -h or --help prints usage() on stdout and exits 0.
+
+parse_args reads the command line from the tables below (FAMILIES and the
+options its families take, INSPECT, DEMOS) and reads every line as the
+argparse parser it replaced did, except that an abbreviation of --help is
+an unknown option; tests/util.py keeps that parser as the reference.
 
 A process runs one command, and it imports and compiles only the layers
-that command runs beyond nets, gf and plane: construct loads constructors,
-and cubic_group and curves for the fermat family only; of the inspection
-commands only classify loads curves, and only when the net's points lie on
-a cubic; only demo loads the demos module.
+that command runs beyond nets, gf and plane, and no argparse: construct
+loads constructors, and cubic_group and curves for the fermat family only;
+of the inspection commands only classify loads curves, and only when the
+net's points lie on a cubic; only demo loads the demos module.
 """
 
-import argparse
 import json
+import re
 import sys
 
 from . import nets
@@ -123,16 +129,17 @@ FAMILIES = {
 }
 
 
-def cmd_construct(args):
+def cmd_construct(options):
     from . import constructors
 
-    builder, params = FAMILIES[args.family]
-    missing = [name for name in params if getattr(args, name) is None]
+    family = options["family"]
+    builder, params = FAMILIES[family]
+    missing = [name for name in params if options[name] is None]
     if missing:
-        raise ValueError("%s requires --%s" % (args.family, " --".join(missing)))
-    if not is_prime(args.p):
-        raise ValueError("p=%d is not prime" % args.p)
-    net = getattr(constructors, builder)(*(getattr(args, name) for name in params))
+        raise ValueError("%s requires --%s" % (family, " --".join(missing)))
+    if not is_prime(options["p"]):
+        raise ValueError("p=%d is not prime" % options["p"])
+    net = getattr(constructors, builder)(*(options[name] for name in params))
     _emit(net_document(net))
     return 0
 
@@ -190,10 +197,10 @@ def cmd_crossratio(net):
 DEMOS = ("pencil", "conic-line", "fermat", "j0-identities", "negative-sweeps")
 
 
-def cmd_demo(args):
+def cmd_demo(name):
     from . import demos
 
-    checks = demos.run(args.name)
+    checks = demos.run(name)
     all_passed = True
     for claim, passed in checks:
         print("%s %s" % ("PASS" if passed else "FAIL", claim))
@@ -201,45 +208,131 @@ def cmd_demo(args):
     return 0 if all_passed else 1
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dualnets",
-        description="construct and inspect dual nets in PG(2,p)")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The commands that read one net document: main loads and re-verifies the
+# NETFILE and passes the net.
+INSPECT = {"verify": cmd_verify, "classify": cmd_classify, "centers": cmd_centers,
+           "crossratio": cmd_crossratio}
+# command -> the name of its one operand, and the words it may be (None: any)
+OPERANDS = {"construct": ("FAMILY", FAMILIES), **dict.fromkeys(INSPECT, ("NETFILE", None)),
+            "demo": ("NAME", DEMOS)}
+# construct's options, each given as --name N or --name=N; c defaults to 1
+OPTIONS = tuple(dict.fromkeys(name for _, params in FAMILIES.values() for name in params))
+HELP = ("-h", "--help")
+# a word that reads as a negative number is a value, not an option
+NEGATIVE_NUMBER = r"-\d+$|-\d*\.\d+$"
 
-    pc = sub.add_parser("construct", help="build a net and print its JSON")
-    pc.add_argument("family", choices=list(FAMILIES))
-    pc.add_argument("--n", type=int, help="net order")
-    pc.add_argument("--p", type=int, help="field prime")
-    pc.add_argument("--c", type=int, default=1, help="family parameter (default 1)")
-    pc.add_argument("--m", type=int, help="tetrahedron subgroup order")
-    pc.set_defaults(func=cmd_construct)
 
-    for name, func, help_text in [
-            ("verify", cmd_verify, "re-verify a net document"),
-            ("classify", cmd_classify, "classification report"),
-            ("centers", cmd_centers, "list all perspective centers"),
-            ("crossratio", cmd_crossratio, "kappa at each center")]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("netfile", help="net JSON file, or - for stdin")
-        sp.set_defaults(func=func)
+def usage():
+    """The -h text: the synopsis, each family's options, the demos and the
+    exit codes."""
+    width = max(map(len, FAMILIES))
+    lines = ["usage: dualnets construct FAMILY "
+             + " ".join("[--%s %s]" % (name, name.upper()) for name in OPTIONS)]
+    lines += ["       dualnets %s %s" % (command, operand)
+              for command, (operand, _) in list(OPERANDS.items())[1:]]
+    lines += ["",
+              "Construct and inspect dual nets in PG(2,p).", "",
+              "FAMILY and the options it takes (--c defaults to 1):"]
+    lines += ["  %-*s  %s" % (width, family, " ".join("--" + name for name in params))
+              for family, (_, params) in FAMILIES.items()]
+    lines += ["NETFILE: a net document (JSON), or - for stdin",
+              "NAME: " + ", ".join(DEMOS), "",
+              "Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter errors."]
+    return "\n".join(lines)
 
-    pd = sub.add_parser("demo", help="run a PASS/FAIL walk-through")
-    pd.add_argument("name", choices=sorted(DEMOS))
-    pd.set_defaults(func=cmd_demo)
-    return parser
+
+def _is_option(word, names):
+    """Whether word is an option rather than a value: one of names, with or
+    without "=value", or any other word that starts with "-" except "-",
+    "--", a negative number and a word with a space."""
+    return (word.partition("=")[0] in names
+            or word[:1] == "-" and word not in ("-", "--") and " " not in word
+            and not re.match(NEGATIVE_NUMBER, word))
+
+
+def parse_args(argv):
+    """(command, operand) for a command line, or (None, None) for -h.
+
+    The operand is the NETFILE of an inspection command, the NAME of a
+    demo, and for construct a dict of the family and every option in
+    OPTIONS (None when not given).  Options may come before or after the
+    operand, the last of a repeated option wins, and every word after the
+    first "--" is an operand.  A usage error raises ValueError as soon as
+    it is read (an unknown command, family or demo, an option with no value
+    or one that is no integer); an unknown option, a surplus word or a
+    missing operand raises at the end, so a later -h still gives help.
+    """
+    command = operand = None
+    options = dict.fromkeys(OPTIONS)
+    options["c"] = 1
+    names = HELP  # the options of the command read so far
+    extra = []
+    dashed = after_operand = False
+    words = iter(argv)
+    for word in words:
+        if command is not None and word == "--" and not dashed:
+            # "--" right after the operand, or before a missing one, ends
+            # the options; anywhere else it is a surplus word too
+            dashed = True
+            if operand is not None and not after_operand:
+                extra.append(word)
+            continue
+        after_operand = False
+        if not dashed and _is_option(word, names):
+            name, eq, value = word.partition("=")
+            if name in HELP:
+                if eq:
+                    raise ValueError("%s takes no value" % name)
+                return None, None
+            if name not in names:
+                extra.append(word)
+                continue
+            if not eq:
+                value = next(words, None)
+                if value is None or value == "--" or _is_option(value, names):
+                    raise ValueError("%s needs a value" % name)
+            try:
+                options[name[2:]] = int(value)
+            except ValueError:
+                raise ValueError("%s needs an integer, got %r" % (name, value))
+        elif command is None:
+            if word not in OPERANDS:
+                raise ValueError("unknown command %r (choose from %s)"
+                                 % (word, ", ".join(OPERANDS)))
+            command = word
+            if command == "construct":
+                names = HELP + tuple("--" + name for name in OPTIONS)
+        elif operand is None:
+            what, choices = OPERANDS[command]
+            if choices is not None and word not in choices:
+                raise ValueError("unknown %s %r (choose from %s)"
+                                 % (what, word, ", ".join(choices)))
+            operand = word
+            after_operand = True
+        else:
+            extra.append(word)
+    if command is None:
+        raise ValueError("no command (choose from %s)" % ", ".join(OPERANDS))
+    if operand is None:
+        raise ValueError("%s needs a %s" % (command, OPERANDS[command][0]))
+    if extra:
+        raise ValueError("unrecognized arguments: %s" % " ".join(extra))
+    if command == "construct":
+        return command, dict(options, family=operand)
+    return command, operand
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if hasattr(args, "netfile"):
-            return args.func(load_document(_read_input(args.netfile)))
-        return args.func(args)
+        command, operand = parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(usage())
+            return 0
+        if command == "construct":
+            return cmd_construct(operand)
+        if command == "demo":
+            return cmd_demo(operand)
+        return INSPECT[command](load_document(_read_input(operand)))
     except nets.NetViolation as exc:
         _emit(_violation_report(exc))
         return 1

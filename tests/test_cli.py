@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dualnets.cli import load_document, main, net_document, to_jsonable
+from dualnets.cli import load_document, main, net_document, to_jsonable, usage
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -127,6 +127,7 @@ COMMANDS = ("construct", "verify", "classify", "centers", "crossratio", "demo")
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == "" and "Traceback" not in err, argv
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.parametrize("argv", [(flag,) for flag in ("-h", "--help")]
@@ -134,6 +135,12 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
 def test_help_prints_usage_on_stdout(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and out.startswith("usage: dualnets") and err == "", argv
+    assert out == usage() + "\n"
+
+
+def test_readme_gives_the_help_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        assert "```\n%s\n```" % usage() in fh.read()
 
 
 def test_verify_failure_is_exit_one(capsys, tmp_path):
@@ -470,11 +477,15 @@ def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
 
 FOOTPRINT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from dualnets.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualnets."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualnets.")),
+                  sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "dualnets")]))
 """
+# what argparse loaded; no command needs them
+PARSER_MODULES = {"argparse", "gettext", "locale", "_locale"}
 
 
 def _fresh_python(code, *argv):
@@ -497,27 +508,31 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     for argv, want in ((("verify", tri), 0), (("verify", str(bad)), 1),
                        (("centers", tri), 0), (("crossratio", tri), 0)):
-        code, loaded = json.loads(_fresh_python(FOOTPRINT, *argv))
+        code, loaded, python = json.loads(_fresh_python(FOOTPRINT, *argv))
         assert code == want, argv
         assert not set(loaded) & unused, (argv, loaded)
+        assert not set(python) & PARSER_MODULES, (argv, python)
     # construct loads the curve layers for the fermat family only
     for argv in (("triangular", "--n", "5", "--p", "11"), ("pencil", "--p", "7"),
                  ("conic-line", "--n", "5", "--p", "11"), ("fermat", "--n", "3", "--p", "19"),
                  ("tetrahedron", "--m", "3", "--p", "13"), ("hesse4", "--p", "13")):
-        code, loaded = json.loads(_fresh_python(FOOTPRINT, "construct", *argv))
+        code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "construct", *argv))
         curve_layers = {"dualnets.curves", "dualnets.cubic_group"} if argv[0] == "fermat" else set()
         assert code == 0 and set(loaded) & unused == {"dualnets.constructors"} | curve_layers, \
             (argv, loaded)
+        assert not set(python) & PARSER_MODULES, (argv, python)
     # classify loads curves only when the points lie on a cubic: the order-6
     # tetrahedron net over GF(13) has a cubic fit of dimension 0
     fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
     tet, _ = construct(capsys, tmp_path, "tet", "tetrahedron", "--m", "3", "--p", "13")
     for path, want in ((fermat, {"dualnets.curves"}), (tet, set())):
-        code, loaded = json.loads(_fresh_python(FOOTPRINT, "classify", path))
+        code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "classify", path))
         assert code == 0 and set(loaded) & unused == want, (path, loaded)
+        assert not set(python) & PARSER_MODULES, (path, python)
     # only demo loads the demos module
-    code, loaded = json.loads(_fresh_python(FOOTPRINT, "demo", "j0-identities"))
+    code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "demo", "j0-identities"))
     assert code == 0 and set(loaded) & unused == {"dualnets.demos"}, loaded
+    assert not set(python) & PARSER_MODULES, python
     # the package loads a layer on first attribute access
     hook = ("import sys, dualnets.cli; assert 'dualnets.curves' not in sys.modules; "
             "print(dualnets.curves.j_of_cubic.__module__)")

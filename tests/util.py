@@ -1,8 +1,11 @@
 """Shared independent oracles for the test suite."""
 
+import argparse
 from itertools import combinations, permutations, product
 
 from dualnets import nets
+from dualnets.cli import (DEMOS, FAMILIES, cmd_centers, cmd_classify, cmd_construct,
+                          cmd_crossratio, cmd_demo, cmd_verify)
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.latin import _generators, element_orders
 from dualnets.nets import NetViolation, verify
@@ -677,3 +680,35 @@ def find_invariant_subgroup_walk(group, n):
         if len(H) == n and all(group.u_auto(h) in H for h in H):
             return g, frozenset(H)
     return None
+
+
+# The argparse parser that dualnets.cli used before its table-driven
+# parse_args, kept verbatim as the reference for the command lines that
+# parse_args must read the same way.
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dualnets",
+        description="construct and inspect dual nets in PG(2,p)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    pc = sub.add_parser("construct", help="build a net and print its JSON")
+    pc.add_argument("family", choices=list(FAMILIES))
+    pc.add_argument("--n", type=int, help="net order")
+    pc.add_argument("--p", type=int, help="field prime")
+    pc.add_argument("--c", type=int, default=1, help="family parameter (default 1)")
+    pc.add_argument("--m", type=int, help="tetrahedron subgroup order")
+    pc.set_defaults(func=cmd_construct)
+
+    for name, func, help_text in [
+            ("verify", cmd_verify, "re-verify a net document"),
+            ("classify", cmd_classify, "classification report"),
+            ("centers", cmd_centers, "list all perspective centers"),
+            ("crossratio", cmd_crossratio, "kappa at each center")]:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("netfile", help="net JSON file, or - for stdin")
+        sp.set_defaults(func=func)
+
+    pd = sub.add_parser("demo", help="run a PASS/FAIL walk-through")
+    pd.add_argument("name", choices=sorted(DEMOS))
+    pd.set_defaults(func=cmd_demo)
+    return parser
