@@ -225,20 +225,19 @@ NEGATIVE_NUMBER = r"-\d+$|-\d*\.\d+$"
 def usage():
     """The -h text: the synopsis, each family's options, the demos and the
     exit codes."""
+    synopsis = ["dualnets %s %s" % (command, operand)
+                for command, (operand, _) in OPERANDS.items()]
+    synopsis[0] += "".join(" [--%s %s]" % (name, name.upper()) for name in OPTIONS)
     width = max(map(len, FAMILIES))
-    lines = ["usage: dualnets construct FAMILY "
-             + " ".join("[--%s %s]" % (name, name.upper()) for name in OPTIONS)]
-    lines += ["       dualnets %s %s" % (command, operand)
-              for command, (operand, _) in list(OPERANDS.items())[1:]]
-    lines += ["",
-              "Construct and inspect dual nets in PG(2,p).", "",
-              "FAMILY and the options it takes (--c defaults to 1):"]
-    lines += ["  %-*s  %s" % (width, family, " ".join("--" + name for name in params))
-              for family, (_, params) in FAMILIES.items()]
-    lines += ["NETFILE: a net document (JSON), or - for stdin",
-              "NAME: " + ", ".join(DEMOS), "",
-              "Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter errors."]
-    return "\n".join(lines)
+    families = ["  %-*s  %s" % (width, family, " ".join("--" + name for name in params))
+                for family, (_, params) in FAMILIES.items()]
+    return "\n".join(["usage: " + "\n       ".join(synopsis), "",
+                      "Construct and inspect dual nets in PG(2,p).", "",
+                      "FAMILY and the options it takes (--c defaults to 1):", *families,
+                      "NETFILE: a net document (JSON), or - for stdin",
+                      "NAME: " + ", ".join(DEMOS), "",
+                      "Exit codes: 0 success, 1 mathematical failure, "
+                      "2 usage or parameter errors."])
 
 
 def _is_option(word, names):
