@@ -8,14 +8,8 @@ are re-verified on every load; nothing trusts a stored flag.
 Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter
 errors.  parse_args and the commands raise instead of printing errors, and
 main alone turns an exception into an exit code: NetViolation exits 1 with
-the violation report on stdout, ValueError (a usage error too) and OSError
-exit 2 with one "error: ..." line on stderr.  A demo that prints a FAIL
-line also exits 1.  -h or --help prints usage() on stdout and exits 0.
-
-parse_args reads the command line from the tables below (FAMILIES and the
-options its families take, INSPECT, DEMOS) and reads every line as the
-argparse parser it replaced did, except that an abbreviation of --help is
-an unknown option; tests/util.py keeps that parser as the reference.
+the violation report on stdout, ValueError and OSError exit 2 with one
+"error: ..." line on stderr.  A demo that prints a FAIL line also exits 1.
 
 A process runs one command, and it imports and compiles only the layers
 that command runs beyond nets, gf and plane, and no argparse: construct
@@ -132,11 +126,10 @@ FAMILIES = {
 def cmd_construct(options):
     from . import constructors
 
-    family = options["family"]
-    builder, params = FAMILIES[family]
+    builder, params = FAMILIES[options["family"]]
     missing = [name for name in params if options[name] is None]
     if missing:
-        raise ValueError("%s requires --%s" % (family, " --".join(missing)))
+        raise ValueError("%s requires --%s" % (options["family"], " --".join(missing)))
     if not is_prime(options["p"]):
         raise ValueError("p=%d is not prime" % options["p"])
     net = getattr(constructors, builder)(*(options[name] for name in params))
@@ -208,130 +201,90 @@ def cmd_demo(name):
     return 0 if all_passed else 1
 
 
-# The commands that read one net document: main loads and re-verifies the
-# NETFILE and passes the net.
+# The commands that read a net document; main passes them the verified net.
 INSPECT = {"verify": cmd_verify, "classify": cmd_classify, "centers": cmd_centers,
            "crossratio": cmd_crossratio}
-# command -> the name of its one operand, and the words it may be (None: any)
-OPERANDS = {"construct": ("FAMILY", FAMILIES), **dict.fromkeys(INSPECT, ("NETFILE", None)),
-            "demo": ("NAME", DEMOS)}
-# construct's options, each given as --name N or --name=N; c defaults to 1
-OPTIONS = tuple(dict.fromkeys(name for _, params in FAMILIES.values() for name in params))
+# command -> the words its operand may be (None: any NETFILE)
+OPERANDS = {"construct": FAMILIES, **dict.fromkeys(INSPECT), "demo": DEMOS}
+OPTIONS = ("--n", "--p", "--c", "--m")  # construct's; c defaults to 1
 HELP = ("-h", "--help")
-# a word that reads as a negative number is a value, not an option
-NEGATIVE_NUMBER = r"-\d+$|-\d*\.\d+$"
+USAGE = """usage: dualnets construct FAMILY [--n N] [--p P] [--c C] [--m M]
+       dualnets {%s} NETFILE
+       dualnets demo NAME
 
+FAMILY: %s
+NETFILE: a net document, or - for stdin
+NAME: %s
 
-def usage():
-    """The -h text: the synopsis, each family's options, the demos and the
-    exit codes."""
-    synopsis = ["dualnets %s %s" % (command, operand)
-                for command, (operand, _) in OPERANDS.items()]
-    synopsis[0] += "".join(" [--%s %s]" % (name, name.upper()) for name in OPTIONS)
-    width = max(map(len, FAMILIES))
-    families = ["  %-*s  %s" % (width, family, " ".join("--" + name for name in params))
-                for family, (_, params) in FAMILIES.items()]
-    return "\n".join(["usage: " + "\n       ".join(synopsis), "",
-                      "Construct and inspect dual nets in PG(2,p).", "",
-                      "FAMILY and the options it takes (--c defaults to 1):", *families,
-                      "NETFILE: a net document (JSON), or - for stdin",
-                      "NAME: " + ", ".join(DEMOS), "",
-                      "Exit codes: 0 success, 1 mathematical failure, "
-                      "2 usage or parameter errors."])
+Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter errors.""" % (
+    ",".join(INSPECT), ", ".join(FAMILIES), ", ".join(DEMOS))
 
 
 def _is_option(word, names):
-    """Whether word is an option rather than a value: one of names, with or
-    without "=value", or any other word that starts with "-" except "-",
-    "--", a negative number and a word with a space."""
-    return (word.partition("=")[0] in names
-            or word[:1] == "-" and word not in ("-", "--") and " " not in word
-            and not re.match(NEGATIVE_NUMBER, word))
+    # as argparse: "-", "--", negative numbers and words with a space are values
+    return word.partition("=")[0] in names or (
+        word[:1] == "-" and word not in ("-", "--") and " " not in word
+        and not re.match(r"-\d+$|-\d*\.\d+$", word))
 
 
 def parse_args(argv):
-    """(command, operand) for a command line, or (None, None) for -h.
-
-    The operand is the NETFILE of an inspection command, the NAME of a
-    demo, and for construct a dict of the family and every option in
-    OPTIONS (None when not given).  Options may come before or after the
-    operand, the last of a repeated option wins, and every word after the
-    first "--" is an operand.  A usage error raises ValueError as soon as
-    it is read (an unknown command, family or demo, an option with no value
-    or one that is no integer); an unknown option, a surplus word or a
-    missing operand raises at the end, so a later -h still gives help.
-    """
+    """(command, operand), or (None, None) for -h; construct's operand is a
+    dict of its family and options.  Reads a line as the argparse parser in
+    tests/util.py did, but for abbreviations of --help, and raises
+    ValueError on a usage error."""
     command = operand = None
-    options = dict.fromkeys(OPTIONS)
-    options["c"] = 1
-    names = HELP  # the options of the command read so far
-    extra = []
-    dashed = after_operand = False
-    words = iter(argv)
+    options = {"n": None, "p": None, "c": 1, "m": None}
+    names, extra, words = HELP, [], iter(argv)
+    dashed = last = False  # past "--"; the word before was the operand
     for word in words:
-        if command is not None and word == "--" and not dashed:
-            # "--" right after the operand, or before a missing one, ends
-            # the options; anywhere else it is a surplus word too
-            dashed = True
-            if operand is not None and not after_operand:
+        follows, last = last, False
+        if command and word == "--" and not dashed:
+            dashed = True  # argparse kept it as a surplus word after another
+            if operand is not None and not follows:
                 extra.append(word)
-            continue
-        after_operand = False
-        if not dashed and _is_option(word, names):
+        elif not dashed and _is_option(word, names):
             name, eq, value = word.partition("=")
             if name in HELP:
                 if eq:
-                    raise ValueError("%s takes no value" % name)
+                    raise ValueError(name + " takes no value")
                 return None, None
             if name not in names:
                 extra.append(word)
                 continue
             if not eq:
-                value = next(words, None)
-                if value is None or value == "--" or _is_option(value, names):
-                    raise ValueError("%s needs a value" % name)
+                value = next(words, "--")
+            if value == "--" or _is_option(value, names):
+                raise ValueError(name + " needs a value")
             try:
                 options[name[2:]] = int(value)
             except ValueError:
-                raise ValueError("%s needs an integer, got %r" % (name, value))
-        elif command is None:
-            if word not in OPERANDS:
-                raise ValueError("unknown command %r (choose from %s)"
-                                 % (word, ", ".join(OPERANDS)))
-            command = word
-            if command == "construct":
-                names = HELP + tuple("--" + name for name in OPTIONS)
-        elif operand is None:
-            what, choices = OPERANDS[command]
+                raise ValueError("%s needs an integer, not %r" % (name, value))
+        elif command is None or operand is None:
+            choices = OPERANDS[command] if command else OPERANDS
             if choices is not None and word not in choices:
-                raise ValueError("unknown %s %r (choose from %s)"
-                                 % (what, word, ", ".join(choices)))
-            operand = word
-            after_operand = True
+                raise ValueError("%r is not one of %s" % (word, ", ".join(choices)))
+            if command:
+                operand, last = word, True
+            else:
+                command, names = word, HELP + OPTIONS if word == "construct" else HELP
         else:
             extra.append(word)
-    if command is None:
-        raise ValueError("no command (choose from %s)" % ", ".join(OPERANDS))
     if operand is None:
-        raise ValueError("%s needs a %s" % (command, OPERANDS[command][0]))
+        raise ValueError(command + " needs an operand" if command else "no command")
     if extra:
-        raise ValueError("unrecognized arguments: %s" % " ".join(extra))
-    if command == "construct":
-        return command, dict(options, family=operand)
-    return command, operand
+        raise ValueError("unrecognized arguments: " + " ".join(extra))
+    return command, dict(options, family=operand) if command == "construct" else operand
 
 
 def main(argv=None):
     try:
         command, operand = parse_args(sys.argv[1:] if argv is None else argv)
         if command is None:
-            print(usage())
+            print(USAGE)
             return 0
-        if command == "construct":
-            return cmd_construct(operand)
-        if command == "demo":
-            return cmd_demo(operand)
-        return INSPECT[command](load_document(_read_input(operand)))
+        if command in INSPECT:
+            return INSPECT[command](load_document(_read_input(operand)))
+        return (cmd_construct if command == "construct" else cmd_demo)(operand)
     except nets.NetViolation as exc:
         _emit(_violation_report(exc))
         return 1

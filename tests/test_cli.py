@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dualnets.cli import load_document, main, net_document, to_jsonable, usage
+from dualnets.cli import USAGE, load_document, main, net_document, to_jsonable
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -135,12 +135,12 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
 def test_help_prints_usage_on_stdout(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and out.startswith("usage: dualnets") and err == "", argv
-    assert out == usage() + "\n"
+    assert out == USAGE + "\n"
 
 
 def test_readme_gives_the_help_text():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
-        assert "```\n%s\n```" % usage() in fh.read()
+        assert "```\n%s\n```" % USAGE in fh.read()
 
 
 def test_verify_failure_is_exit_one(capsys, tmp_path):

@@ -24,7 +24,7 @@ from dualnets.cli import DEMOS, FAMILIES, OPERANDS, OPTIONS, main, parse_args  #
 from util import build_parser  # noqa: E402
 
 COMMANDS = list(OPERANDS)
-FLAGS = ["--" + name for name in OPTIONS]
+FLAGS = list(OPTIONS)
 WORDS = COMMANDS + list(FAMILIES) + list(DEMOS) + FLAGS + ["-", "--", "x", "-h", "--help"]
 VALUE = st.one_of(st.integers(-20, 200).map(str), st.sampled_from(["x", "-", "--", ""]))
 WORD = st.one_of(st.sampled_from(WORDS), st.integers(-20, 200).map(str),
@@ -64,7 +64,7 @@ def argparse_reading(argv):
         except SystemExit as exc:
             return "help" if exc.code == 0 else "error"
     if args.command == "construct":
-        return "construct", {name: getattr(args, name) for name in ("family",) + OPTIONS}
+        return "construct", {name: getattr(args, name) for name in ("family", "n", "p", "c", "m")}
     return args.command, args.name if args.command == "demo" else args.netfile
 
 
