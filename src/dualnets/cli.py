@@ -230,8 +230,8 @@ def _is_option(word, names):
 def parse_args(argv):
     """(command, operand), or (None, None) for -h; construct's operand is a
     dict of its family and options.  Reads a line as the argparse parser in
-    tests/util.py did, but for abbreviations of --help, and raises
-    ValueError on a usage error."""
+    tests/util.py did, but for abbreviations of --help and "--n=--" (which
+    argparse read as n = []), and raises ValueError on a usage error."""
     command = operand = None
     options = {"n": None, "p": None, "c": 1, "m": None}
     names, extra, words = HELP, [], iter(argv)

@@ -7,9 +7,12 @@ and --m as "--n 7" and "--n=7", integers (negative ones too), "-", "--",
 does, with the same family, n, p, c (default 1), m, NETFILE and demo
 name, and a line argparse rejects must make parse_args raise ValueError.
 
-The one deliberate difference: argparse took an abbreviation of --help
-(--h, --he, --hel) for --help, and parse_args reads it as an unknown
-option, a usage error.
+Two deliberate differences, each with its own test: argparse took an
+abbreviation of --help (--h, --he, --hel) for --help, and parse_args
+reads it as an unknown option; and argparse read the value "--" given as
+"--n=--" as n = [], on which construct failed with a TypeError traceback,
+and parse_args raises ValueError.  So the generated "--n=..." words leave
+that value out.
 """
 
 import contextlib
@@ -24,14 +27,13 @@ from dualnets.cli import DEMOS, FAMILIES, OPERANDS, OPTIONS, main, parse_args  #
 from util import build_parser  # noqa: E402
 
 COMMANDS = list(OPERANDS)
-FLAGS = list(OPTIONS)
-WORDS = COMMANDS + list(FAMILIES) + list(DEMOS) + FLAGS + ["-", "--", "x", "-h", "--help"]
-VALUE = st.one_of(st.integers(-20, 200).map(str), st.sampled_from(["x", "-", "--", ""]))
+WORDS = COMMANDS + list(FAMILIES) + list(DEMOS) + list(OPTIONS) + ["-", "--", "x", "-h", "--help"]
+VALUE = st.one_of(st.integers(-20, 200).map(str), st.sampled_from(["x", "-", ""]))
 WORD = st.one_of(st.sampled_from(WORDS), st.integers(-20, 200).map(str),
-                 st.builds("{}={}".format, st.sampled_from(FLAGS), VALUE))
-OPTION = st.one_of(st.builds(lambda flag, value: [flag, str(value)], st.sampled_from(FLAGS),
+                 st.builds("{}={}".format, st.sampled_from(OPTIONS), VALUE))
+OPTION = st.one_of(st.builds(lambda flag, value: [flag, str(value)], st.sampled_from(OPTIONS),
                              st.integers(-20, 200)),
-                   st.builds(lambda flag, value: ["%s=%d" % (flag, value)], st.sampled_from(FLAGS),
+                   st.builds(lambda flag, value: ["%s=%d" % (flag, value)], st.sampled_from(OPTIONS),
                              st.integers(-20, 200)))
 
 
@@ -43,8 +45,7 @@ def lines(draw):
     if draw(st.booleans()):
         return draw(st.lists(WORD, max_size=8))
     command = draw(st.sampled_from(COMMANDS))
-    operands = {"construct": list(FAMILIES), "demo": list(DEMOS)}.get(command, ["-", "x", "--"])
-    chunks = [[draw(st.sampled_from(operands))]]
+    chunks = [[draw(st.sampled_from(list(OPERANDS[command] or ("-", "x", "--"))))]]
     if command == "construct":
         chunks += draw(st.lists(OPTION, max_size=4))
     if draw(st.integers(0, 2)) == 2:
@@ -128,3 +129,16 @@ def test_help_abbreviations_are_errors(capsys, flag):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["construct", "hesse4", "--p=--"], "p", []),
+    (["construct", "triangular", "--n=--", "--n", "3", "--p", "7"], "n", 3),
+])
+def test_explicit_dash_dash_value_is_an_error(capsys, argv, name, value):
+    assert getattr(PARSER.parse_args(argv), name) == value
+    assert new_reading(argv) == "error"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
