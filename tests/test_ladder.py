@@ -52,7 +52,7 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
         == ["curves", "nets", "nets", "nets", "nets", "latin", "latin", "cli"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
-    # every in-process rung records the reference loop's time
+    # every rung records the reference loop's time
     assert all(r["ref_s"] > 0 for r in first["rungs"])
     # the classify rung reads its cubics' points off lines, not a plane listing
     assert "plane.all_points" not in first["rungs"][1]["counts"]
