@@ -206,7 +206,8 @@ INSPECT = {"verify": cmd_verify, "classify": cmd_classify, "centers": cmd_center
            "crossratio": cmd_crossratio}
 # command -> the words its operand may be (None: any NETFILE)
 OPERANDS = {"construct": FAMILIES, **dict.fromkeys(INSPECT), "demo": DEMOS}
-OPTIONS = ("--n", "--p", "--c", "--m")  # construct's; c defaults to 1
+# construct's options: every name a family takes; c defaults to 1
+OPTIONS = tuple(dict.fromkeys("--" + name for _, params in FAMILIES.values() for name in params))
 HELP = ("-h", "--help")
 USAGE = """usage: dualnets construct FAMILY [--n N] [--p P] [--c C] [--m M]
        dualnets {%s} NETFILE
@@ -233,7 +234,7 @@ def parse_args(argv):
     tests/util.py did, but for abbreviations of --help and "--n=--" (which
     argparse read as n = []), and raises ValueError on a usage error."""
     command = operand = None
-    options = {"n": None, "p": None, "c": 1, "m": None}
+    options = dict(dict.fromkeys(name[2:] for name in OPTIONS), c=1)
     names, extra, words = HELP, [], iter(argv)
     dashed = last = False  # past "--"; the word before was the operand
     for word in words:
