@@ -18,11 +18,10 @@ A counter that stays 0 is left out: the center search on a triangular net
 finds no center, so its rungs carry no nets.find_centers.found.
 
 The cli layer times one dualnets command in a fresh interpreter, as the best
-of k wall times (min_s) and the best of their k CPU times, user plus system,
-from getrusage deltas of the waited-for children (min_cpu_s), with ref_s
-from a reference loop before each child.  The package
-is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1, so every
-process compiles the modules it imports, as in a fresh source checkout.
+of k wall times (min_s), with ref_s from a reference loop before each
+child.  The package is copied without bytecode and run with
+PYTHONDONTWRITEBYTECODE=1, so every process compiles the modules it
+imports, as in a fresh source checkout.
 One more run counts the dualnets modules it loaded (dualnets.modules),
 their bytes of source (dualnets.source_bytes), and the other modules that
 importing dualnets.cli and running main added to sys.modules
@@ -30,10 +29,11 @@ importing dualnets.cli and running main added to sys.modules
 not drift with the host; the times do.  Standard library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s, ref_s (and min_cpu_s on cli
-rungs) and counts.  BENCH_layers.json is a list of such entries, oldest
-first; a change that claims speed appends its parent's entry and its own,
-measured in one session.
+per rung, its layer, name, size, k, min_s, ref_s and counts; older entries
+also hold min_cpu_s, the children's CPU time, on cli rungs.
+BENCH_layers.json is a list of such entries, oldest first; a change that
+claims speed appends its parent's entry and its own, measured in one
+session.
 """
 
 import argparse
@@ -41,7 +41,6 @@ import datetime
 import json
 import os
 import platform
-import resource
 import shutil
 import subprocess
 import sys
@@ -163,15 +162,9 @@ def measure(run, k):
     return best, best_ref, {key: v for key, v in sorted(tracer.counts.items()) if v}
 
 
-def _children_cpu_s():
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def measure_cli(argv, stdin, env, k):
-    """(best wall seconds and best CPU seconds of k fresh `dualnets argv`
-    processes, best seconds of the k reference loops run one before each
-    child, their footprint)."""
+    """(best wall seconds of k fresh `dualnets argv` processes, best seconds
+    of the k reference loops run one before each child, their footprint)."""
     def child(code):
         done = subprocess.run([sys.executable, "-c", code] + argv, input=stdin,
                               capture_output=True, text=True, env=env, timeout=300)
@@ -179,15 +172,13 @@ def measure_cli(argv, stdin, env, k):
             raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
         return done.stdout
 
-    best = best_cpu = best_ref = float("inf")
+    best = best_ref = float("inf")
     for _ in range(k):
         best_ref = min(best_ref, reference_loop())
-        cpu = _children_cpu_s()
         start = time.perf_counter()
         child(ENTRY)
         best = min(best, time.perf_counter() - start)
-        best_cpu = min(best_cpu, _children_cpu_s() - cpu)
-    return best, best_cpu, best_ref, json.loads(child(FOOTPRINT))
+    return best, best_ref, json.loads(child(FOOTPRINT))
 
 
 def cli_rungs(quick):
@@ -203,13 +194,12 @@ def cli_rungs(quick):
                 stdin = subprocess.run([sys.executable, "-c", ENTRY] + document.split(),
                                        capture_output=True, text=True, env=env,
                                        timeout=300, check=True).stdout
-            min_s, min_cpu_s, ref_s, counts = measure_cli(command.split(), stdin, env, K)
+            min_s, ref_s, counts = measure_cli(command.split(), stdin, env, K)
             size = {"argv": command} if document is None else {"argv": command,
                                                               "stdin": document}
             rungs.append({"layer": "cli", "name": "dualnets CLI in a fresh interpreter",
                           "size": size, "k": K, "min_s": round(min_s, 6),
-                          "min_cpu_s": round(min_cpu_s, 6), "ref_s": round(ref_s, 6),
-                          "counts": counts})
+                          "ref_s": round(ref_s, 6), "counts": counts})
     return rungs
 
 

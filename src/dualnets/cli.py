@@ -10,6 +10,8 @@ errors.  parse_args and the commands raise instead of printing errors, and
 main alone turns an exception into an exit code: NetViolation exits 1 with
 the violation report on stdout, ValueError and OSError exit 2 with one
 "error: ..." line on stderr.  A demo that prints a FAIL line also exits 1.
+A command whose stdout the reader closed exits 141, as a shell reports a
+process that SIGPIPE ended, and prints nothing more.
 
 A process runs one command, and it imports and compiles only the layers
 that command runs beyond nets, gf and plane, and no argparse: construct
@@ -19,6 +21,7 @@ net's points lie on a cubic; only demo loads the demos module.
 """
 
 import json
+import os
 import re
 import sys
 
@@ -27,23 +30,12 @@ from .gf import is_prime
 from .plane import PValue
 
 
-def to_jsonable(obj):
-    if isinstance(obj, PValue):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
-    return obj
-
-
 def net_document(net):
     doc = {
         "p": net.p,
         "components": [[list(P) for P in comp] for comp in net.components],
     }
-    meta = to_jsonable(net.meta)
+    meta = dict(net.meta)
     if net.char_exception:
         meta["char_exception"] = True
     if meta:
@@ -95,8 +87,15 @@ def _read_input(path):
         return fh.read()
 
 
+def _pvalue_repr(obj):
+    # json writes tuples as lists; a PValue is written as its repr
+    if isinstance(obj, PValue):
+        return repr(obj)
+    raise TypeError("%r is not JSON serializable" % (obj,))
+
+
 def _emit(obj):
-    print(json.dumps(to_jsonable(obj), sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, default=_pvalue_repr))
 
 
 def _violation_report(exc):
@@ -289,6 +288,13 @@ def main(argv=None):
     except nets.NetViolation as exc:
         _emit(_violation_report(exc))
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull so the final flush
+        # stays quiet, and exit as a shell reports a process SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2

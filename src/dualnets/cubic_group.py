@@ -35,7 +35,8 @@ class CurveGroup:
         self.epsilon = min(r, r * r % p)
 
     def third_intersection(self, P, Q):
-        """Third point of the curve on the line PQ (tangent line when P = Q).
+        """Third point of the curve on the line PQ (tangent line when P = Q),
+        for points P, Q of the curve; that is not checked.
 
         Restricting the cubic to the line gives a binary cubic whose known
         roots are split off exactly, so tangencies and inflections need no
@@ -48,7 +49,6 @@ class CurveGroup:
             g = restrict(self.curve, P, Q2)
             return normalize(tuple((g[3] * P[i] - g[2] * Q2[i]) % p for i in range(3)), p)
         g = restrict(self.curve, P, Q)
-        assert g[0] == 0 and g[3] == 0, "both points must lie on the curve"
         return normalize(tuple((g[2] * P[i] - g[1] * Q[i]) % p for i in range(3)), p)
 
     def add(self, P, Q):

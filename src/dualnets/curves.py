@@ -289,24 +289,29 @@ def singular_points(F):
     return {P for P in curve_points(F) if F.gradient(P) == (0, 0, 0)}
 
 
-def singular_type(F, P):
-    """"node" or "cusp" for an isolated double point of a cubic.
-
-    The tangent cone at P is a binary quadratic; a repeated root (zero
-    discriminant) is a cusp, distinct roots (over the closure) a node.  Its
-    values at U, V, U + V, for U, V spanning X_i = 0 with P[i] != 0, are
-    the t^2 coefficients of F(sP + tW); any such frame scales the
-    discriminant by a nonzero square.
-    """
+def _polar_frame(F, P):
+    """U, V spanning a coordinate line X_i = 0 with P[i] != 0, and the
+    (q0, q1, q2) of grad F(U + xV) . P = q0 + q1 x + q2 x^2, the t^2
+    coefficient of F(sP + tW) for a cubic F, from W = U, U + V and V."""
     p = F.p
     i = next(i for i in range(3) if P[i] % p)
     U, V = _base_points(tuple(int(k == i) for k in range(3)), p)
-    A, S, C = (restrict(F, P, W)[2] for W in (U, V, tuple(map(sum, zip(U, V)))))
-    B = (S - A - C) % p
+    q0, q01, q2 = (dot(F.gradient(W), P, p) for W in (U, tuple(map(sum, zip(U, V))), V))
+    return U, V, (q0, (q01 - q0 - q2) % p, q2)
+
+
+def singular_type(F, P):
+    """"node" or "cusp" for an isolated double point of a cubic.
+
+    The tangent cone at P is a binary quadratic, the polar form of
+    _polar_frame in W; a repeated root (zero discriminant) is a cusp,
+    distinct roots (over the closure) a node.  Any frame scales the
+    discriminant by a nonzero square.
+    """
+    A, B, C = _polar_frame(F, P)[2]
     if (A, B, C) == (0, 0, 0):
         raise ValueError("point has multiplicity > 2")
-    disc = (B * B - 4 * A * C) % p
-    return "cusp" if disc == 0 else "node"
+    return "cusp" if (B * B - 4 * A * C) % F.p == 0 else "node"
 
 
 def j_invariant(c, p):
@@ -346,14 +351,11 @@ def j_of_cubic(F):
     O = next(inflection_points(F), None)
     if O is None:
         return None
-    i = next(i for i in range(3) if O[i])
-    U, V = _base_points(tuple(int(k == i) for k in range(3)), p)
     # W = U + xV: a = a0 + a1 x, b = b0 + b1 x + b2 x^2, c = sum c[k] x^k,
     # where a = grad F(O) . W, b = grad F(W) . O and c = F(W) as in restrict
+    U, V, (b0, b1, b2) = _polar_frame(F, O)
     gO = F.gradient(O)
     a0, a1 = dot(gO, U, p), dot(gO, V, p)
-    b0, bUV, b2 = (dot(F.gradient(W), O, p) for W in (U, tuple(map(sum, zip(U, V))), V))
-    b1 = bUV - b0 - b2
     c = restrict(F, U, V)
     # the flex tangent is O(a1 U - a0 V), where b vanishes too, so it lies
     # on F exactly when c does

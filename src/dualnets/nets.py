@@ -7,9 +7,9 @@ component in exactly one point.  The verifier groups the other net points
 by their join with each point of component 0 and checks only the lines
 from component 0 to component 1; a counting argument (in verify) covers
 every other line.  The same pass yields the net-line table, each of the
-n^2 net lines with its k points, which net_lines, crossratio_4net,
-classify's tetrahedral step and latin.from_net read instead of joining
-again.
+n^2 net lines with its k points, which lines_through_center,
+crossratio_4net, classify's tetrahedral step and latin.from_net read
+instead of joining again.
 
 A perspective center T is a point whose lines split the kn net points into
 n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
@@ -144,14 +144,10 @@ def verify(components, p, allow_char_exception=False, meta=None):
     return DualNet(p, tuple(comps), lines, allow_char_exception and p <= n, meta)
 
 
-def net_lines(net):
-    """The n^2 lines of the net, each meeting every component once."""
-    return sorted(net.lines)
-
-
 def lines_through_center(net, T):
     """The n net lines through a perspective center T, each mapped to its
-    points {component index: point}; None when T is not a center.
+    points in component order, as in the line table; None when T is not a
+    center.
 
     T is a center exactly when, for each point P of component 0, the join
     TP is a net line that does not hold T.  These n lines are distinct,
@@ -166,7 +162,7 @@ def lines_through_center(net, T):
         pts = net.lines.get(line)
         if pts is None or T in pts:
             return None
-        classes[line] = dict(enumerate(pts))
+        classes[line] = pts
     return classes
 
 
@@ -258,17 +254,6 @@ def _nullspace(rows, ncols, p):
             v[pc] = (-mat[ri][fc]) % p
         basis.append(tuple(v))
     return basis
-
-
-def _proj_combinations(basis, p):
-    """All projective combinations of a nullspace basis of dimension <= 2."""
-    if len(basis) == 1:
-        return [basis[0]]
-    if len(basis) == 2:
-        out = [tuple((x + t * y) % p for x, y in zip(basis[0], basis[1])) for t in range(p)]
-        out.append(basis[1])
-        return out
-    return []
 
 
 _CONIC_MONOMIALS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
@@ -367,11 +352,14 @@ def classify(net):
     1. all components linear: triangular (carrier triangle) or pencil
        (concurrent carriers);
     2. one component linear, the other 2n points on a common nonsingular
-       conic: conic-line; the conic fit has dimension at most 2, since a
-       2-point component is linear, so n >= 3, and three non-collinear
-       points of the other 2n with a fourth impose 4 independent
-       conditions (for each of the four, a line pair through the other
-       three misses it);
+       conic: conic-line.  Here n >= 3 (for n = 2 every component is
+       linear, for n = 1 none is), so the conic fit passes through
+       2n >= 6 points.  Were its dimension 2, two independent conics of
+       it would share these 2n > 4 points, hence a component, a line L;
+       the fit would be L times a pencil of lines through one point Q, so
+       all the 2n points but Q would lie on L, and with them a whole
+       component that is not linear.  So the fit has dimension 0 or 1,
+       and its one basis conic is the only candidate;
     3. all kn points on a common irreducible cubic: proper-algebraic,
        annotated with the singular points and j-invariant data;
     4. every component a union of two collinear halves whose four faces
@@ -397,14 +385,14 @@ def classify(net):
     if len(linear_idx) == 1:
         li = linear_idx[0]
         others = [P for i, c in enumerate(net.components) if i != li for P in c]
-        for v in _proj_combinations(_fit_forms(others, _CONIC_MONOMIALS, p), p):
-            if _conic_is_nonsingular(v, p):
-                return {
-                    "tag": "conic-line",
-                    "line": comp_lines[li],
-                    "line_component": li,
-                    "conic": v,
-                }
+        conics = _fit_forms(others, _CONIC_MONOMIALS, p)
+        if conics and _conic_is_nonsingular(conics[0], p):
+            return {
+                "tag": "conic-line",
+                "line": comp_lines[li],
+                "line_component": li,
+                "conic": conics[0],
+            }
 
     basis = _fit_forms(net.all_net_points(), _CUBIC_MONOMIALS, p)
     if len(basis) > 2:
@@ -412,8 +400,10 @@ def classify(net):
     if basis:
         from . import curves  # only a fitted cubic needs the curve layer
 
-        forms = (curves.HomPoly(3, dict(zip(_CUBIC_MONOMIALS, v)), p)
-                 for v in _proj_combinations(basis, p))
+        # the pencil members F0 + t F1 for t in GF(p), then F1
+        members = basis if len(basis) == 1 else [
+            tuple((x + t * y) % p for x, y in zip(*basis)) for t in range(p)] + [basis[1]]
+        forms = (curves.HomPoly(3, dict(zip(_CUBIC_MONOMIALS, v)), p) for v in members)
         irreducible = [F for F in forms if not curves.rational_lines(F)]
         if irreducible:
             F = irreducible[0]
@@ -467,4 +457,4 @@ def crossratio_4net(net):
     if net.k != 4:
         raise ValueError("needs a verified 4-net")
     return _constant_value(((line, cross_ratio(*net.lines[line], net.p))
-                            for line in net_lines(net)), "4-net cross-ratio")
+                            for line in sorted(net.lines)), "4-net cross-ratio")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dualnets.cli import USAGE, load_document, main, net_document, to_jsonable
+from dualnets.cli import USAGE, load_document, main, net_document
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -269,7 +269,7 @@ def test_document_roundtrip_is_stable(capsys, tmp_path):
         assert rc == 0, err
         doc = json.loads(out)
         net = load_document(json.dumps(doc))
-        assert to_jsonable(net_document(net)) == doc
+        assert net_document(net) == doc
 
 
 def test_demos_pass(capsys):
@@ -314,17 +314,19 @@ def test_huge_primes(capsys, tmp_path):
     assert rc == 2 and out == "" and "2^64" in err
 
 
+def _module_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_module(*argv, stdin=None, timeout=10, max_bytes=None):
     """Run `python -m dualnets.cli argv`; max_bytes caps the child's
     address space, so a runaway allocation fails in the child alone."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
 
     return subprocess.run([sys.executable, "-m", "dualnets.cli", *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=timeout,
+                          capture_output=True, text=True, env=_module_env(), timeout=timeout,
                           preexec_fn=cap if max_bytes is not None else None)
 
 
@@ -352,6 +354,22 @@ def test_centers_of_an_order_1_net_over_a_large_field():
     assert report["count"] == 100001
     assert report["centers"][:2] == [[1, 2, 0], [1, 3, 0]]
     assert report["centers"][-1] == [1, 100002, 0]
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the reader takes one byte of the 1.6 MB of centers and closes the
+    # pipe: the command ends with the status of a process SIGPIPE ended and
+    # prints nothing on stderr, where it used to report a usage error
+    doc = tmp_path / "order1.json"
+    doc.write_text(json.dumps({"p": 100003,
+                               "components": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]]]}))
+    with subprocess.Popen([sys.executable, "-m", "dualnets.cli", "centers", str(doc)],
+                          bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_module_env()) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 141 and err == b""
 
 
 def test_centers_of_an_order_1_net_past_the_limit():

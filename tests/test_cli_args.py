@@ -115,6 +115,9 @@ def construct(family, n=None, p=None, c=1, m=None):
     (["construct", "moebius", "-h"], "error"),
     (["construct", "hesse4", "--p", "x", "-h"], "error"),
     (["demo", "nope", "--help"], "error"),
+    # help takes no value
+    (["--help=x"], "error"),
+    (["construct", "--help=1"], "error"),
 ])
 def test_named_lines(argv, want):
     assert argparse_reading(argv) == new_reading(argv) == want

@@ -127,6 +127,15 @@ def test_algebraic_fermat_impossible_at_13():
         assert not any(is_center_brute(comps, (0, 0, 1), p) for comps in found)
 
 
+def test_algebraic_fermat_without_an_invariant_subgroup():
+    # the Fermat cubic over GF(7) has 9 points, and 5 does not divide 9
+    try:
+        algebraic_fermat(5, 7)
+        assert False
+    except ValueError as exc:
+        assert "no subgroup/base point found: no u-invariant subgroup" in str(exc)
+
+
 def test_algebraic_fermat_parameter_errors():
     try:
         algebraic_fermat(3, 11)  # 11 = 2 mod 3

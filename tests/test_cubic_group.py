@@ -1,7 +1,7 @@
 import random
 from itertools import combinations, product
 
-from dualnets.cubic_group import CurveGroup, find_fermat_prime_for_order
+from dualnets.cubic_group import CURVE_GROUP_MAX_P, CurveGroup, find_fermat_prime_for_order
 from dualnets.gf import is_prime
 from dualnets.plane import normalize
 from dualnets import nets
@@ -154,6 +154,17 @@ def test_coset_net_preserves_u_action():
 def test_find_fermat_prime_for_order():
     assert find_fermat_prime_for_order(3) == 19
     assert find_fermat_prime_for_order(7) == 61
+    # the scan starts above n and stops at FERMAT_PRIME_SCAN_CAP = 500
+    assert find_fermat_prime_for_order(499) is None
+
+
+def test_curve_group_refuses_past_its_limit():
+    # 1009 = 1 (mod 3) is a prime past CURVE_GROUP_MAX_P
+    try:
+        CurveGroup(1009)
+        assert False
+    except ValueError as exc:
+        assert "CURVE_GROUP_MAX_P = %d" % CURVE_GROUP_MAX_P in str(exc)
 
 
 def test_third_intersection_stays_on_curve():

@@ -122,3 +122,20 @@ def test_exit_code_sites_finds_a_catch_outside_main():
               "def main():\n    try:\n        return cmd(1)\n    except ValueError:\n"
               "        print('error', file=sys.stderr)\n        return 2\n")
     assert exit_code_sites(source) == [("cmd", 12), ("warn", 16)]
+
+
+def assert_statements(source):
+    """The lines of the assert statements in a source; python -O drops them."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    # a check that must hold raises; a self-check belongs in the tests
+    with open(os.path.join(SRC, module)) as fh:
+        assert assert_statements(fh.read()) == []
+
+
+def test_assert_statements_finds_one():
+    source = "def f(x):\n    assert x, 'x'\n    return x\n"
+    assert assert_statements(source) == [2]

@@ -7,7 +7,7 @@ from dualnets import constructors, curves, latin, nets
 from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
-                           lines_through_center, net_lines, verify)
+                           lines_through_center, verify)
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
                             line_points, meet)
 from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute, legendre_cubic,
@@ -84,12 +84,10 @@ def test_verify_line_axiom_violation_reports_line():
 
 def test_net_lines_count_and_coverage():
     for net in (constructors.conic_line(5, 11), constructors.hesse_4net(7)):
-        lines = net_lines(net)
-        assert len(lines) == net.n ** 2
-        assert lines == sorted(net.lines)
+        assert len(net.lines) == net.n ** 2
         # the table holds, for each component, the one point the line meets
-        for line in lines:
-            for comp, P in zip(net.components, net.lines[line]):
+        for line, pts in net.lines.items():
+            for comp, P in zip(net.components, pts):
                 assert [Q for Q in comp if incident(Q, line, net.p)] == [P]
 
 
@@ -101,7 +99,7 @@ def test_perspective_center_conic_line():
     classes = lines_through_center(net, T)
     assert len(classes) == 5
     for line, pts in classes.items():
-        assert set(pts) == {0, 1, 2}
+        assert pts == net.lines[line]
         assert incident(T, line, 11)
     # net points are never centers
     assert not is_perspective_center(net, net.components[0][0])
@@ -529,8 +527,8 @@ def test_verify_matches_pair_scan_on_mutants():
 
 def test_verify_work_bound(monkeypatch):
     # verify joins each point of component 0 with the other kn - 1 points
-    # once and tests no incidence; from_net, net_lines and crossratio_4net
-    # only read the line table (cross_ratio itself may check collinearity)
+    # once and tests no incidence; from_net and crossratio_4net only read
+    # the line table (cross_ratio itself may check collinearity)
     nets_in = [constructors.pencil_char_p(19), constructors.triangular_cyclic(15, 181)]
     h4 = constructors.hesse_4net(13)
     calls = {"join": 0, "incident": 0}
@@ -551,7 +549,6 @@ def test_verify_work_bound(monkeypatch):
     calls.update(join=0, incident=0)
     for net in nets_in:
         latin.from_net(net)
-        net_lines(net)
     crossratio_4net(h4)
     assert calls == {"join": 0, "incident": 0}
 
@@ -617,7 +614,7 @@ def test_lines_through_center_joins_once_per_point_of_component_0(monkeypatch):
             if classes is not None:
                 centers += 1
                 assert len(classes) == net.n
-                assert sorted(P for pts in classes.values() for P in pts.values()) == \
+                assert sorted(P for pts in classes.values() for P in pts) == \
                     sorted(net.all_net_points())
     assert centers >= 3
 
