@@ -29,6 +29,10 @@ from . import nets
 from .gf import is_prime
 from .plane import PValue
 
+# the longest net document read; the largest net verify admits, an order-1
+# net of 750000 collinear points with 64-bit coordinates, is about 39 million
+MAX_DOCUMENT_CHARS = 2 ** 26
+
 
 def net_document(net):
     doc = {
@@ -82,9 +86,14 @@ def load_document(text):
 
 def _read_input(path):
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
+    else:
+        with open(path) as fh:
+            text = fh.read(MAX_DOCUMENT_CHARS + 1)
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise ValueError("the document is longer than MAX_DOCUMENT_CHARS = %d characters"
+                         % MAX_DOCUMENT_CHARS)
+    return text
 
 
 def _pvalue_repr(obj):
@@ -101,7 +110,7 @@ def _emit(obj):
 def _violation_report(exc):
     report = {"verified": False, "error": str(exc)}
     if exc.line is not None:
-        report["line"] = list(exc.line)
+        report["line"] = exc.line
     if exc.component is not None:
         report["component"] = exc.component
     if exc.count is not None:
@@ -156,7 +165,7 @@ def cmd_classify(net):
 
 def cmd_centers(net):
     centers = sorted(nets.find_centers(net))
-    _emit({"centers": [list(T) for T in centers], "count": len(centers)})
+    _emit({"centers": centers, "count": len(centers)})
     return 0
 
 
@@ -171,16 +180,10 @@ def cmd_crossratio(net):
     if net.k > 4:
         raise ValueError("crossratio needs a 3-net or a 4-net, got k = %d" % net.k)
     if net.k == 3:
-        centers = sorted(nets.find_centers(net))
-        rows = []
-        for T in centers:
-            entry = _kappa_entry(nets.constant_cross_ratio(net, T), net.p)
-            entry["center"] = list(T)
-            rows.append(entry)
-        _emit({"centers": rows})
+        _emit({"centers": [dict(_kappa_entry(nets.constant_cross_ratio(net, T), net.p), center=T)
+                           for T in sorted(nets.find_centers(net))]})
     else:
-        entry = _kappa_entry(nets.crossratio_4net(net), net.p)
-        _emit(entry)
+        _emit(_kappa_entry(nets.crossratio_4net(net), net.p))
     return 0
 
 

@@ -87,20 +87,6 @@ class HomPoly:
     def __sub__(self, other):
         return self + (other * (self.p - 1))
 
-    def __repr__(self):
-        if self.is_zero:
-            return "HomPoly(0)"
-        names = ("X", "Y", "Z")
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mono = "".join(
-                "%s%s" % (names[v], "^%d" % e[v] if e[v] > 1 else "")
-                for v in range(3) if e[v]
-            )
-            terms.append(("%d" % c if c != 1 or not mono else "") + mono)
-        return " + ".join(terms)
-
 
 def proportional(F, G):
     """True when F = s*G for a nonzero scalar s."""

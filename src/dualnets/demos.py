@@ -6,7 +6,7 @@ cli.DEMOS lists the names; only the demo command imports this module.
 """
 
 from . import nets
-from .plane import PValue, apply_point, normalize, perspectivity
+from .plane import PValue, apply_point, perspectivity
 
 
 def run(name):
@@ -49,7 +49,7 @@ def _conic_line():
     kappa = nets.constant_cross_ratio(net, T)
     checks.append(("kappa = -1", kappa == PValue.of(p - 1, p)))
     M = perspectivity(T, (0, 0, 1), p - 1, p)
-    image = {normalize(apply_point(M, P, p), p) for P in net.components[1]}
+    image = {apply_point(M, P, p) for P in net.components[1]}
     checks.append(("the ratio -1 homology carries the second component onto "
                    "the third", image == set(net.components[2])))
     square = latin.from_net(net)

@@ -26,6 +26,8 @@ own principal isotope, so complete_mapping_exists searches the table
 directly, with no isotope to build and no Light's test.
 """
 
+import math
+
 
 def from_net(net):
     """Coordinatize a verified 3-net as a latin square.
@@ -413,29 +415,13 @@ def group_catalog(max_order=16):
         cat["Z%d" % n] = cyclic_group(n)
     for m in range(2, max_order // 2 + 1):
         cat["D%d" % m] = dihedral_group(m)
-    specs = {
-        "Z2xZ2": (2, 2),
-        "Z2xZ4": (2, 4),
-        "Z2xZ6": (2, 6),
-        "Z2xZ8": (2, 8),
-        "Z3xZ3": (3, 3),
-        "Z3xZ4": (3, 4),
-        "Z4xZ4": (4, 4),
-        "Z2xZ2xZ2": (2, 2, 2),
-        "Z2xZ2xZ3": (2, 2, 3),
-        "Z2xZ2xZ4": (2, 2, 4),
-        "Z2xZ2xZ2xZ2": (2, 2, 2, 2),
-    }
-    for name, factors in specs.items():
-        order = 1
-        for f in factors:
-            order *= f
-        if order > max_order:
-            continue
-        table = cyclic_group(factors[0])
-        for f in factors[1:]:
-            table = direct_product(table, cyclic_group(f))
-        cat[name] = table
+    for factors in ((2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (3, 4), (4, 4), (2, 2, 2),
+                    (2, 2, 3), (2, 2, 4), (2, 2, 2, 2)):
+        if math.prod(factors) <= max_order:
+            table = cyclic_group(factors[0])
+            for f in factors[1:]:
+                table = direct_product(table, cyclic_group(f))
+            cat["x".join("Z%d" % f for f in factors)] = table
     return cat
 
 

@@ -47,16 +47,20 @@ class DualNet:
     component in component order.
     """
 
-    __slots__ = ("p", "components", "k", "n", "lines", "char_exception", "meta")
+    __slots__ = ("p", "components", "k", "n", "lines", "meta")
 
-    def __init__(self, p, components, lines, char_exception, meta=None):
+    def __init__(self, p, components, lines, meta=None):
         self.p = p
         self.components = components
         self.k = len(components)
         self.n = len(components[0])
         self.lines = lines
-        self.char_exception = char_exception
         self.meta = dict(meta or {})
+
+    @property
+    def char_exception(self):
+        """The deliberate n = p construction: verify admits p <= n only when allowed."""
+        return self.p <= self.n
 
     def all_net_points(self):
         return [P for comp in self.components for P in comp]
@@ -141,7 +145,7 @@ def verify(components, p, allow_char_exception=False, meta=None):
                         "line %r through components 0,1 meets component %d in %d points"
                         % (line, m, len(pts)), line=line, component=m, count=len(pts))
             lines[line] = tuple(pts[0] for pts in held)
-    return DualNet(p, tuple(comps), lines, allow_char_exception and p <= n, meta)
+    return DualNet(p, tuple(comps), lines, meta)
 
 
 def lines_through_center(net, T):
@@ -435,7 +439,7 @@ def extend_to_4net(net):
     centers = find_centers(net)
     if len(centers) != net.n:
         return None
-    comps = list(net.components) + [tuple(sorted(centers))]
+    comps = [*net.components, centers]
     try:
         return verify(comps, net.p, allow_char_exception=net.char_exception)
     except NetViolation:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from dualnets.cli import USAGE, load_document, main, net_document
+from dualnets import cli
+from dualnets.cli import MAX_DOCUMENT_CHARS, USAGE, load_document, main, net_document
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -215,11 +216,23 @@ def test_document_loading_errors(capsys, tmp_path):
     bad_docs += [(with_first_point(P), "integer triples") for P in (
         [x + 0.9 for x in first], [str(x) for x in first], [bool(x) for x in first], 5)]
     bad_docs.append((dict(doc, components=5), "integer triples"))
+    # json writes inf and nan as Infinity and NaN, which json.loads reads
+    bad_docs += [(with_first_point([x, 0, 1]), "integer triples")
+                 for x in (float("inf"), float("nan"))]
+    bad_docs.append((with_first_point([0, 0, 0]), "zero triple is not projective"))
     for bad_doc, wanted in bad_docs:
         bad = tmp_path / "bad_doc.json"
         bad.write_text(json.dumps(bad_doc))
         rc, out, err = run(capsys, "verify", str(bad))
         assert rc == 2 and wanted in err and "Traceback" not in err and out == ""
+    # well-formed documents of the wrong shape are no net: exit 1 with the
+    # violation report on stdout
+    for comps, wanted in ((doc["components"][:2], "at least 3 components"),
+                          ([[], [], []], "empty component")):
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps(dict(doc, components=comps)))
+        rc, out, err = run(capsys, "verify", str(shape))
+        assert rc == 1 and wanted in json.loads(out)["error"] and err == ""
     for meta, code in ((None, 1), ({"char_exception": False}, 1),
                        ({"char_exception": True}, 0)):
         path = tmp_path / "meta.json"
@@ -251,6 +264,24 @@ def test_stdin_input(capsys, monkeypatch, tmp_path):
     rc, out, _ = run(capsys, "verify", "-")
     assert rc == 0
     assert json.loads(out)["verified"] is True
+
+
+def test_document_read_is_bounded(capsys, monkeypatch, tmp_path):
+    # a document of MAX_DOCUMENT_CHARS characters loads; one character more
+    # exits 2 naming the limit, from a file or from stdin
+    path, _ = construct(capsys, tmp_path, "tr", "triangular", "--n", "5", "--p", "11")
+    text = open(path).read()
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(text))
+    message = ("error: the document is longer than MAX_DOCUMENT_CHARS = %d characters\n"
+               % len(text))
+    over = tmp_path / "over.json"
+    over.write_text(text + " ")
+    assert run(capsys, "verify", path)[0] == 0
+    assert run(capsys, "verify", str(over)) == (2, "", message)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "verify", "-")[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + " "))
+    assert run(capsys, "verify", "-") == (2, "", message)
 
 
 def test_output_is_deterministic(capsys, tmp_path):
@@ -354,6 +385,14 @@ def test_centers_of_an_order_1_net_over_a_large_field():
     assert report["count"] == 100001
     assert report["centers"][:2] == [[1, 2, 0], [1, 3, 0]]
     assert report["centers"][-1] == [1, 100002, 0]
+
+
+def test_endless_input_exits_2():
+    # /dev/zero never ends; the read stops one character past the limit
+    done = _run_module("verify", "/dev/zero", timeout=60, max_bytes=1 << 30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: the document is longer than MAX_DOCUMENT_CHARS = %d "
+                           "characters\n" % MAX_DOCUMENT_CHARS)
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

@@ -118,6 +118,25 @@ def test_curve_points_refuses_quartics():
             curve_points(HomPoly(4, quartic, 5))
 
 
+def test_degenerate_forms_raise():
+    p = 13
+    F = fermat_cubic(p)
+    linear = HomPoly(1, {(1, 0, 0): 1}, p)
+    with pytest.raises(ValueError, match="^hessian needs degree >= 2$"):
+        hessian(linear)
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        F + linear
+    # the node of Y^2 Z = X^3 + X^2 Z is a point of the curve with no tangent
+    nodal = HomPoly(3, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}, p)
+    with pytest.raises(ValueError, match="^singular point$"):
+        tangent_line(nodal, (0, 0, 1))
+    with pytest.raises(ValueError, match="^rational_lines needs a nonzero form of degree at most 3$"):
+        rational_lines(HomPoly(3, {}, p))
+    conic = HomPoly(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1}, p)
+    with pytest.raises(ValueError, match="^degree mismatch in pencil$"):
+        pencil_crossratio_check(F, conic, 1, 1, 1, 2)
+
+
 def test_tangent_line_and_multiplicity():
     p = 13
     F = fermat_cubic(p)

@@ -1,3 +1,5 @@
+import pytest
+
 from dualnets.gf import PRIME_LIMIT, factorize, find_prime, is_prime, nth_root_of_unity
 from util import is_prime_brute, legendre, sqrt_mod
 
@@ -110,6 +112,8 @@ def test_nth_root_of_unity_rejects_bad_order():
 def test_find_prime():
     assert find_prime(5) == 11
     assert find_prime(9) == 19
+    with pytest.raises(ValueError, match="^n must be >= 3$"):
+        find_prime(2)
 
 
 def test_find_prime_congruences_hold_generally():

@@ -139,3 +139,10 @@ def test_no_assert_statements(module):
 def test_assert_statements_finds_one():
     source = "def f(x):\n    assert x, 'x'\n    return x\n"
     assert assert_statements(source) == [2]
+
+
+def test_package_refuses_an_unknown_attribute():
+    import dualnets
+
+    with pytest.raises(AttributeError, match="^module 'dualnets' has no attribute 'nope'$"):
+        dualnets.nope

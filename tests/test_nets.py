@@ -110,7 +110,7 @@ def test_perspective_center_conic_line():
     # n lines through T that cover every point but repeat a component are
     # no center (the lines Y = 0 and Y = X through (0,0,1), over GF(7))
     fake = DualNet(7, (((1, 0, 1), (1, 0, 2)), ((1, 0, 3), (1, 1, 1)),
-                       ((1, 1, 2), (1, 1, 3))), {}, False)
+                       ((1, 1, 2), (1, 1, 3))), {})
     assert lines_through_center(fake, (0, 0, 1)) is None
 
 
@@ -372,6 +372,8 @@ def test_derived_net_errors():
         assert False
     except ValueError:
         pass
+    with pytest.raises(ValueError, match="^extension starts from a 3-net$"):
+        extend_to_4net(h4)
 
 
 def test_crossratio_4net_constant_and_reorder():

@@ -364,3 +364,18 @@ def test_perspectivity_composition():
     M12 = perspectivity(T, axis, 12, p)
     from dualnets.plane import normalize_matrix
     assert normalize_matrix(mat_mul(M2, M6, p), p) == M12
+
+
+def test_degenerate_inputs_raise():
+    from dualnets.plane import normalize_matrix
+    p = 13
+    with pytest.raises(ValueError, match=r"^join of equal points \(1, 2, 3\)$"):
+        join((1, 2, 3), (1, 2, 3), p)
+    with pytest.raises(ValueError, match=r"^meet of equal lines \(0, 0, 1\)$"):
+        meet((0, 0, 1), (0, 0, 1), p)
+    with pytest.raises(ValueError, match="^0/0 is not a projective value$"):
+        PValue(0, 0, p)
+    with pytest.raises(ValueError, match="^infinite PValue has no scalar value$"):
+        PValue.infinity(p).value
+    with pytest.raises(ValueError, match="^zero matrix$"):
+        normalize_matrix(((0, 0, 0), (0, 0, p), (0, 0, 0)), p)
