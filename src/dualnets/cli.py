@@ -74,6 +74,8 @@ def load_document(text):
         raise ValueError('"char_exception" must be true or false')
     # exact ints only: int() would truncate 1.9 and accept "1" and true
     try:
+        # the verifier's limit, from the shape alone: no point is built past it
+        nets._check_joins(len(comps), max(map(len, comps), default=0))
         comps = [[tuple(P) for P in comp] for comp in comps]
     except TypeError:
         raise ValueError("components must be lists of integer triples")

@@ -6,7 +6,7 @@ cli.DEMOS lists the names; only the demo command imports this module.
 """
 
 from . import nets
-from .plane import PValue, apply_point, perspectivity
+from .plane import PValue, apply_point, cross_ratio, perspectivity
 
 
 def run(name):
@@ -25,13 +25,11 @@ def _pencil():
     checks.append(("classifies as pencil", nets.classify(net)["tag"] == "pencil"))
     centers = nets.find_centers(net)
     checks.append(("a perspective center exists", len(centers) >= 1))
-    constant = bool(centers)
-    for T in sorted(centers):
-        try:
-            nets.constant_cross_ratio(net, T)
-        except (ValueError, AssertionError):
-            constant = False
-    checks.append(("cross-ratio is constant at every center", constant))
+    # the values of (T, P1, P2, P3) over the net lines through each center
+    kappas = [{cross_ratio(T, *pts, net.p) for pts in nets.lines_through_center(net, T).values()}
+              for T in centers]
+    checks.append(("cross-ratio is constant at every center",
+                   bool(kappas) and all(len(values) == 1 for values in kappas)))
     return checks
 
 

@@ -492,6 +492,27 @@ def test_verifier_join_limit():
     assert 3 * 499 ** 2 <= VERIFY_MAX_JOINS < 3 * 503 ** 2
 
 
+def test_oversized_shape_is_refused_before_any_point(tmp_path):
+    # three components of 280000 copies of [1, 0, 0], 9.2 MB: the limit is
+    # checked on the lengths of the component lists, so the document exits
+    # 2 before a point tuple is built, where it used to build all of them
+    # and exit 1 on repeated points
+    doc = tmp_path / "shape.json"
+    doc.write_text(json.dumps({"p": 7, "components": [[[1, 0, 0]] * 280000] * 3}))
+    done = _run_module("verify", str(doc), timeout=30, max_bytes=2 ** 30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: k = 3, n = 280000: k n^2 = 235200000000 joins exceed the "
+                           "verifier limit VERIFY_MAX_JOINS = %d\n" % VERIFY_MAX_JOINS)
+    # a ragged or defective document is measured by its largest component,
+    # before its coordinates or its component count are checked
+    for comps, k, n in (([[[1, 0, 0]]] + [[[0, 1, 0]] * 501] * 2, 3, 501),
+                        ([[5] * 501] * 3, 3, 501), ([[[1, 0, 0]] * 1000], 1, 1000)):
+        with pytest.raises(ValueError) as err:
+            load_document(json.dumps({"p": 7, "components": comps}))
+        assert str(err.value) == ("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
+                                  "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
+
+
 BIG_ORDER, BIG_P = 288230376151711813, 1152921504606847253  # p = 4 n + 1, both prime
 
 

@@ -125,8 +125,16 @@ def test_exit_code_sites_finds_a_catch_outside_main():
 
 
 def assert_statements(source):
-    """The lines of the assert statements in a source; python -O drops them."""
-    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+    """The lines of the assert statements in a source, which python -O
+    drops, and of each raise of AssertionError, a self-check that the tests
+    should make instead."""
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", None) == "AssertionError"
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Raise) and raises_assertion_error(node)]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -139,6 +147,13 @@ def test_no_assert_statements(module):
 def test_assert_statements_finds_one():
     source = "def f(x):\n    assert x, 'x'\n    return x\n"
     assert assert_statements(source) == [2]
+
+
+def test_assert_statements_finds_a_raised_assertion_error():
+    source = ("def f(x):\n    if not x:\n        raise AssertionError('x')\n"
+              "    if x < 0:\n        raise AssertionError\n    raise ValueError(x)\n"
+              "\ndef g():\n    raise\n")
+    assert assert_statements(source) == [3, 5]
 
 
 def test_package_refuses_an_unknown_attribute():

@@ -10,7 +10,8 @@ from dualnets.nets import (DualNet, NetViolation, classify,
                            lines_through_center, verify)
 from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
                             line_points, meet)
-from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute, legendre_cubic,
+from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute, kappas_4net_brute,
+                  kappas_at_center_brute, legendre_cubic,
                   partitions_brute, tetrahedron_faces_brute, tetrahedron_faces_verify,
                   verify_pairs_brute)
 
@@ -418,6 +419,25 @@ def test_pencil_net_has_centers():
     assert len(centers) >= 1
     for T in sorted(centers)[:3]:
         constant_cross_ratio(net, T)  # must not raise
+
+
+@pytest.mark.parametrize("builder, args", [
+    ("conic_line", (5, 11)), ("conic_line", (15, 31, 3)), ("algebraic_fermat", (3, 19)),
+    ("algebraic_fermat", (7, 61)), ("pencil_char_p", (5,)), ("pencil_char_p", (19,))])
+def test_constant_cross_ratio_matches_all_lines_oracle(builder, args):
+    # constant_cross_ratio reads one net line through the center; the
+    # oracle scans every line through it for its points
+    net = getattr(constructors, builder)(*args)
+    centers = find_centers(net)
+    assert centers
+    for T in centers:
+        assert kappas_at_center_brute(net.components, T, net.p) == {constant_cross_ratio(net, T)}
+
+
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_crossratio_4net_matches_all_lines_oracle(p):
+    h4 = constructors.hesse_4net(p)
+    assert kappas_4net_brute(h4.components, p) == {crossratio_4net(h4)}
 
 
 def test_single_point_mutation_always_breaks_verification():

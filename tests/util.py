@@ -316,6 +316,34 @@ def is_center_brute(comps, T, p):
     return True
 
 
+def _points_on_line_brute(comps, A, B, p):
+    """The one point of each component on the line AB, by an incidence scan
+    of every component; ValueError when a component holds none or several."""
+    out = []
+    for comp in comps:
+        on = [R for R in comp if collinear_brute(A, B, R, p)]
+        if len(on) != 1:
+            raise ValueError("the line through %r and %r meets a component in %d points"
+                             % (A, B, len(on)))
+        out.append(on[0])
+    return out
+
+
+def kappas_at_center_brute(comps, T, p):
+    """The set of cross-ratios (T, l^1, l^2, l^3) over every line l through
+    T and a point of the first component, each line's points found by an
+    incidence scan, not read from a line table.  One value when the
+    cross-ratio is constant at T."""
+    return {cross_ratio_brute(T, *_points_on_line_brute(comps, T, P, p), p) for P in comps[0]}
+
+
+def kappas_4net_brute(comps, p):
+    """The set of cross-ratios (l^1, l^2, l^3, l^4) over every line l through
+    a point of the first component and one of the second, by incidence scan."""
+    return {cross_ratio_brute(*_points_on_line_brute(comps, P, Q, p), p)
+            for P in comps[0] for Q in comps[1]}
+
+
 def dual_net_partitions_brute(points, k, p):
     """Every partition of points into k components that is a dual k-net.
     Exhaustive over partitions, only sane for a dozen points or so."""
