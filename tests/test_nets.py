@@ -421,13 +421,13 @@ def test_pencil_net_has_centers():
         constant_cross_ratio(net, T)  # must not raise
 
 
-@pytest.mark.parametrize("builder, args", [
+@pytest.mark.parametrize("family, args", [
     ("conic_line", (5, 11)), ("conic_line", (15, 31, 3)), ("algebraic_fermat", (3, 19)),
     ("algebraic_fermat", (7, 61)), ("pencil_char_p", (5,)), ("pencil_char_p", (19,))])
-def test_constant_cross_ratio_matches_all_lines_oracle(builder, args):
+def test_constant_cross_ratio_matches_all_lines_oracle(family, args):
     # constant_cross_ratio reads one net line through the center; the
     # oracle scans every line through it for its points
-    net = getattr(constructors, builder)(*args)
+    net = getattr(constructors, family)(*args)
     centers = find_centers(net)
     assert centers
     for T in centers:
