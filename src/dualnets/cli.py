@@ -6,12 +6,13 @@ boolean "char_exception" marks the deliberate n = p construction).  Documents
 are re-verified on every load; nothing trusts a stored flag.
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage or parameter
-errors.  parse_args and the commands raise instead of printing errors, and
-main alone turns an exception into an exit code: NetViolation exits 1 with
-the violation report on stdout, ValueError and OSError exit 2 with one
-"error: ..." line on stderr.  A demo that prints a FAIL line also exits 1.
-A command whose stdout the reader closed exits 141, as a shell reports a
-process that SIGPIPE ended, and prints nothing more.
+errors.  parse_args and the commands never print: a command returns its
+report (a demo its (claim, passed) checks) or raises, and main alone
+writes the report and picks the exit code.  A demo with a FAIL line exits
+1, NetViolation exits 1 with the violation report on stdout, ValueError
+and OSError exit 2 with one "error: ..." line on stderr.  A command whose
+stdout the reader closed exits 141, as a shell reports a process that
+SIGPIPE ended, and prints nothing more.
 
 A process runs one command, and it imports and compiles only the layers
 that command runs beyond nets, gf and plane, and no argparse: construct
@@ -54,6 +55,12 @@ def load_document(text):
     and lets NetViolation from the verifier propagate (mathematical
     failure).
     """
+    # the point and component lists of the largest net verify admits (k =
+    # VERIFY_MAX_JOINS of order 1) and the outer list, counted before any is built
+    arrays = 2 * nets.VERIFY_MAX_JOINS + 1
+    if text.count("[") > arrays:
+        raise ValueError("the document opens more than 2 VERIFY_MAX_JOINS + 1 = %d arrays"
+                         % arrays)
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -142,37 +149,29 @@ def cmd_construct(options):
         raise ValueError("%s requires --%s" % (options["family"], " --".join(missing)))
     if not is_prime(options["p"]):
         raise ValueError("p=%d is not prime" % options["p"])
-    net = getattr(constructors, builder)(*(options[name] for name in params))
-    _emit(net_document(net))
-    return 0
+    return net_document(getattr(constructors, builder)(*(options[name] for name in params)))
 
 
 def cmd_verify(net):
-    _emit({"verified": True, "p": net.p, "k": net.k, "n": net.n,
-           "char_exception": net.char_exception})
-    return 0
+    return {"verified": True, "p": net.p, "k": net.k, "n": net.n,
+            "char_exception": net.char_exception}
 
 
 def cmd_classify(net):
     if net.k > 4:
         raise ValueError("classify needs a 3-net or a 4-net, got k = %d" % net.k)
     if net.k == 3:
-        _emit(nets.classify(net))
-    else:
-        derived = [nets.classify(nets.derived_net(net, i))
-                   for i in range(net.k)]
-        _emit({"k": net.k, "derived": derived})
-    return 0
+        return nets.classify(net)
+    return {"k": net.k, "derived": [nets.classify(nets.derived_net(net, i)) for i in range(net.k)]}
 
 
 def cmd_centers(net):
     centers = sorted(nets.find_centers(net))
-    _emit({"centers": centers, "count": len(centers)})
-    return 0
+    return {"centers": centers, "count": len(centers)}
 
 
-def _kappa_entry(kappa, p):
-    v = kappa.value  # finite: a cross-ratio of four distinct collinear points
+def _kappa_entry(kappa):
+    v, p = kappa.value, kappa.p  # finite: a cross-ratio of four distinct collinear points
     return {"kappa": repr(kappa),
             "kappa_squared_minus_kappa_plus_one_zero": (v * v - v + 1) % p == 0,
             "kappa_plus_one_zero": (v + 1) % p == 0}
@@ -182,11 +181,9 @@ def cmd_crossratio(net):
     if net.k > 4:
         raise ValueError("crossratio needs a 3-net or a 4-net, got k = %d" % net.k)
     if net.k == 3:
-        _emit({"centers": [dict(_kappa_entry(nets.constant_cross_ratio(net, T), net.p), center=T)
-                           for T in sorted(nets.find_centers(net))]})
-    else:
-        _emit(_kappa_entry(nets.crossratio_4net(net), net.p))
-    return 0
+        return {"centers": [dict(_kappa_entry(nets.constant_cross_ratio(net, T)), center=T)
+                            for T in sorted(nets.find_centers(net))]}
+    return _kappa_entry(nets.crossratio_4net(net))
 
 
 # The demo walk-throughs, by name.  Each is the function in dualnets.demos
@@ -197,12 +194,7 @@ DEMOS = ("pencil", "conic-line", "fermat", "j0-identities", "negative-sweeps")
 def cmd_demo(name):
     from . import demos
 
-    checks = demos.run(name)
-    all_passed = True
-    for claim, passed in checks:
-        print("%s %s" % ("PASS" if passed else "FAIL", claim))
-        all_passed = all_passed and passed
-    return 0 if all_passed else 1
+    return demos.run(name)
 
 
 # The commands that read a net document; main passes them the verified net.
@@ -287,9 +279,17 @@ def main(argv=None):
         if command is None:
             print(USAGE)
             return 0
-        if command in INSPECT:
-            return INSPECT[command](load_document(_read_input(operand)))
-        return (cmd_construct if command == "construct" else cmd_demo)(operand)
+        if command == "demo":
+            checks = cmd_demo(operand)
+            for claim, passed in checks:
+                print("%s %s" % ("PASS" if passed else "FAIL", claim))
+            return 0 if all(passed for _, passed in checks) else 1
+        if command == "construct":
+            report = cmd_construct(operand)
+        else:
+            report = INSPECT[command](load_document(_read_input(operand)))
+        _emit(report)
+        return 0
     except nets.NetViolation as exc:
         _emit(_violation_report(exc))
         return 1

@@ -80,9 +80,7 @@ def find_prime(n: int) -> int:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    p = n + 1
-    while p <= PRIME_SCAN_CAP:
-        if p % n == 1 and is_prime(p):
+    for p in range(n + 1, PRIME_SCAN_CAP + 1, n):
+        if is_prime(p):
             return p
-        p += 1
     raise ValueError("no prime found below cap=%d for n=%d" % (PRIME_SCAN_CAP, n))

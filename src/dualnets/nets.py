@@ -65,9 +65,6 @@ class DualNet:
     def all_net_points(self):
         return [P for comp in self.components for P in comp]
 
-    def __repr__(self):
-        return "DualNet(k=%d, n=%d, p=%d)" % (self.k, self.n, self.p)
-
 
 def _check_joins(k, n):
     """Raise ValueError when verifying a k-net of order n would take more

@@ -9,6 +9,7 @@ import pytest
 
 from dualnets import cli
 from dualnets.cli import MAX_DOCUMENT_CHARS, USAGE, load_document, main, net_document
+from dualnets.constructors import triangular_cyclic
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_JOINS
 
@@ -513,6 +514,27 @@ def test_oversized_shape_is_refused_before_any_point(tmp_path):
                                   "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
 
 
+def test_array_count_is_refused_before_the_parse(tmp_path):
+    # three components of 560000 copies of [1, 0, 0], 18.5 MB: more "["
+    # than the largest net verify admits can hold, so the document exits 2
+    # before json.loads builds a list, where it used to build them all and
+    # exit 2 on the verifier limit
+    arrays = 2 * VERIFY_MAX_JOINS + 1
+    doc = tmp_path / "arrays.json"
+    doc.write_text(json.dumps({"p": 7, "components": [[[1, 0, 0]] * 560000] * 3}))
+    done = _run_module("verify", str(doc), timeout=30, max_bytes=2 ** 30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: the document opens more than 2 VERIFY_MAX_JOINS + 1 = %d "
+                           "arrays\n" % arrays)
+    # every "[" of the text counts, meta and strings included: a net
+    # document at the bound loads, one past it is refused
+    net = net_document(triangular_cyclic(5, 11))
+    pad = arrays - json.dumps(net).count("[")
+    assert load_document(json.dumps(dict(net, meta={"pad": "[" * pad}))).n == 5
+    with pytest.raises(ValueError, match="opens more than"):
+        load_document(json.dumps(dict(net, meta={"pad": "[" * (pad + 1)})))
+
+
 BIG_ORDER, BIG_P = 288230376151711813, 1152921504606847253  # p = 4 n + 1, both prime
 
 
@@ -553,23 +575,27 @@ def test_classify_node_off_the_coordinate_vertices(capsys, tmp_path):
     assert report["singular_type"] == "node"
 
 
-FOOTPRINT = """
-import contextlib, io, json, sys
+# the count starts after the stdlib modules cli imports at its top (and re,
+# which json imports): under -S, python 3.10 has not loaded os at start-up
+PRELUDE = """
+import contextlib, io, json, os, sys
 before = set(sys.modules)
+"""
+FOOTPRINT = PRELUDE + """
 from dualnets.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualnets.")),
                   sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "dualnets")]))
 """
-# what argparse loaded; no command needs them
-PARSER_MODULES = {"argparse", "gettext", "locale", "_locale"}
 
 
 def _fresh_python(code, *argv):
-    """stdout of `python -c code argv...` in a fresh interpreter on src."""
+    """stdout of `python -S -c code argv...` in a fresh interpreter on src.
+    -S keeps site and its .pth hooks from loading modules (importlib among
+    them) before the code runs, so the code sees every module it loads."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -589,7 +615,7 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
         code, loaded, python = json.loads(_fresh_python(FOOTPRINT, *argv))
         assert code == want, argv
         assert not set(loaded) & unused, (argv, loaded)
-        assert not set(python) & PARSER_MODULES, (argv, python)
+        assert python == [], (argv, python)
     # construct loads the curve layers for the fermat family only
     for argv in (("triangular", "--n", "5", "--p", "11"), ("pencil", "--p", "7"),
                  ("conic-line", "--n", "5", "--p", "11"), ("fermat", "--n", "3", "--p", "19"),
@@ -598,7 +624,7 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
         curve_layers = {"dualnets.curves", "dualnets.cubic_group"} if argv[0] == "fermat" else set()
         assert code == 0 and set(loaded) & unused == {"dualnets.constructors"} | curve_layers, \
             (argv, loaded)
-        assert not set(python) & PARSER_MODULES, (argv, python)
+        assert python == [], (argv, python)
     # classify loads curves only when the points lie on a cubic: the order-6
     # tetrahedron net over GF(13) has a cubic fit of dimension 0
     fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
@@ -606,11 +632,13 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
     for path, want in ((fermat, {"dualnets.curves"}), (tet, set())):
         code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "classify", path))
         assert code == 0 and set(loaded) & unused == want, (path, loaded)
-        assert not set(python) & PARSER_MODULES, (path, python)
-    # only demo loads the demos module
+        assert python == [], (path, python)
+    # only demo loads the demos module; j0-identities samples points with
+    # random, and loads no more than random does
     code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "demo", "j0-identities"))
     assert code == 0 and set(loaded) & unused == {"dualnets.demos"}, loaded
-    assert not set(python) & PARSER_MODULES, python
+    bare = PRELUDE + "import random\nprint(json.dumps(sorted(set(sys.modules) - before)))"
+    assert python == json.loads(_fresh_python(bare)), python
     # the package loads a layer on first attribute access
     hook = ("import sys, dualnets.cli; assert 'dualnets.curves' not in sys.modules; "
             "print(dualnets.curves.j_of_cubic.__module__)")

@@ -124,6 +124,44 @@ def test_exit_code_sites_finds_a_catch_outside_main():
     assert exit_code_sites(source) == [("cmd", 12), ("warn", 16)]
 
 
+def output_sites(source):
+    """(function, line) of each place outside main and _emit that writes a
+    report or picks an exit code: a call of print or _emit, or a return of
+    an int constant (or of a conditional with one as a branch)."""
+    def int_constant(node):
+        if isinstance(node, ast.IfExp):
+            return int_constant(node.body) or int_constant(node.orelse)
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner in ("main", "_emit"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("print", "_emit") \
+                    or isinstance(node, ast.Return) and int_constant(node.value):
+                sites.append((owner, node.lineno))
+    return sorted(sites)
+
+
+def test_only_main_writes_reports_and_returns_exit_codes():
+    # a command returns its report; main alone writes it and picks the code
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert output_sites(fh.read()) == []
+
+
+def test_output_sites_finds_a_write_or_code_outside_main():
+    source = ("import json\n\ndef _emit(obj):\n    print(json.dumps(obj))\n\n"
+              "def cmd_a(x):\n    _emit({'x': x})\n    return 0\n\n"
+              "def cmd_b(checks):\n    for claim in checks:\n        print(claim)\n"
+              "    return 0 if all(checks) else 1\n\n"
+              "def cmd_c(x):\n    return {'count': 0, 'ok': x > 0}\n\n"
+              "def _flag(x):\n    return True\n\n"
+              "def main():\n    _emit(cmd_c(1))\n    print('done')\n    return 0\n")
+    assert output_sites(source) == [("cmd_a", 7), ("cmd_a", 8), ("cmd_b", 12), ("cmd_b", 13)]
+
+
 def assert_statements(source):
     """The lines of the assert statements in a source, which python -O
     drops, and of each raise of AssertionError, a self-check that the tests
