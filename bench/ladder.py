@@ -17,27 +17,36 @@ curves.restrict.calls), and plane.all_points.points counts listed points.
 A counter that stays 0 is left out: the center search on a triangular net
 finds no center, so its rungs carry no nets.find_centers.found.
 
-The cli layer times one dualnets command in a fresh interpreter, as the best
-of k wall times (min_s), with ref_s from a reference loop before each
-child.  The package is copied without bytecode and run with
-PYTHONDONTWRITEBYTECODE=1, so every process compiles the modules it
-imports, as in a fresh source checkout.
-One more run counts the dualnets modules it loaded (dualnets.modules),
-their bytes of source (dualnets.source_bytes), and the other modules that
-importing dualnets.cli and running main added to sys.modules
-(python.modules), which is standard library the command loads.  Counts do
-not drift with the host; the times do.  Standard library only.
+The cli layer runs one dualnets command in each of k fresh interpreters.
+Each child runs perfbench's reference_loop and then times
+`from dualnets.cli import main; main(argv)`, so a cli rung's min_s and
+ref_s are in-process times of the best of k children, as on every other
+rung; the interpreter's own start-up is not in them.  The modules that
+importing perfbench loaded are dropped from sys.modules before the
+command, so that it starts from the modules of a fresh interpreter.  The
+package is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1,
+so every process compiles the modules it imports, as in a fresh source
+checkout.  Each child also counts the dualnets modules it loaded
+(dualnets.modules), their bytes of source (dualnets.source_bytes), and
+the other modules that importing dualnets.cli and running main added to
+sys.modules (python.modules), which is standard library the command
+loads.  Counts do not drift with the host; the times do.  Standard
+library only.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s, ref_s and counts; older entries
-also hold min_cpu_s, the children's CPU time, on cli rungs.
+per rung, its layer, name, size, k, min_s, ref_s and counts.  The cli
+rungs of older entries hold whole-process wall times instead, min_s of
+the children and ref_s of a reference loop run in this process before
+each, and some also min_cpu_s, the children's CPU time.
 BENCH_layers.json is a list of such entries, oldest first; a change that
 claims speed appends its parent's entry and its own, measured in one
 session.
 """
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import os
 import platform
@@ -48,10 +57,11 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path[:0] = [os.path.join(ROOT, "src"), PERFBENCH]
 
 import dualnets  # noqa: E402
-from dualnets import constructors, curves, latin, nets  # noqa: E402
+from dualnets import cli, constructors, curves, latin, nets  # noqa: E402
 from dualnets.gf import find_prime  # noqa: E402
 from run import reference_loop  # noqa: E402
 from tracing import Tracer  # noqa: E402
@@ -127,19 +137,29 @@ CLI_RUNGS = (
     ("classify -", "construct tetrahedron --m 6 --p 61"),
     ("classify -", "construct hesse4 --p 13"),
 )
-# what the installed `dualnets` console script runs
-ENTRY = "import sys; from dualnets.cli import main; sys.exit(main())"
-FOOTPRINT = """
-import contextlib, io, json, os, sys
+# One timed cli run: `python -c CHILD PERFBENCH argv...` runs perfbench's
+# reference loop, then the command, and prints both times and the command's
+# footprint as one JSON object.
+CHILD = """
+import contextlib, io, json, os, sys, time
 before = set(sys.modules)
+sys.path.insert(0, sys.argv.pop(1))
+from run import reference_loop
+del sys.path[0]
+for name in set(sys.modules) - before:
+    del sys.modules[name]
+ref_s = reference_loop()
+start = time.perf_counter()
 from dualnets.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
+min_s = time.perf_counter() - start
 mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "dualnets"]
 python = [name for name in sys.modules if name not in before and name.split(".")[0] != "dualnets"]
-print(json.dumps({"dualnets.modules": len(mods),
-                  "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods),
-                  "python.modules": len(python)}))
+print(json.dumps({"min_s": min_s, "ref_s": ref_s, "counts": {
+    "dualnets.modules": len(mods),
+    "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods),
+    "python.modules": len(python)}}))
 sys.exit(code)
 """
 
@@ -163,22 +183,17 @@ def measure(run, k):
 
 
 def measure_cli(argv, stdin, env, k):
-    """(best wall seconds of k fresh `dualnets argv` processes, best seconds
-    of the k reference loops run one before each child, their footprint)."""
-    def child(code):
-        done = subprocess.run([sys.executable, "-c", code] + argv, input=stdin,
+    """(best seconds of `dualnets argv` in k fresh interpreters, best seconds
+    of the reference loop each ran before it, the footprint of the last)."""
+    best = best_ref = float("inf")
+    for _ in range(k):
+        done = subprocess.run([sys.executable, "-c", CHILD, PERFBENCH] + argv, input=stdin,
                               capture_output=True, text=True, env=env, timeout=300)
         if done.returncode != 0:
             raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
-        return done.stdout
-
-    best = best_ref = float("inf")
-    for _ in range(k):
-        best_ref = min(best_ref, reference_loop())
-        start = time.perf_counter()
-        child(ENTRY)
-        best = min(best, time.perf_counter() - start)
-    return best, best_ref, json.loads(child(FOOTPRINT))
+        child = json.loads(done.stdout)
+        best, best_ref = min(best, child["min_s"]), min(best_ref, child["ref_s"])
+    return best, best_ref, child["counts"]
 
 
 def cli_rungs(quick):
@@ -191,9 +206,10 @@ def cli_rungs(quick):
         for command, document in CLI_RUNGS[:1] if quick else CLI_RUNGS:
             stdin = None
             if document is not None:
-                stdin = subprocess.run([sys.executable, "-c", ENTRY] + document.split(),
-                                       capture_output=True, text=True, env=env,
-                                       timeout=300, check=True).stdout
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    if cli.main(document.split()) != 0:
+                        raise RuntimeError("dualnets %s failed" % document)
+                stdin = out.getvalue()
             min_s, ref_s, counts = measure_cli(command.split(), stdin, env, K)
             size = {"argv": command} if document is None else {"argv": command,
                                                               "stdin": document}

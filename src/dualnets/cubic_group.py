@@ -134,8 +134,9 @@ def find_fermat_prime_for_order(n):
     """Smallest prime p = 1 (mod 3), p > n, whose Fermat cubic has a
     u-invariant subgroup of order n with a valid base point; None if no
     prime up to FERMAT_PRIME_SCAN_CAP has one."""
-    for p in range(max(n + 1, 7), FERMAT_PRIME_SCAN_CAP + 1):
-        if p % 3 != 1 or not is_prime(p):
+    start = max(n + 1, 7)
+    for p in range(start + (1 - start) % 3, FERMAT_PRIME_SCAN_CAP + 1, 3):
+        if not is_prime(p):
             continue
         grp = CurveGroup(p)
         found = grp.find_invariant_subgroup(n)

@@ -335,7 +335,7 @@ def j_of_cubic(F):
     if p < 5:
         raise ValueError("j_of_cubic needs p >= 5, got p = %d" % p)
     O = next(inflection_points(F), None)
-    if O is None:
+    if O is None or line_on_curve(F, tangent_line(F, O), p):
         return None
     # W = U + xV: a = a0 + a1 x, b = b0 + b1 x + b2 x^2, c = sum c[k] x^k,
     # where a = grad F(O) . W, b = grad F(W) . O and c = F(W) as in restrict
@@ -343,10 +343,6 @@ def j_of_cubic(F):
     gO = F.gradient(O)
     a0, a1 = dot(gO, U, p), dot(gO, V, p)
     c = restrict(F, U, V)
-    # the flex tangent is O(a1 U - a0 V), where b vanishes too, so it lies
-    # on F exactly when c does
-    if sum(ck * pow(a1, 3 - k, p) * pow(-a0, k, p) for k, ck in enumerate(c)) % p == 0:
-        return None
     I, J = _quartic_invariants(
         b0 * b0 - 4 * a0 * c[0],
         2 * b0 * b1 - 4 * (a0 * c[1] + a1 * c[0]),

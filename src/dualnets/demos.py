@@ -6,7 +6,7 @@ cli.DEMOS lists the names; only the demo command imports this module.
 """
 
 from . import nets
-from .plane import PValue, apply_point, cross_ratio, perspectivity
+from .plane import PValue, apply_point, cross_ratio, perspectivity, u_invariant
 
 
 def run(name):
@@ -70,12 +70,9 @@ def _fermat():
     corners = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     checks.append(("all centers are corners of the coordinate triangle",
                    centers <= corners and len(centers) <= 3))
-    good = bool(centers)
-    for T in sorted(centers):
-        kappa = nets.constant_cross_ratio(net, T)
-        if kappa.is_infinity or (kappa.value ** 2 - kappa.value + 1) % p != 0:
-            good = False
-    checks.append(("kappa^2 - kappa + 1 = 0 at every center", good))
+    checks.append(("kappa^2 - kappa + 1 = 0 at every center",
+                   bool(centers) and all(u_invariant(nets.constant_cross_ratio(net, T))
+                                         == PValue.of(0, p) for T in centers)))
     checks.append(("classifies as proper-algebraic",
                    nets.classify(net)["tag"] == "proper-algebraic"))
     return checks

@@ -414,18 +414,15 @@ def classify(net):
 
 
 def extend_to_4net(net):
-    """4-net assembly: the n centers as a fourth component, else None.
+    """4-net assembly: the centers as a fourth component, else None.
 
-    verify decides; it accepts n centers exactly when no line through two
-    of them meets a net point."""
+    verify decides; it accepts them exactly when there are n of them and
+    no line through two of them meets a net point."""
     if net.k != 3:
         raise ValueError("extension starts from a 3-net")
-    centers = find_centers(net)
-    if len(centers) != net.n:
-        return None
-    comps = [*net.components, centers]
     try:
-        return verify(comps, net.p, allow_char_exception=net.char_exception)
+        return verify([*net.components, find_centers(net)], net.p,
+                      allow_char_exception=net.char_exception)
     except NetViolation:
         return None
 

@@ -1,7 +1,8 @@
 """The census of dual 3-nets of orders 3 and 4 with center (0,0,1) over
 GF(7), checked against the exhaustive definitions, and the paper's
 corollary at those orders: a 4-net whose derived 3-nets a group
-coordinatizes has order 3."""
+coordinatizes has order 3.  At order n = p, outside the corollary's
+hypothesis n < p, an affine 4-net over GF(5) and GF(7) breaks it."""
 
 from functools import lru_cache
 
@@ -9,8 +10,8 @@ import pytest
 
 from census import CENTER, census
 from dualnets import latin
-from dualnets.nets import (classify, constant_cross_ratio, crossratio_4net, derived_net,
-                           extend_to_4net, find_centers)
+from dualnets.nets import (NetViolation, classify, constant_cross_ratio, crossratio_4net,
+                           derived_net, extend_to_4net, find_centers, verify)
 from dualnets.plane import all_points
 from util import is_center_brute, kappas_4net_brute, kappas_at_center_brute
 
@@ -51,6 +52,24 @@ def test_order_3_census():
             # the corollary at order 3: every derived 3-net is a group's
             for i in range(4):
                 assert latin.is_group_coordinatizable(latin.from_net(derived_net(h4, i)))
+
+
+@pytest.mark.parametrize("p, centers, kappa", [(5, 15, 3), (7, 35, 6)])
+def test_order_p_4net_has_group_derived_nets(p, centers, kappa):
+    """The corollary needs the abstract's hypothesis that the order is
+    smaller than the characteristic: at n = p the four affine rows y = 0..3
+    form a 4-net whose four derived 3-nets a group coordinatizes."""
+    rows = [[(a, y, 1) for a in range(p)] for y in range(4)]
+    with pytest.raises(NetViolation, match="must exceed the order"):
+        verify(rows, p)
+    h4 = verify(rows, p, allow_char_exception=True)
+    assert (h4.k, h4.n) == (4, p)
+    assert crossratio_4net(h4).value == kappa
+    for i in range(4):
+        net = derived_net(h4, i)
+        assert latin.is_group_coordinatizable(latin.from_net(net))
+        assert classify(net)["tag"] == "pencil"
+        assert len(find_centers(net)) == centers
 
 
 def test_order_4_census():

@@ -9,10 +9,10 @@ name, and a line argparse rejects must make parse_args raise ValueError.
 
 Two deliberate differences, each with its own test: argparse took an
 abbreviation of --help (--h, --he, --hel) for --help, and parse_args
-reads it as an unknown option; and argparse read the value "--" given as
-"--n=--" as n = [], on which construct failed with a TypeError traceback,
-and parse_args raises ValueError.  So the generated "--n=..." words leave
-that value out.
+reads it as an unknown option; and argparse up to Python 3.12 read the
+value "--" given as "--n=--" as n = [], on which construct failed with a
+TypeError traceback, and parse_args raises ValueError (argparse refuses
+it from 3.13).  So the generated "--n=..." words leave that value out.
 """
 
 import contextlib
@@ -139,7 +139,9 @@ def test_help_abbreviations_are_errors(capsys, flag):
     (["construct", "triangular", "--n=--", "--n", "3", "--p", "7"], "n", 3),
 ])
 def test_explicit_dash_dash_value_is_an_error(capsys, argv, name, value):
-    assert getattr(PARSER.parse_args(argv), name) == value
+    # argparse up to 3.12 reads "--n=--" as n = []; from 3.13 it refuses it
+    reading = argparse_reading(argv)
+    assert reading == "error" or reading[1][name] == value
     assert new_reading(argv) == "error"
     assert main(argv) == 2
     captured = capsys.readouterr()
