@@ -85,10 +85,11 @@ def verify(components, p, allow_char_exception=False, meta=None):
     construction.
 
     Each point P of component 0 groups the other net points by their join
-    with P; a line through P passes when its group holds one point of each
-    component, P counted in component 0.  That is at most k n^2 joins and
-    no incidence test; a net with k n^2 > VERIFY_MAX_JOINS raises
-    ValueError before the first join.
+    with P, in component order; a line through P passes when its group
+    reads components 0, 1, ..., k-1, P counted in component 0, and is then
+    stored as it stands.  That is at most k n^2 joins and no incidence
+    test; a net with k n^2 > VERIFY_MAX_JOINS raises ValueError before the
+    first join.
 
     Only the lines PQ with Q in component 1 are checked.  That suffices:
     if they all pass, the n of them through one P are distinct and meet
@@ -126,22 +127,24 @@ def verify(components, p, allow_char_exception=False, meta=None):
     _check_joins(len(comps), n)
 
     lines = {}
+    order = list(range(len(comps)))
     for P in comps[0]:
         # the line through P of every other net point, and the net points
-        # of each such line
+        # of each such line, in component order
         line_of = {Q: join(P, Q, p) for Q in seen if Q != P}
         on = {}
         for Q, line in line_of.items():
             on.setdefault(line, [P]).append(Q)
         for Q in comps[1]:
             line = line_of[Q]
-            held = [[R for R in on[line] if seen[R] == m] for m in range(len(comps))]
-            for m, pts in enumerate(held):
-                if len(pts) != 1:
-                    raise NetViolation(
-                        "line %r through components 0,1 meets component %d in %d points"
-                        % (line, m, len(pts)), line=line, component=m, count=len(pts))
-            lines[line] = tuple(pts[0] for pts in held)
+            pts = on[line]
+            if [seen[R] for R in pts] != order:
+                held = [[R for R in pts if seen[R] == m] for m in order]
+                m = next(m for m in order if len(held[m]) != 1)
+                raise NetViolation(
+                    "line %r through components 0,1 meets component %d in %d points"
+                    % (line, m, len(held[m])), line=line, component=m, count=len(held[m]))
+            lines[line] = tuple(pts)
     return DualNet(p, tuple(comps), lines, meta)
 
 
@@ -153,18 +156,21 @@ def lines_through_center(net, T):
     T is a center exactly when, for each point P of component 0, the join
     TP is a net line that does not hold T.  These n lines are distinct,
     since a net line holds one point of component 0, and meet only in T,
-    so their kn points are all the net points.
+    so their kn points are all the net points.  The first two points of
+    component 0 are walked last, since a find_centers candidate lies on
+    net lines through both, and the lines come back in component-0 order.
     """
-    classes = {}
-    for P in net.components[0]:
+    comp = net.components[0]
+    classes = []
+    for P in comp[2:] + comp[:2]:
         if P == T:
             return None
         line = join(T, P, net.p)
         pts = net.lines.get(line)
         if pts is None or T in pts:
             return None
-        classes[line] = pts
-    return classes
+        classes.append((line, pts))
+    return dict(classes[-2:] + classes[:-2])
 
 
 def is_perspective_center(net, T):
@@ -180,10 +186,12 @@ def find_centers(net):
     lines differ, since no net line holds two points of one component.
     Each is a join with a point of component 1, so the n^2 meets of the n
     lines through A with the n lines through B are a complete candidate
-    set.  For n = 1 the k net points span the one net line, and every
-    other point of that line is a center; more than _MAX_CENTERS of them
-    raise ValueError before any is listed.  The tests compare the result
-    with a whole-plane sweep of the definition.
+    set.  lines_through_center tests each with at most n joins, those with
+    A and B last, since for a candidate off the net they are net lines.
+    For n = 1 the k net points span the one net line, and every other
+    point of that line is a center; more than _MAX_CENTERS of them raise
+    ValueError before any is listed.  The tests compare the result with a
+    whole-plane sweep of the definition.
     """
     p = net.p
     if net.n == 1:

@@ -2,7 +2,8 @@
 
 Points and lines are normalized homogeneous triples of ints (first nonzero
 coordinate scaled to 1), so tuple equality is projective equality.  A point
-lies on a line iff the dot product vanishes.
+lies on a line iff the dot product vanishes.  join and meet call one fused
+helper that reduces their cross product mod p and normalizes it.
 
 The cross-ratio convention is pinned once here and used everywhere:
 
@@ -39,18 +40,33 @@ def incident(P, line, p):
     return dot(P, line, p) == 0
 
 
+def _cross_normalized(u, v, p, equal):
+    """normalize(cross(u, v, p), p) in one call.  A zero product raises
+    ValueError: "zero triple is not projective" when u or v is zero mod p,
+    else equal % (u,), since u and v are then one projective point."""
+    a = (u[1] * v[2] - u[2] * v[1]) % p
+    b = (u[2] * v[0] - u[0] * v[2]) % p
+    c = (u[0] * v[1] - u[1] * v[0]) % p
+    if a:
+        s = pow(a, -1, p)
+        return (1, b * s % p, c * s % p)
+    if b:
+        return (0, 1, c * pow(b, -1, p) % p)
+    if c:
+        return (0, 0, 1)
+    if any(x % p for x in u) and any(x % p for x in v):
+        raise ValueError(equal % (u,))
+    raise ValueError("zero triple is not projective")
+
+
 def join(P, Q, p):
     """The unique line through two distinct points."""
-    if P == Q:
-        raise ValueError("join of equal points %r" % (P,))
-    return normalize(cross(P, Q, p), p)
+    return _cross_normalized(P, Q, p, "join of equal points %r")
 
 
 def meet(l, m, p):
     """The unique common point of two distinct lines."""
-    if l == m:
-        raise ValueError("meet of equal lines %r" % (l,))
-    return normalize(cross(l, m, p), p)
+    return _cross_normalized(l, m, p, "meet of equal lines %r")
 
 
 def all_points(p):

@@ -638,7 +638,29 @@ def test_lines_through_center_joins_once_per_point_of_component_0(monkeypatch):
                 assert len(classes) == net.n
                 assert sorted(P for pts in classes.values() for P in pts) == \
                     sorted(net.all_net_points())
+                # in component-0 order: constant_cross_ratio reads the first
+                assert [pts[0] for pts in classes.values()] == list(net.components[0])
     assert centers >= 3
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: constructors.triangular_cyclic(15, 181), 285),
+    (lambda: constructors.conic_line(15, 31), 407),
+    (lambda: constructors.tetrahedron(6, 61), 184),
+    (lambda: constructors.pencil_char_p(19), 6213),
+], ids=["triangular-15-181", "conic-line-15-31", "tetrahedron-6-61", "pencil-19"])
+def test_find_centers_joins(monkeypatch, build, want):
+    # 2n joins list the lines through A and B, the first two points of
+    # component 0; a candidate lies on one of each, so lines_through_center
+    # joins it with A and B last and a non-center fails sooner.  Joining
+    # A and B first cost 675, 795, 424 and 6213 joins
+    net = build()
+    joins = []
+    real_join = nets.join
+    monkeypatch.setattr(nets, "join", lambda P, Q, p: joins.append(P) or real_join(P, Q, p))
+    find_centers(net)
+    assert len(joins) == want
+    assert len(joins) <= 2 * net.n + net.n ** 3  # at most n per candidate
 
 
 def test_partitions_brute_counts():

@@ -373,6 +373,16 @@ def test_degenerate_inputs_raise():
         join((1, 2, 3), (1, 2, 3), p)
     with pytest.raises(ValueError, match=r"^meet of equal lines \(0, 0, 1\)$"):
         meet((0, 0, 1), (0, 0, 1), p)
+    # projectively equal but unequal tuples are equal inputs too
+    with pytest.raises(ValueError, match=r"^join of equal points \(1, 2, 3\)$"):
+        join((1, 2, 3), (8, 9, 10), 7)
+    with pytest.raises(ValueError, match=r"^meet of equal lines \(0, -1, 2\)$"):
+        meet((0, -1, 2), (13, 12, 15), p)
+    # only a zero input is refused as a zero triple
+    for u, v in (((0, 0, 0), (1, 2, 3)), ((1, 2, 3), (0, 13, -26)), ((0, 0, 0), (0, 0, 0))):
+        for fn in (join, meet):
+            with pytest.raises(ValueError, match="^zero triple is not projective$"):
+                fn(u, v, p)
     with pytest.raises(ValueError, match="^0/0 is not a projective value$"):
         PValue(0, 0, p)
     with pytest.raises(ValueError, match="^infinite PValue has no scalar value$"):

@@ -9,8 +9,8 @@ from dualnets.cli import (DEMOS, FAMILIES, cmd_centers, cmd_classify, cmd_constr
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.latin import _generators, element_orders
 from dualnets.nets import NetViolation, verify
-from dualnets.plane import (PValue, _base_points, all_points, det3, incident, join, line_points,
-                            meet, normalize)
+from dualnets.plane import (PValue, _base_points, all_points, cross, det3, incident, join,
+                            line_points, meet, normalize)
 
 
 def is_latin(square):
@@ -143,6 +143,12 @@ def abelianized_product_nonzero_brute(table):
     for g in range(n):
         acc = table[acc][g]
     return acc not in comm
+
+
+def cross_normalized_brute(u, v, p):
+    """join and meet as first written: the cross product, then normalize.
+    Every zero product raises ValueError("zero triple is not projective")."""
+    return normalize(cross(u, v, p), p)
 
 
 def collinear_brute(P, Q, R, p):
