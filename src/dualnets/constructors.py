@@ -87,29 +87,19 @@ def algebraic_fermat(n, p):
     H+P, H+u(P), H+u(u(P)) for the smallest base point P with P - u(P)
     outside H.  The result is in perspective position with center (0,0,1).
 
-    Raises ValueError("no subgroup/base point found: ...") when no
-    u-invariant subgroup of order n exists, or when every P has P - u(P)
-    in H, so that no base point separates the cosets.  The latter is the
-    case for n = 3 over GF(7) and GF(13), where the nine rational points
-    form a group of exponent 3 and no order-3 coset net exists.
+    CurveGroup.subgroup_and_base_point finds H and P, and raises
+    ValueError("no subgroup/base point found: ...") when no u-invariant
+    subgroup of order n exists, or when every P has P - u(P) in H, so that
+    no base point separates the cosets.  The latter is the case for n = 3
+    over GF(7) and GF(13), where the nine rational points form a group of
+    exponent 3 and no order-3 coset net exists.
     """
     from .cubic_group import CurveGroup  # the only builder on the curve layers
 
     group = CurveGroup(p)
     if p <= n:
         raise ValueError("p must exceed n")
-    found = group.find_invariant_subgroup(n)
-    if found is None:
-        raise ValueError(
-            "no subgroup/base point found: no u-invariant subgroup of order %d over GF(%d)"
-            % (n, p))
-    _, subgroup = found
-    base = group.coset_base_point(subgroup)
-    if base is None:
-        raise ValueError(
-            "no subgroup/base point found: every P has P - u(P) inside the "
-            "order-%d subgroup over GF(%d)" % (n, p))
-    comps = group.coset_net(subgroup, base)
+    subgroup, base = group.subgroup_and_base_point(n)
     meta = {
         "family": "fermat-coset",
         "n": n,
@@ -117,7 +107,7 @@ def algebraic_fermat(n, p):
         "base_point": base,
         "expected_center": (0, 0, 1),
     }
-    return verify(list(comps), p, meta=meta)
+    return verify(group.coset_net(subgroup, base), p, meta=meta)
 
 
 def tetrahedron(m, p):
@@ -149,7 +139,7 @@ def tetrahedron(m, p):
         raise ValueError("no realization found: need m | p-1 and p > 2m")
     _check_joins(3, n)
     z = nth_root_of_unity(p, m)
-    S = sorted(pow(z, i, p) for i in range(m))
+    S = [pow(z, i, p) for i in range(m)]
 
     def reps():
         return (x for x in range(1, p) if all(x <= x * s % p for s in S))

@@ -2,9 +2,9 @@
 
 Identity is the inflection O = (1,-1,0); addition is chord-and-tangent.
 The order-3 automorphism u: (x,y,z) -> (eps x, eps y, z) acts on the
-group, and u-invariant subgroups H yield the coset triples
-(H+P, H+u(P), H+u^2(P)) that form dual 3-nets in perspective position
-with center (0,0,1).
+group.  One search finds a u-invariant subgroup H and a base point P, and
+the coset triple (H+P, H+u(P), H+u^2(P)) is a dual 3-net in perspective
+position with center (0,0,1), which nets.verify decides.
 """
 
 from .curves import curve_points, fermat_cubic, restrict, tangent_line
@@ -107,27 +107,33 @@ class CurveGroup:
                 return g, H
         return None
 
-    def coset_base_point(self, H):
-        """The first point P with P - u(P) outside H, or None.
+    def subgroup_and_base_point(self, n):
+        """(H, P): find_invariant_subgroup's H of order n, and the first
+        point P with D = P - u(P) outside H; else ValueError("no
+        subgroup/base point found: ...").
 
-        Such a P makes the cosets H+P, H+u(P), H+u^2(P) pairwise disjoint.
+        Such a P makes H+P, H+u(P), H+u^2(P) pairwise disjoint: the other
+        differences u(D), u^2(D) lie in the u-invariant H only when D does.
         """
-        return next((P for P in self.points
-                     if self.add(P, self.neg(self.u_auto(P))) not in H), None)
+        found = self.find_invariant_subgroup(n)
+        if found is None:
+            raise ValueError(
+                "no subgroup/base point found: no u-invariant subgroup of order %d over GF(%d)"
+                % (n, self.p))
+        H = found[1]
+        for P in self.points:
+            if self.add(P, self.neg(self.u_auto(P))) not in H:
+                return H, P
+        raise ValueError(
+            "no subgroup/base point found: every P has P - u(P) inside the "
+            "order-%d subgroup over GF(%d)" % (n, self.p))
 
     def coset_net(self, H, P):
-        """The coset triple (H+P, H+u(P), H+u^2(P)) as sorted point tuples.
-
-        Raises a coset collision error when D = P - u(P) lies in H.  That
-        test decides disjointness: the other differences are u(D) and
-        u^2(D), in the u-invariant H only when D is.  algebraic_fermat's
-        verifier checks the net itself.
-        """
+        """The coset triple (H+P, H+u(P), H+u^2(P)) as unsorted point lists;
+        nets.verify decides whether it is a net (cosets that share a point
+        are not)."""
         uP = self.u_auto(P)
-        u2P = self.u_auto(uP)
-        if self.add(P, self.neg(uP)) in H:
-            raise ValueError("coset collision: P - u(P) lies in H")
-        return tuple(tuple(sorted(self.add(h, Q) for h in H)) for Q in (P, uP, u2P))
+        return [[self.add(h, Q) for h in H] for Q in (P, uP, self.u_auto(uP))]
 
 
 def find_fermat_prime_for_order(n):
@@ -138,10 +144,9 @@ def find_fermat_prime_for_order(n):
     for p in range(start + (1 - start) % 3, FERMAT_PRIME_SCAN_CAP + 1, 3):
         if not is_prime(p):
             continue
-        grp = CurveGroup(p)
-        found = grp.find_invariant_subgroup(n)
-        if found is None:
+        try:
+            CurveGroup(p).subgroup_and_base_point(n)
+        except ValueError:
             continue
-        if grp.coset_base_point(found[1]) is not None:
-            return p
+        return p
     return None

@@ -271,7 +271,8 @@ def test_document_read_is_bounded(capsys, monkeypatch, tmp_path):
     # a document of MAX_DOCUMENT_CHARS characters loads; one character more
     # exits 2 naming the limit, from a file or from stdin
     path, _ = construct(capsys, tmp_path, "tr", "triangular", "--n", "5", "--p", "11")
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(text))
     message = ("error: the document is longer than MAX_DOCUMENT_CHARS = %d characters\n"
                % len(text))

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations, product
 
+import pytest
+
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, CurveGroup, find_fermat_prime_for_order
 from dualnets.gf import is_prime
 from dualnets.plane import normalize
@@ -114,23 +116,26 @@ def test_invariant_subgroup_matches_the_whole_walk():
 
 def test_coset_net_always_collides_p13():
     # the curve group is full 3-torsion, so P - u(P) lands in the invariant
-    # subgroup for every P: no order-3 coset net exists over GF(13)
+    # subgroup for every P: no order-3 coset net exists over GF(13), the
+    # search refuses order 3, and verify refuses the coset triple of every P
     G = CurveGroup(13)
+    with pytest.raises(ValueError, match=r"^no subgroup/base point found: every P has "
+                       r"P - u\(P\) inside the order-3 subgroup over GF\(13\)$"):
+        G.subgroup_and_base_point(3)
     _, H = G.find_invariant_subgroup(3)
     for P in G.points:
         assert G.add(P, G.neg(G.u_auto(P))) in H
-        try:
-            G.coset_net(H, P)
-            assert False, "expected a coset collision"
-        except ValueError as exc:
-            assert "coset collision" in str(exc)
+        with pytest.raises(nets.NetViolation):
+            nets.verify(G.coset_net(H, P), 13)
 
 
 def test_coset_net_p19_verifies_with_center():
+    # the first invariant subgroup, and the first point P with P - u(P)
+    # outside it
     G = CurveGroup(19)
-    _, H = G.find_invariant_subgroup(3)
-    base = next(P for P in G.points
-                if G.add(P, G.neg(G.u_auto(P))) not in H)
+    H, base = G.subgroup_and_base_point(3)
+    assert H == G.find_invariant_subgroup(3)[1]
+    assert base == next(P for P in G.points if G.add(P, G.neg(G.u_auto(P))) not in H)
     comps = G.coset_net(H, base)
     assert len(comps) == 3
     net = nets.verify(comps, 19)
@@ -142,10 +147,7 @@ def test_coset_net_preserves_u_action():
     # u permutes the three cosets cyclically, so the component point sets
     # map onto each other under u
     G = CurveGroup(19)
-    _, H = G.find_invariant_subgroup(3)
-    base = next(P for P in G.points
-                if G.add(P, G.neg(G.u_auto(P))) not in H)
-    c1, c2, c3 = (set(c) for c in G.coset_net(H, base))
+    c1, c2, c3 = (set(c) for c in G.coset_net(*G.subgroup_and_base_point(3)))
     assert {G.u_auto(P) for P in c1} == c2
     assert {G.u_auto(P) for P in c2} == c3
     assert {G.u_auto(P) for P in c3} == c1

@@ -68,6 +68,10 @@ def test_proportional():
     assert proportional(F, F * 5)
     assert not proportional(F, xyz_poly(p))
     assert proportional(HomPoly(2, {}, p), HomPoly(2, {}, p))
+    # different supports, different degrees, a zero form against a nonzero one
+    assert not proportional(HomPoly(3, {(3, 0, 0): 1}, p), HomPoly(3, {(0, 3, 0): 1}, p))
+    assert not proportional(HomPoly(2, {(2, 0, 0): 1}, p), HomPoly(3, {(3, 0, 0): 1}, p))
+    assert not proportional(HomPoly(3, {}, p), F)
 
 
 def test_compose_is_substitution():

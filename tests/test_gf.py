@@ -1,6 +1,7 @@
 import pytest
 
-from dualnets.gf import PRIME_LIMIT, factorize, find_prime, is_prime, nth_root_of_unity
+from dualnets.gf import (PRIME_LIMIT, PRIME_SCAN_CAP, factorize, find_prime, is_prime,
+                         nth_root_of_unity)
 from util import is_prime_brute, legendre, sqrt_mod
 
 
@@ -114,6 +115,11 @@ def test_find_prime():
     assert find_prime(9) == 19
     with pytest.raises(ValueError, match="^n must be >= 3$"):
         find_prime(2)
+    # the one candidate below the cap, PRIME_SCAN_CAP itself, is composite
+    assert not is_prime(PRIME_SCAN_CAP)
+    with pytest.raises(ValueError, match="^no prime found below cap=%d for n=%d$"
+                       % (PRIME_SCAN_CAP, PRIME_SCAN_CAP - 1)):
+        find_prime(PRIME_SCAN_CAP - 1)
 
 
 def test_find_prime_congruences_hold_generally():

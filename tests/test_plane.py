@@ -60,6 +60,7 @@ def test_cross_ratio_pinned_values():
     for tau in (1, 2, 5):
         k = cross_ratio(pt(0), inf, pt(tau), pt(-tau), p)
         assert k == P(p - 1)
+        assert k != p - 1  # a PValue equals only a PValue
     # k(0, s, eps*s, eps^2*s) = -eps for a cube root eps
     eps = 3  # 3^3 = 27 = 1 mod 13
     assert pow(eps, 3, p) == 1
