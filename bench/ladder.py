@@ -1,67 +1,54 @@
 """Layer ladder: time and count the curve kernel, the verifier, the center
-search, classify, the latin searches and CLI start-up on fixed sizes.
+search, classify and the latin searches on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
-    python3 bench/ladder.py --quick                    # smallest sizes, first cli rung
+    python3 bench/ladder.py --quick                    # smallest size of each rung
 
 It runs the program from the src/ next to this directory and takes its work
 counters from perfbench/tracing.py, which it imports and does not change.
-Each in-process rung is timed untraced as the best of k runs, with
-perfbench's reference_loop, a fixed pure-Python loop, run before each and
-the best of those k times recorded (ref_s), so min_s / ref_s can be
-compared between sessions on hosts of different speed.  Then it runs once
-more under perfbench's Tracer to record its counters: a tracer key that
-names a function counts its calls (curves.restrict is perfbench's
-curves.restrict.calls), and plane.all_points.points counts listed points.
-A counter that stays 0 is left out: the center search on a triangular net
-finds no center, so its rungs carry no nets.find_centers.found.
+Every rung runs in this process.  It is timed untraced as the best of k
+runs, with perfbench's reference_loop, a fixed pure-Python loop, run
+before each and the best of those k times recorded (ref_s), so min_s /
+ref_s can be compared between sessions on hosts of different speed.  Then
+it runs once more under perfbench's Tracer to record its counters: a
+tracer key that names a function counts its calls (curves.restrict is
+perfbench's curves.restrict.calls), and plane.all_points.points counts
+listed points.  A counter that stays 0 is left out: the center search on
+a triangular net finds no center, so its rungs carry no
+nets.find_centers.found.  Standard library only.
 
-The cli layer runs one dualnets command in each of k fresh interpreters.
-Each child runs perfbench's reference_loop and then times
-`from dualnets.cli import main; main(argv)`, so a cli rung's min_s and
-ref_s are in-process times of the best of k children, as on every other
-rung; the interpreter's own start-up is not in them.  The modules that
-importing perfbench loaded are dropped from sys.modules before the
-command, so that it starts from the modules of a fresh interpreter.  The
-package is copied without bytecode and run with PYTHONDONTWRITEBYTECODE=1,
-so every process compiles the modules it imports, as in a fresh source
-checkout.  Each child also counts the dualnets modules it loaded
-(dualnets.modules), their bytes of source (dualnets.source_bytes), and
-the other modules that importing dualnets.cli and running main added to
-sys.modules (python.modules), which is standard library the command
-loads.  Counts do not drift with the host; the times do.  Standard
-library only.
+CLI start-up is not a rung.  perfbench times each command in a fresh
+interpreter, and its traced run records cli.import_s, the import of
+dualnets.cli in a fresh interpreter less a bare start;
+`python -X importtime -c "import dualnets.cli"` splits that import by
+module; and tests/test_cli.py asserts which modules each command loads.
 
 The entry is one JSON object: the commit and host it was measured on and,
-per rung, its layer, name, size, k, min_s, ref_s and counts.  The cli
-rungs of older entries hold whole-process wall times instead, min_s of
-the children and ref_s of a reference loop run in this process before
-each, and some also min_cpu_s, the children's CPU time.
+per rung, its layer, name, size, k, min_s, ref_s and counts.
 BENCH_layers.json is a list of such entries, oldest first; a change that
 claims speed appends its parent's entry and its own, measured in one
-session.
+session.  Older entries also carry rungs of a cli layer, one dualnets
+command each, timed in fresh interpreters: some hold in-process times of
+the import and main, others whole-process wall times, some also the
+children's CPU time (min_cpu_s), and some count the standard library
+modules the command loaded (python.modules).
 """
 
 import argparse
-import contextlib
 import datetime
-import io
 import json
 import os
 import platform
-import shutil
 import subprocess
 import sys
-import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
-sys.path[:0] = [os.path.join(ROOT, "src"), PERFBENCH]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import dualnets  # noqa: E402
-from dualnets import cli, constructors, curves, latin, nets  # noqa: E402
+from dualnets import constructors, curves, latin, nets  # noqa: E402
 from dualnets.gf import find_prime  # noqa: E402
 from run import reference_loop  # noqa: E402
 from tracing import Tracer  # noqa: E402
@@ -128,42 +115,6 @@ RUNGS = (
 )
 
 
-# cli rungs: (argv, the construct argv whose document is the standard
-# input, or None); --quick keeps the first
-CLI_RUNGS = (
-    ("construct triangular --n 15 --p 181", None),
-    ("construct fermat --n 7 --p 61", None),
-    ("verify -", "construct triangular --n 15 --p 181"),
-    ("classify -", "construct tetrahedron --m 6 --p 61"),
-    ("classify -", "construct hesse4 --p 13"),
-)
-# One timed cli run: `python -c CHILD PERFBENCH argv...` runs perfbench's
-# reference loop, then the command, and prints both times and the command's
-# footprint as one JSON object.
-CHILD = """
-import contextlib, io, json, os, sys, time
-before = set(sys.modules)
-sys.path.insert(0, sys.argv.pop(1))
-from run import reference_loop
-del sys.path[0]
-for name in set(sys.modules) - before:
-    del sys.modules[name]
-ref_s = reference_loop()
-start = time.perf_counter()
-from dualnets.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-min_s = time.perf_counter() - start
-mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "dualnets"]
-python = [name for name in sys.modules if name not in before and name.split(".")[0] != "dualnets"]
-print(json.dumps({"min_s": min_s, "ref_s": ref_s, "counts": {
-    "dualnets.modules": len(mods),
-    "dualnets.source_bytes": sum(os.path.getsize(m.__file__) for m in mods),
-    "python.modules": len(python)}}))
-sys.exit(code)
-"""
-
-
 def measure(run, k):
     """(best untraced seconds of k runs, best seconds of the k reference
     loops run one before each, tracer counters of one more run)."""
@@ -180,43 +131,6 @@ def measure(run, k):
     finally:
         tracer.uninstall()
     return best, best_ref, {key: v for key, v in sorted(tracer.counts.items()) if v}
-
-
-def measure_cli(argv, stdin, env, k):
-    """(best seconds of `dualnets argv` in k fresh interpreters, best seconds
-    of the reference loop each ran before it, the footprint of the last)."""
-    best = best_ref = float("inf")
-    for _ in range(k):
-        done = subprocess.run([sys.executable, "-c", CHILD, PERFBENCH] + argv, input=stdin,
-                              capture_output=True, text=True, env=env, timeout=300)
-        if done.returncode != 0:
-            raise RuntimeError("dualnets %s failed: %s" % (" ".join(argv), done.stderr))
-        child = json.loads(done.stdout)
-        best, best_ref = min(best, child["min_s"]), min(best_ref, child["ref_s"])
-    return best, best_ref, child["counts"]
-
-
-def cli_rungs(quick):
-    """The cli rungs, run on a bytecode-free copy of the package."""
-    rungs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(os.path.join(ROOT, "src", "dualnets"), os.path.join(tmp, "dualnets"),
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
-        for command, document in CLI_RUNGS[:1] if quick else CLI_RUNGS:
-            stdin = None
-            if document is not None:
-                with contextlib.redirect_stdout(io.StringIO()) as out:
-                    if cli.main(document.split()) != 0:
-                        raise RuntimeError("dualnets %s failed" % document)
-                stdin = out.getvalue()
-            min_s, ref_s, counts = measure_cli(command.split(), stdin, env, K)
-            size = {"argv": command} if document is None else {"argv": command,
-                                                              "stdin": document}
-            rungs.append({"layer": "cli", "name": "dualnets CLI in a fresh interpreter",
-                          "size": size, "k": K, "min_s": round(min_s, 6),
-                          "ref_s": round(ref_s, 6), "counts": counts})
-    return rungs
 
 
 def _git(*args):
@@ -236,7 +150,6 @@ def entry(quick=False):
             rungs.append({"layer": layer, "name": name, "size": {key: size}, "k": K,
                           "min_s": round(min_s, 6), "ref_s": round(ref_s, 6),
                           "counts": counts})
-    rungs += cli_rungs(quick)
     status = _git("status", "--porcelain", "--", "src")
     return {
         "commit": _git("rev-parse", "--short", "HEAD"),
@@ -252,7 +165,7 @@ def entry(quick=False):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--quick", action="store_true",
-                    help="the smallest size of each in-process rung and the first cli rung")
+                    help="only the smallest size of each rung")
     ap.add_argument("--append", metavar="PATH",
                     help="add the entry to this JSON list (created when missing)")
     args = ap.parse_args(argv)

@@ -627,10 +627,13 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
             (argv, loaded)
         assert python == [], (argv, python)
     # classify loads curves only when the points lie on a cubic: the order-6
-    # tetrahedron net over GF(13) has a cubic fit of dimension 0
+    # tetrahedron net over GF(13) has a cubic fit of dimension 0; the hesse4
+    # 4-net over GF(13) loads curves and not cubic_group
     fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
     tet, _ = construct(capsys, tmp_path, "tet", "tetrahedron", "--m", "3", "--p", "13")
-    for path, want in ((fermat, {"dualnets.curves"}), (tet, set())):
+    hesse, _ = construct(capsys, tmp_path, "hesse", "hesse4", "--p", "13")
+    for path, want in ((fermat, {"dualnets.curves"}), (tet, set()),
+                       (hesse, {"dualnets.curves"})):
         code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "classify", path))
         assert code == 0 and set(loaded) & unused == want, (path, loaded)
         assert python == [], (path, python)

@@ -25,7 +25,7 @@ def check_entry(entry):
         if "ref_s" in rung:
             assert rung["ref_s"] > 0
         # tracer counters that stay 0 are left out; the count of standard
-        # library modules a cli command loads may be 0, and older entries lack it
+        # library modules on an older entry's cli rung may be 0
         counts = dict(rung["counts"])
         if "python.modules" in counts:
             python = counts.pop("python.modules")
@@ -49,7 +49,7 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
         assert entry["quick"] is True
     # one size per rung, and the counters repeat exactly; times are not compared
     assert [r["layer"] for r in first["rungs"]] \
-        == ["curves", "nets", "nets", "nets", "nets", "latin", "latin", "cli"]
+        == ["curves", "nets", "nets", "nets", "nets", "latin", "latin"]
     assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
         == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
     # every rung records the reference loop's time
@@ -71,15 +71,6 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert tetrahedron["size"] == {"m": 6}
     assert tetrahedron["counts"]["nets.classify"] == 1
     assert "nets.verify" not in tetrahedron["counts"]
-    # construct triangular loads the package, cli, gf, plane, nets and
-    # constructors, and not the curve layers
-    cli = first["rungs"][-1]
-    assert cli["size"] == {"argv": "construct triangular --n 15 --p 181"}
-    assert "ref_s" in cli and "min_cpu_s" not in cli
-    assert cli["counts"]["dualnets.modules"] == 6
-    # and no module outside the package: the command line is parsed without
-    # argparse and the gettext, locale and _locale it pulled in
-    assert cli["counts"]["python.modules"] == 0
     with open(history) as fh:
         assert json.load(fh) == [first, second]
 
