@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 # `dualnets.curves` works after a bare `import dualnets`.  Every
 # `from . import X` in the package asks this hook first, so it uses the
 # builtin __import__, which loads no module but the one asked for.
-_SUBMODULES = ("gf", "plane", "curves", "cubic_group", "latin", "nets", "constructors", "cli",
-               "demos")
+_SUBMODULES = ("gf", "plane", "curves", "cubic_group", "latin", "nets", "classification",
+               "constructors", "cli", "demos")
 
 
 def __getattr__(name):

@@ -17,8 +17,8 @@ SIGPIPE ended, and prints nothing more.
 A process runs one command, and it imports and compiles only the layers
 that command runs beyond nets, gf and plane, and no argparse: construct
 loads constructors, and cubic_group and curves for the fermat family only;
-of the inspection commands only classify loads curves, and only when the
-net's points lie on a cubic; only demo loads the demos module.
+of the inspection commands only classify loads classification, and curves
+only when the net's points lie on a cubic; only demo loads the demos module.
 """
 
 import json

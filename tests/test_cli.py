@@ -606,7 +606,7 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
     # one process runs one command, so importing a layer it never calls is
     # start-up time on every op
     unused = {"dualnets.curves", "dualnets.cubic_group", "dualnets.constructors",
-              "dualnets.latin", "dualnets.demos"}
+              "dualnets.latin", "dualnets.demos", "dualnets.classification"}
     tri, doc = construct(capsys, tmp_path, "tri", "triangular", "--n", "5", "--p", "11")
     doc["components"][1][0] = [1, 2, 3]
     bad = tmp_path / "bad.json"
@@ -626,14 +626,16 @@ def test_commands_import_only_the_layers_they_run(capsys, tmp_path):
         assert code == 0 and set(loaded) & unused == {"dualnets.constructors"} | curve_layers, \
             (argv, loaded)
         assert python == [], (argv, python)
-    # classify loads curves only when the points lie on a cubic: the order-6
-    # tetrahedron net over GF(13) has a cubic fit of dimension 0; the hesse4
-    # 4-net over GF(13) loads curves and not cubic_group
+    # classify always loads the classification module, and curves only when
+    # the points lie on a cubic: the order-6 tetrahedron net over GF(13) has
+    # a cubic fit of dimension 0; the hesse4 4-net over GF(13) loads curves
+    # and not cubic_group
     fermat, _ = construct(capsys, tmp_path, "fermat", "fermat", "--n", "3", "--p", "19")
     tet, _ = construct(capsys, tmp_path, "tet", "tetrahedron", "--m", "3", "--p", "13")
     hesse, _ = construct(capsys, tmp_path, "hesse", "hesse4", "--p", "13")
-    for path, want in ((fermat, {"dualnets.curves"}), (tet, set()),
-                       (hesse, {"dualnets.curves"})):
+    classification = {"dualnets.classification"}
+    for path, want in ((fermat, classification | {"dualnets.curves"}), (tet, classification),
+                       (hesse, classification | {"dualnets.curves"})):
         code, loaded, python = json.loads(_fresh_python(FOOTPRINT, "classify", path))
         assert code == 0 and set(loaded) & unused == want, (path, loaded)
         assert python == [], (path, python)

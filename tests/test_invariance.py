@@ -30,7 +30,8 @@ from census import census  # noqa: E402
 from dualnets.cli import load_document  # noqa: E402
 from dualnets.constructors import hesse_4net  # noqa: E402
 from dualnets.curves import HomPoly  # noqa: E402
-from dualnets.nets import (_CONIC_MONOMIALS, NetViolation, classify,  # noqa: E402
+from dualnets.classification import _CONIC_MONOMIALS  # noqa: E402
+from dualnets.nets import (NetViolation, classify,  # noqa: E402
                            constant_cross_ratio, crossratio_4net, derived_net, find_centers,
                            verify)
 from dualnets.plane import all_points, anharmonic_orbit, apply_point, det3  # noqa: E402

@@ -1,5 +1,6 @@
 """The layer ladder in bench/ladder.py: its entry schema and its counters."""
 
+import copy
 import json
 import os
 import subprocess
@@ -31,6 +32,31 @@ def check_entry(entry):
             python = counts.pop("python.modules")
             assert rung["layer"] == "cli" and isinstance(python, int) and python >= 0
         assert all(isinstance(v, int) and v > 0 for v in counts.values())
+
+
+def last_recorded_entry():
+    with open(os.path.join(ROOT, "BENCH_layers.json")) as fh:
+        return json.load(fh)[-1]
+
+
+def counter_mismatches(rungs, recorded):
+    """One message for each counter of each rung in rungs that differs from
+    the rung of the same layer, name and size in the recorded entry, and
+    one for each rung the entry lacks; counters are compared for equality."""
+    def key(rung):
+        return rung["layer"], rung["name"], tuple(sorted(rung["size"].items()))
+
+    want = {key(rung): rung["counts"] for rung in recorded["rungs"]}
+    out = []
+    for rung in rungs:
+        label = "%s rung %r at %r" % (rung["layer"], rung["name"], rung["size"])
+        if key(rung) not in want:
+            out.append("%s: not in the recorded entry" % label)
+            continue
+        got, had = rung["counts"], want[key(rung)]
+        out.extend("%s: %s is %s, recorded %s" % (label, name, got.get(name), had.get(name))
+                   for name in sorted(set(got) | set(had)) if got.get(name) != had.get(name))
+    return out
 
 
 def quick_run(*extra):
@@ -73,6 +99,27 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert "nets.verify" not in tetrahedron["counts"]
     with open(history) as fh:
         assert json.load(fh) == [first, second]
+    # the counters equal those of the last entry of BENCH_layers.json: a
+    # change of work shows here until its entries are appended
+    assert counter_mismatches(first["rungs"], last_recorded_entry()) == []
+
+
+def test_counter_gate_names_each_changed_counter_and_unrecorded_rung():
+    recorded = last_recorded_entry()
+    rungs = copy.deepcopy(recorded["rungs"])
+    assert counter_mismatches(rungs, recorded) == []
+    verify = next(r for r in rungs if r["name"].startswith("verify(") and r["size"] == {"n": 15})
+    joins = verify["counts"]["plane.join"]
+    verify["counts"]["plane.join"] += 1
+    verify["counts"]["plane.meet"] = 1
+    del verify["counts"]["nets.verify"]
+    extra = dict(verify, size={"n": 16})
+    label = "nets rung %r at {'n': 15}" % verify["name"]
+    assert counter_mismatches(rungs + [extra], recorded) == [
+        label + ": nets.verify is None, recorded 1",
+        label + ": plane.join is %d, recorded %d" % (joins + 1, joins),
+        label + ": plane.meet is 1, recorded None",
+        "nets rung %r at {'n': 16}: not in the recorded entry" % verify["name"]]
 
 
 def test_recorded_entries_keep_the_schema():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dualnets import constructors, curves, latin, nets
+from dualnets import classification, constructors, curves, latin, nets
 from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
@@ -235,14 +235,14 @@ def test_collinear_splits_match_subset_enumeration():
     for _ in range(600):
         p = rng.choice((7, 11, 13, 31))
         comp = _two_line_component(rng, p, rng.randint(2, 5))
-        got = nets._collinear_splits(comp, p)
+        got = classification._collinear_splits(comp, p)
         assert got == collinear_splits_brute(comp, p), (comp, p)
         found += bool(got)
     assert found >= 100
     for m, p in ((2, 7), (3, 13), (4, 29), (5, 31), (6, 43), (7, 43), (8, 89),
                  (9, 109), (10, 151)):
         for comp in constructors.tetrahedron(m, p).components:
-            got = nets._collinear_splits(comp, p)
+            got = classification._collinear_splits(comp, p)
             assert got and got == collinear_splits_brute(comp, p), (m, p)
 
 
@@ -250,8 +250,8 @@ def test_classify_tetrahedron_order_24_work_bound(monkeypatch):
     # the subset enumeration would test about 4 * 10^6 candidate halves;
     # the lines through the first point of each component give at most n
     calls = []
-    real = nets._component_line
-    monkeypatch.setattr(nets, "_component_line",
+    real = classification._component_line
+    monkeypatch.setattr(classification, "_component_line",
                         lambda comp, p: calls.append(comp) or real(comp, p))
     net = constructors.tetrahedron(12, 193)
     info = classify(net)
@@ -275,19 +275,20 @@ def test_tetrahedron_split_matches_face_verification(monkeypatch):
         + [constructors.triangular_cyclic(n, p) for n, p in ((4, 5), (6, 7), (8, 17))]
         + [constructors.algebraic_fermat(3, 19), constructors.algebraic_fermat(7, 61)] + hesse)
     for net in built:
-        assert nets._try_tetrahedron(net) == tetrahedron_faces_brute(net), net
+        assert classification._try_tetrahedron(net) == tetrahedron_faces_brute(net), net
     # one split triple at a time, so that the helper also fails: on the
     # order-4 nets each component has 3 splits, and a labelling's faces
     # verify exactly when every net line has an even label sum
-    real = nets._collinear_splits
+    real = classification._collinear_splits
     combinations = passed = 0
     for m, p in ((2, 7), (2, 13), (2, 19), (3, 13)):
         net = constructors.tetrahedron(m, p)
         for splits in product(*(real(comp, p) for comp in net.components)):
             chosen = dict(zip(net.components, splits))
-            monkeypatch.setattr(nets, "_collinear_splits",
+            monkeypatch.setattr(classification, "_collinear_splits",
                                 lambda comp, p, chosen=chosen: [chosen[comp]])
-            assert nets._try_tetrahedron(net) == tetrahedron_faces_brute(net), (m, p, splits)
+            assert classification._try_tetrahedron(net) == tetrahedron_faces_brute(net), \
+                (m, p, splits)
             for labels in product((0, 1), repeat=3):
                 halves = tuple((s[o][0], s[1 - o][0]) for s, o in zip(splits, labels))
                 even = all(sum(P in d for P, (g, d) in zip(pts, halves)) % 2 == 0

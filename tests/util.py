@@ -3,7 +3,7 @@
 import argparse
 from itertools import combinations, permutations, product
 
-from dualnets import nets
+from dualnets import classification
 from dualnets.cli import (DEMOS, FAMILIES, cmd_centers, cmd_classify, cmd_construct,
                           cmd_crossratio, cmd_demo, cmd_verify)
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
@@ -261,13 +261,13 @@ def tetrahedron_faces_verify(halves, p):
 
 def tetrahedron_faces_brute(net):
     """classify's tetrahedral step by face verification: for every split
-    triple from nets._collinear_splits (itself checked against
+    triple from classification._collinear_splits (itself checked against
     collinear_splits_brute) and every labelling (o1, o2, o3) in the order
     (0,0,0), (0,0,1), ..., G_i is the half o_i of split i and D_i the
     other.  The first split triple and labelling whose four faces verify,
     as classify reports it, or None."""
     p = net.p
-    all_splits = [nets._collinear_splits(comp, p) for comp in net.components]
+    all_splits = [classification._collinear_splits(comp, p) for comp in net.components]
     for s1, s2, s3, o1, o2, o3 in product(*all_splits, (0, 1), (0, 1), (0, 1)):
         ordered = [(s[o], s[1 - o]) for s, o in ((s1, o1), (s2, o2), (s3, o3))]
         halves = tuple((g[0], d[0]) for g, d in ordered)
