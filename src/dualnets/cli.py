@@ -21,6 +21,7 @@ of the inspection commands only classify loads classification, and curves
 only when the net's points lie on a cubic; only demo loads the demos module.
 """
 
+import io
 import json
 import os
 import re
@@ -94,15 +95,29 @@ def load_document(text):
 
 
 def _read_input(path):
-    if path == "-":
+    if path != "-":
+        with open(path, "rb") as raw:
+            text = _decode(raw)
+    elif sys.stdin is None:
+        raise ValueError("there is no stdin to read the document from")
+    elif hasattr(sys.stdin, "buffer"):
+        text = _decode(sys.stdin.buffer)
+    else:  # a text stream a caller put in place of stdin: nothing to decode
         text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
-    else:
-        with open(path) as fh:
-            text = fh.read(MAX_DOCUMENT_CHARS + 1)
     if len(text) > MAX_DOCUMENT_CHARS:
         raise ValueError("the document is longer than MAX_DOCUMENT_CHARS = %d characters"
                          % MAX_DOCUMENT_CHARS)
     return text
+
+
+def _decode(raw):
+    # one rule for the bytes of a file and of stdin: strict UTF-8 whatever
+    # the locale or PYTHONIOENCODING, read up to one character past the limit
+    text = io.TextIOWrapper(raw, encoding="utf-8")
+    try:
+        return text.read(MAX_DOCUMENT_CHARS + 1)
+    finally:
+        text.detach()  # the caller closes raw
 
 
 def _pvalue_repr(obj):

@@ -23,8 +23,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dualnets.cli import DEMOS, FAMILIES, OPERANDS, OPTIONS, main, parse_args  # noqa: E402
-from util import build_parser  # noqa: E402
+from dualnets.cli import DEMOS, FAMILIES, OPERANDS, OPTIONS, parse_args  # noqa: E402
+from util import build_parser, run_main  # noqa: E402
 
 COMMANDS = list(OPERANDS)
 WORDS = COMMANDS + list(FAMILIES) + list(DEMOS) + list(OPTIONS) + ["-", "--", "x", "-h", "--help"]
@@ -124,26 +124,22 @@ def test_named_lines(argv, want):
 
 
 @pytest.mark.parametrize("flag", ["--h", "--he", "--hel"])
-def test_help_abbreviations_are_errors(capsys, flag):
+def test_help_abbreviations_are_errors(flag):
     for argv in ([flag], ["construct", flag], ["verify", flag]):
         assert argparse_reading(argv) == "help"
         assert new_reading(argv) == "error"
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        code, out, err = run_main(*argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, name, value", [
     (["construct", "hesse4", "--p=--"], "p", []),
     (["construct", "triangular", "--n=--", "--n", "3", "--p", "7"], "n", 3),
 ])
-def test_explicit_dash_dash_value_is_an_error(capsys, argv, name, value):
+def test_explicit_dash_dash_value_is_an_error(argv, name, value):
     # argparse up to 3.12 reads "--n=--" as n = []; from 3.13 it refuses it
     reading = argparse_reading(argv)
     assert reading == "error" or reading[1][name] == value
     assert new_reading(argv) == "error"
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    code, out, err = run_main(*argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1

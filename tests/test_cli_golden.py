@@ -10,14 +10,12 @@ Regenerate the fixture only for an intended change of output:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import contextlib
-import io
 import json
 import os
 import sys
 import tempfile
 
-from dualnets.cli import main
+from util import run_main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
@@ -35,11 +33,9 @@ DOCUMENTS = {
 COMMANDS = ("verify", "centers", "crossratio", "classify")
 
 
-def run_cli(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return {"exit": code, "stdout": out.getvalue()}
+def pinned(*argv):
+    code, out, _ = run_main(*argv)
+    return {"exit": code, "stdout": out}
 
 
 def mutant(doc):
@@ -56,7 +52,7 @@ def mutant(doc):
 
 def outputs(name, argv, tmpdir):
     """Every pinned CLI result for one document, keyed by command."""
-    got = {"construct": run_cli("construct", *argv)}
+    got = {"construct": pinned("construct", *argv)}
     doc = json.loads(got["construct"]["stdout"])
     path = os.path.join(tmpdir, name + ".json")
     bad = os.path.join(tmpdir, name + "-mutant.json")
@@ -65,8 +61,8 @@ def outputs(name, argv, tmpdir):
     with open(bad, "w") as fh:
         json.dump(mutant(doc), fh)
     for command in COMMANDS:
-        got[command] = run_cli(command, path)
-    got["verify-mutant"] = run_cli("verify", bad)
+        got[command] = pinned(command, path)
+    got["verify-mutant"] = pinned("verify", bad)
     return got
 
 

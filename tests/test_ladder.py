@@ -3,8 +3,8 @@
 import copy
 import json
 import os
-import subprocess
-import sys
+
+from util import run_child
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 LADDER = os.path.join(ROOT, "bench", "ladder.py")
@@ -59,25 +59,20 @@ def counter_mismatches(rungs, recorded):
     return out
 
 
-def quick_run(*extra):
-    done = subprocess.run([sys.executable, LADDER, "--quick", *extra], capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
 def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
-    history = str(tmp_path / "layers.json")
-    first = quick_run("--append", history)
-    second = quick_run("--append", history)
-    for entry in (first, second):
-        check_entry(entry)
-        assert entry["quick"] is True
-    # one size per rung, and the counters repeat exactly; times are not compared
+    # one run, appended to a history that already holds the last recorded
+    # entry, whose counters it must repeat exactly (below); times are not compared
+    recorded = last_recorded_entry()
+    history = tmp_path / "layers.json"
+    history.write_text(json.dumps([recorded]))
+    done = run_child(LADDER, "--quick", "--append", str(history), timeout=120)
+    assert done.returncode == 0, done.stderr
+    first = json.loads(done.stdout)
+    check_entry(first)
+    assert first["quick"] is True
+    # one size per rung
     assert [r["layer"] for r in first["rungs"]] \
         == ["curves", "nets", "nets", "nets", "nets", "latin", "latin"]
-    assert [(r["name"], r["size"], r["counts"]) for r in first["rungs"]] \
-        == [(r["name"], r["size"], r["counts"]) for r in second["rungs"]]
     # every rung records the reference loop's time
     assert all(r["ref_s"] > 0 for r in first["rungs"])
     # the classify rung reads its cubics' points off lines, not a plane listing
@@ -97,11 +92,10 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert tetrahedron["size"] == {"m": 6}
     assert tetrahedron["counts"]["nets.classify"] == 1
     assert "nets.verify" not in tetrahedron["counts"]
-    with open(history) as fh:
-        assert json.load(fh) == [first, second]
+    assert json.loads(history.read_text()) == [recorded, first]
     # the counters equal those of the last entry of BENCH_layers.json: a
     # change of work shows here until its entries are appended
-    assert counter_mismatches(first["rungs"], last_recorded_entry()) == []
+    assert counter_mismatches(first["rungs"], recorded) == []
 
 
 def test_counter_gate_names_each_changed_counter_and_unrecorded_rung():

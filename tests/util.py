@@ -1,16 +1,70 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles for the test suite, and its two program
+runners: run_main in this process and run_child in a fresh interpreter."""
 
 import argparse
+import contextlib
+import io
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations, permutations, product
 
 from dualnets import classification
 from dualnets.cli import (DEMOS, FAMILIES, cmd_centers, cmd_classify, cmd_construct,
-                          cmd_crossratio, cmd_demo, cmd_verify)
+                          cmd_crossratio, cmd_demo, cmd_verify, main)
 from dualnets.curves import HomPoly, inflection_points, restrict, tangent_line
 from dualnets.latin import _generators, element_orders
 from dualnets.nets import NetViolation, verify
 from dualnets.plane import (PValue, _base_points, all_points, cross, det3, incident, join,
                             line_points, meet, normalize)
+
+
+CLI = ("-m", "dualnets.cli")  # run_child's arguments that start the command line
+TIMEOUT = 10  # seconds a child runs unless its test gives it more
+
+
+def run_main(*argv, stdin=b""):
+    """(exit code, stdout, stderr) of dualnets.cli.main(argv) in this
+    process.  stdin is bytes behind the text stream an interpreter in UTF-8
+    mode hands over, so main decodes them itself; None is a closed fd 0,
+    and text a bare text stream, as perfbench's in-process runs set."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    if isinstance(stdin, bytes):
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape")
+    sys.stdin = io.StringIO(stdin) if isinstance(stdin, str) else stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def child_env(**changes):
+    """os.environ with src first on PYTHONPATH, and the changes."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **changes)
+
+
+def run_child(*args, stdin=b"", timeout=TIMEOUT, max_bytes=None, env=None):
+    """The CompletedProcess, stdout and stderr as text, of `python args...`
+    on src, killed after timeout seconds.  stdin is bytes or text (None: fd
+    0 closed), env changes child_env, and max_bytes caps the address space,
+    so that a runaway allocation fails in the child alone."""
+    def setup():
+        if stdin is None:
+            os.close(0)
+        if max_bytes is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    done = subprocess.run([sys.executable, *args], capture_output=True, timeout=timeout,
+                          input=stdin.encode() if isinstance(stdin, str) else stdin,
+                          env=child_env(**(env or {})),
+                          preexec_fn=setup if stdin is None or max_bytes is not None else None)
+    done.stdout, done.stderr = (s.decode("utf-8", "replace") for s in (done.stdout, done.stderr))
+    return done
 
 
 def is_latin(square):
