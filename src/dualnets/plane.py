@@ -226,17 +226,17 @@ def anharmonic_orbit(k):
 def u_invariant(k):
     """u(k) = (k^2-k+1)^3 / ((k+1)^2 (k-2)^2 (2k-1)^2), projectively.
 
-    Constant on anharmonic orbits; 0 exactly at equianharmonic k, inf
-    exactly at harmonic-type k in {-1, 2, 1/2}.  Needs p >= 5: over GF(3),
-    k = -1 is harmonic and equianharmonic at once and u reads 0/0.
+    This is I^3/J^2 of the quartic d t^3 - (n+d) t^2 + n t, k = n/d, whose
+    roots are 0, 1, k and inf.  Constant on anharmonic orbits; 0 exactly
+    at equianharmonic k, inf exactly at harmonic-type k in {-1, 2, 1/2}.
+    Needs p >= 5: over GF(3), k = -1 is harmonic and equianharmonic at
+    once and u reads 0/0.
     """
     n, d, p = k.num, k.den, k.p
     if p < 5:
         raise ValueError("u_invariant needs p >= 5, got p = %d" % p)
-    q = (n * n - n * d + d * d) % p
-    num = pow(q, 3, p)
-    den = pow((n + d) * (n - 2 * d) * (2 * n - d), 2, p)
-    return PValue(num, den, p)
+    I, J = _quartic_invariants(0, n, -(n + d), d, 0, p)
+    return PValue(pow(I, 3, p), pow(J, 2, p), p)
 
 
 def u_from_quartic(a0, a1, a2, a3, a4, p):

@@ -60,35 +60,6 @@ def test_crossratio_conic_line(tmp_path):
     assert entry["kappa_squared_minus_kappa_plus_one_zero"] is False
 
 
-def test_crossratio_fermat(tmp_path):
-    path, _ = construct(tmp_path, "fm", "fermat", "--n", "3", "--p", "19")
-    rc, out, _ = run_main("crossratio", path)
-    assert rc == 0
-    rows = json.loads(out)["centers"]
-    assert [entry["center"] for entry in rows] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    for entry in rows:
-        assert entry["kappa_squared_minus_kappa_plus_one_zero"] is True
-
-
-def test_hesse4_document_and_reports(tmp_path):
-    path, doc = construct(tmp_path, "h4", "hesse4", "--p", "13")
-    assert len(doc["components"]) == 4
-    assert all(len(comp) == 3 for comp in doc["components"])
-    rc, out, _ = run_main("verify", path)
-    assert rc == 0 and json.loads(out)["k"] == 4
-    rc, out, _ = run_main("classify", path)
-    assert rc == 0
-    report = json.loads(out)
-    assert report["k"] == 4
-    assert [d["tag"] for d in report["derived"]] == ["proper-algebraic"] * 4
-    rc, out, _ = run_main("crossratio", path)
-    assert rc == 0
-    entry = json.loads(out)
-    assert entry["kappa"] == "10"
-    assert entry["kappa_squared_minus_kappa_plus_one_zero"] is True
-    assert entry["kappa_plus_one_zero"] is False
-
-
 def test_construct_usage_errors(tmp_path):
     rc, _, err = run_main("construct", "conic-line", "--n", "4", "--p", "13")
     assert rc == 2 and "odd" in err
@@ -458,27 +429,27 @@ def test_classify_and_crossratio_refuse_k_above_4():
     # five collinear points form an order-1 5-net: verify and centers answer,
     # while classify and crossratio are defined for 3- and 4-nets only
     doc = json.dumps({"p": 7, "components": [[[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]],
-                                             [[1, 2, 0]], [[1, 3, 0]]]})
+                                             [[1, 2, 0]], [[1, 3, 0]]]}).encode()
     for command in ("classify", "crossratio"):
-        done = run_child(*CLI, command, "-", stdin=doc)
-        assert done.returncode == 2, command
-        assert done.stdout == "" and "Traceback" not in done.stderr, command
-        assert done.stderr == "error: %s needs a 3-net or a 4-net, got k = 5\n" % command
+        rc, out, err = run_main(command, "-", stdin=doc)
+        assert rc == 2, command
+        assert out == "" and "Traceback" not in err, command
+        assert err == "error: %s needs a 3-net or a 4-net, got k = 5\n" % command
     for command in ("verify", "centers"):
-        assert run_child(*CLI, command, "-", stdin=doc).returncode == 0, command
+        assert run_main(command, "-", stdin=doc)[0] == 0, command
 
 
 def test_order_1_constructions_over_gf2():
     # the one root of unity in GF(2) has order 1, so the order-1
     # triangular net is built
-    done = run_child(*CLI, "construct", "triangular", "--n", "1", "--p", "2")
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["components"] == [[[1, 0, 1]], [[0, 1, 1]], [[1, 1, 0]]]
+    rc, out, err = run_main("construct", "triangular", "--n", "1", "--p", "2")
+    assert rc == 0, err
+    assert json.loads(out)["components"] == [[[1, 0, 1]], [[0, 1, 1]], [[1, 1, 0]]]
     # the order-1 conic-line points put (1, 1, 1) in components 1 and 2:
     # construct reports the violation as verify does, with no traceback
-    done = run_child(*CLI, "construct", "conic-line", "--n", "1", "--p", "2")
-    assert done.returncode == 1 and "Traceback" not in done.stderr
-    assert json.loads(done.stdout) == {
+    rc, out, err = run_main("construct", "conic-line", "--n", "1", "--p", "2")
+    assert rc == 1 and "Traceback" not in err
+    assert json.loads(out) == {
         "verified": False, "component": 2,
         "error": "components 1 and 2 are not disjoint at (1, 1, 1)"}
 

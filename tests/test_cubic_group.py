@@ -5,7 +5,6 @@ import pytest
 
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, CurveGroup, find_fermat_prime_for_order
 from dualnets.gf import is_prime
-from dualnets.plane import normalize
 from dualnets import nets
 
 from util import collinear_brute, find_invariant_subgroup_walk
@@ -84,12 +83,6 @@ def test_u_automorphism_p13():
         assert G.u_auto(G.add(P, Q)) == G.add(G.u_auto(P), G.u_auto(Q))
     fixed = {P for P in pts if G.u_auto(P) == P}
     assert fixed == {(1, 4, 0), (1, 10, 0), (1, 12, 0)}
-
-
-def test_hasse_bound():
-    for p in (7, 13, 19, 31):
-        N = len(CurveGroup(p).points)
-        assert (N - p - 1) ** 2 <= 4 * p
 
 
 def test_invariant_subgroup_p13():

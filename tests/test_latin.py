@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from dualnets import constructors, latin, nets
+from dualnets import constructors, latin
 from dualnets.latin import (_index2_characters, complete_mapping_exists,
                             cyclic_group, dihedral_group, direct_product,
                             element_orders, from_net, group_catalog,
@@ -445,15 +445,6 @@ def test_complete_mapping_pinned_cases():
     exists, theta = complete_mapping_exists(cyclic_group(5))
     assert exists and theta is not None
     assert complete_mapping_exists([[0]]) == (True, [0])
-
-
-def test_hall_paige_criterion_direct():
-    assert not hall_paige_criterion(cyclic_group(4))
-    assert hall_paige_criterion(direct_product(cyclic_group(2), cyclic_group(2)))
-    assert hall_paige_criterion(cyclic_group(5))
-    assert hall_paige_criterion(dihedral_group(4))
-    assert not hall_paige_criterion(dihedral_group(5))
-    assert hall_paige_criterion(alternating_group_4())
 
 
 def test_complete_mapping_is_cayley_transversal():

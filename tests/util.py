@@ -644,6 +644,17 @@ def mat_inv(M, p):
     return tuple(tuple(x * s % p for x in row) for row in adj)
 
 
+def random_projectivity(rng, p):
+    """A random invertible 3x3 matrix over GF(p)."""
+    while True:
+        M = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
+        try:
+            mat_inv(M, p)
+            return M
+        except ValueError:
+            pass
+
+
 def apply_line(M, line, p):
     """Image of a line under the point map M: coefficients go through M^-T."""
     Minv = mat_inv(M, p)
