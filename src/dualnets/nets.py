@@ -5,8 +5,10 @@ classification module.
 A dual k-net of order n is k >= 3 pairwise disjoint components of n points
 each such that every line meeting two distinct components meets each
 component in exactly one point.  The verifier groups the other net points
-by their join with each point of component 0 and checks only the lines
-from component 0 to component 1; a counting argument (in verify) covers
+by the line through them and each point P of component 0, keyed by one
+residue mod p per pair (_line_keys) rather than a join, and checks only
+the lines from component 0 to component 1, joining P with each point of
+component 1: n^2 joins in all.  A counting argument (in verify) covers
 every other line.  The same pass yields the net-line table, each of the
 n^2 net lines with its k points, which lines_through_center,
 crossratio_4net, latin.from_net and the tetrahedral step of
@@ -26,7 +28,7 @@ from .plane import cross_ratio, join, line_points, meet, normalize
 
 
 _MAX_CENTERS = 10 ** 6  # the most centers find_centers lists for an order-1 net
-VERIFY_MAX_JOINS = 3 * 500 ** 2  # the k n^2 joins verify makes at most: an order-500 3-net
+VERIFY_MAX_JOINS = 3 * 500 ** 2  # the k n^2 point pairs verify groups at most: an order-500 3-net
 
 
 class NetViolation(Exception):
@@ -66,12 +68,44 @@ class DualNet:
 
 
 def _check_joins(k, n):
-    """Raise ValueError when verifying a k-net of order n would take more
-    than VERIFY_MAX_JOINS joins.  The constructors call it before they build
-    anything; a non-positive order passes, for their own checks to refuse."""
+    """Raise ValueError when verifying a k-net of order n would group more
+    than VERIFY_MAX_JOINS point pairs.  The constructors call it before they
+    build anything; a non-positive order passes, for their own checks to
+    refuse."""
     if n > 0 and k * n * n > VERIFY_MAX_JOINS:
         raise ValueError("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
                          "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
+
+
+def _inverter(p, pairs):
+    """c -> c^-1 mod p for 0 < c < p.  When p <= pairs, a table built by
+    inv[a] = -(p // a) inv[p mod a] (from p = (p // a) a + p mod a), which
+    then costs no more than the pairs it serves; otherwise pow, which works
+    for every p up to 2^64."""
+    if p > pairs:
+        return lambda c: pow(c, -1, p)
+    inv = [0, 1] + [0] * (p - 2)
+    for a in range(2, p):
+        inv[a] = -(p // a) * inv[p % a] % p
+    return inv.__getitem__
+
+
+def _line_keys(P, points, p, inv):
+    """For a normalized point P = (x, y, z) and normalized points
+    Q = (u, v, w) != P, a key of the line PQ.
+
+    Let P_i = 1 be the first nonzero entry of P and j < k the other two
+    indices.  The line l = P x Q has l . P = 0, so l_i = -(l_j P_j + l_k P_k)
+    and l is fixed by (l_j : l_k), which is nonzero since Q != P.  The key
+    l_j / l_k mod p, or p when l_k = 0, is thus equal for Q and R exactly
+    when PQ = PR.  With P x Q = (y w - z v, z u - x w, x v - y u), one
+    branch per pivot i spells out l_j and l_k; inv inverts mod p."""
+    x, y, z = P
+    if x:  # P = (1, y, z)
+        return [(z * u - w) * inv(d) % p if (d := (v - y * u) % p) else p for u, v, w in points]
+    if y:  # P = (0, 1, z)
+        return [(w - z * v) * inv(p - u) % p if u else p for u, v, w in points]
+    return [-v * inv(u) % p if u else p for u, v, w in points]  # P = (0, 0, 1)
 
 
 def verify(components, p, allow_char_exception=False, meta=None):
@@ -83,12 +117,13 @@ def verify(components, p, allow_char_exception=False, meta=None):
     order; pass allow_char_exception=True for the deliberate n = p
     construction.
 
-    Each point P of component 0 groups the other net points by their join
-    with P, in component order; a line through P passes when its group
-    reads components 0, 1, ..., k-1, P counted in component 0, and is then
-    stored as it stands.  That is at most k n^2 joins and no incidence
-    test; a net with k n^2 > VERIFY_MAX_JOINS raises ValueError before the
-    first join.
+    Each point P of component 0 groups the other net points, in component
+    order, by the key of their line with P (_line_keys: one residue per
+    pair, no join); a line through P passes when its group reads
+    components 0, 1, ..., k-1, P counted in component 0, and is then
+    stored, as the join of P with its point of component 1, as it stands.
+    That is k n^2 keys, n^2 joins and no incidence test; a net with
+    k n^2 > VERIFY_MAX_JOINS raises ValueError before the first key.
 
     Only the lines PQ with Q in component 1 are checked.  That suffices:
     if they all pass, the n of them through one P are distinct and meet
@@ -123,20 +158,25 @@ def verify(components, p, allow_char_exception=False, meta=None):
             seen[P] = i
     if not allow_char_exception and p <= n:
         raise NetViolation("p=%d must exceed the order n=%d" % (p, n))
-    _check_joins(len(comps), n)
+    k = len(comps)
+    _check_joins(k, n)
 
+    points = list(seen)
+    inv = _inverter(p, k * n * n)
     lines = {}
-    order = list(range(len(comps)))
-    for P in comps[0]:
-        # the line through P of every other net point, and the net points
-        # of each such line, in component order
-        line_of = {Q: join(P, Q, p) for Q in seen if Q != P}
+    order = list(range(k))
+    for r, P in enumerate(comps[0]):
+        # the other net points and the key of each one's line through P;
+        # the net points of each such line, in component order; component
+        # 1 is others[n - 1:2 n - 1]
+        others = points[:r] + points[r + 1:]
+        keys = _line_keys(P, others, p, inv)
         on = {}
-        for Q, line in line_of.items():
-            on.setdefault(line, [P]).append(Q)
-        for Q in comps[1]:
-            line = line_of[Q]
-            pts = on[line]
+        for key, Q in zip(keys, others):
+            on.setdefault(key, [P]).append(Q)
+        for key, Q in zip(keys[n - 1:2 * n - 1], comps[1]):
+            pts = on[key]
+            line = join(P, Q, p)
             if [seen[R] for R in pts] != order:
                 held = [[R for R in pts if seen[R] == m] for m in order]
                 m = next(m for m in order if len(held[m]) != 1)

@@ -8,12 +8,12 @@ from dualnets.nets import (DualNet, NetViolation, classify,
                            constant_cross_ratio, crossratio_4net, derived_net,
                            extend_to_4net, find_centers, is_perspective_center,
                            lines_through_center, verify)
-from dualnets.plane import (PValue, all_points, anharmonic_orbit, incident, join,
-                            line_points, meet)
+from dualnets.plane import (PValue, all_points, anharmonic_orbit, apply_point, incident,
+                            join, line_points, meet)
 from util import (collinear_splits_brute, is_center_brute, is_dual_net_brute, kappas_4net_brute,
                   kappas_at_center_brute, legendre_cubic,
-                  partitions_brute, tetrahedron_faces_brute, tetrahedron_faces_verify,
-                  verify_pairs_brute)
+                  partitions_brute, random_projectivity, tetrahedron_faces_brute,
+                  tetrahedron_faces_verify, verify_pairs_brute)
 
 
 def test_verify_accepts_and_normalizes():
@@ -486,10 +486,36 @@ def _mutant(net, rng, points):
     return comps
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_line_keys_match_joins_on_the_whole_plane(p):
+    # every point P of PG(2, p), so each of the pivots (1, y, z), (0, 1, z)
+    # and (0, 0, 1), and all Q, R != P: equal keys exactly when PQ = PR, with
+    # the inverse table (p <= pairs) and with pow (p > pairs)
+    plane = all_points(p)
+    for inv in (nets._inverter(p, p), nets._inverter(p, p - 1)):
+        assert [c * inv(c) % p for c in range(1, p)] == [1] * (p - 1)
+        for P in plane:
+            others = [Q for Q in plane if Q != P]
+            keyed = list(zip(nets._line_keys(P, others, p, inv),
+                             [join(P, Q, p) for Q in others]))
+            assert all((kq == kr) == (lq == lr) for kq, lq in keyed for kr, lr in keyed), P
+
+
+def _image_with_every_pivot_in_component_0(net, rng):
+    """A random projective image of net, verified, whose component 0 holds
+    a point (1, y, z), a point (0, 1, z) and the point (0, 0, 1)."""
+    while True:
+        M = random_projectivity(rng, net.p)
+        if {apply_point(M, P, net.p).index(1) for P in net.components[0]} == {0, 1, 2}:
+            return verify([[apply_point(M, P, net.p) for P in comp] for comp in net.components],
+                          net.p)
+
+
 def test_verify_matches_pair_scan_on_mutants():
     # verify checks only the lines from component 0 to component 1; the
     # scan over all pairs of components must give the same verdict and the
-    # same first witness
+    # same first witness; triangular_cyclic(3, 211) has p > k n^2, so
+    # verify inverts with pow there and with its table elsewhere
     families = [
         constructors.triangular_cyclic(5, 11),
         constructors.conic_line(7, 29, 3),
@@ -499,6 +525,8 @@ def test_verify_matches_pair_scan_on_mutants():
         constructors.hesse_4net(7),
         constructors.hesse_4net(13),
         constructors.pencil_char_p(7),
+        _image_with_every_pivot_in_component_0(constructors.hesse_4net(13), random.Random(40)),
+        constructors.triangular_cyclic(3, 211),
     ]
     rng = random.Random(2024)
     checked = accepted = 0
@@ -519,9 +547,10 @@ def test_verify_matches_pair_scan_on_mutants():
 
 
 def test_verify_work_bound(monkeypatch):
-    # verify joins each point of component 0 with the other kn - 1 points
-    # once and tests no incidence; from_net and crossratio_4net only read
-    # the line table (cross_ratio itself may check collinearity)
+    # verify keys the other kn - 1 points by their line with each point of
+    # component 0, joins it with component 1 only, n^2 joins in all, and
+    # tests no incidence; from_net and crossratio_4net only read the line
+    # table (cross_ratio itself may check collinearity)
     nets_in = [constructors.pencil_char_p(19), constructors.triangular_cyclic(15, 181)]
     h4 = constructors.hesse_4net(13)
     calls = {"join": 0, "incident": 0}
@@ -537,7 +566,7 @@ def test_verify_work_bound(monkeypatch):
         calls.update(join=0, incident=0)
         again = verify(net.components, net.p, allow_char_exception=net.char_exception)
         assert calls["incident"] == 0, net
-        assert 0 < calls["join"] <= 2 * net.k * net.n ** 2, (net, calls)
+        assert calls["join"] == net.n ** 2, (net, calls)
         assert again.lines == net.lines
     calls.update(join=0, incident=0)
     for net in nets_in:
