@@ -79,9 +79,9 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert "plane.all_points" not in first["rungs"][1]["counts"]
     assert first["rungs"][1]["counts"]["nets.classify"] == 4
     # the verifier keys the other net points by their line with each point
-    # of component 0 and joins it with component 1 only: n^2 joins; the
-    # center search tests the n^2 candidates of a net that has no center,
-    # and leaves out the found counter that stays 0
+    # of component 0 and joins that point with component 1 only: n^2
+    # joins; the center search tests the n^2 candidates of a net that has
+    # no center, and leaves out the found counter that stays 0
     verify, centers = first["rungs"][2:4]
     assert verify["size"] == centers["size"] == {"n": 15}
     assert verify["counts"] == {"nets.verify": 1, "plane.join": 15 ** 2}

@@ -548,9 +548,9 @@ def test_verify_matches_pair_scan_on_mutants():
 
 def test_verify_work_bound(monkeypatch):
     # verify keys the other kn - 1 points by their line with each point of
-    # component 0, joins it with component 1 only, n^2 joins in all, and
-    # tests no incidence; from_net and crossratio_4net only read the line
-    # table (cross_ratio itself may check collinearity)
+    # component 0, joins that point with component 1 only, n^2 joins in
+    # all, and tests no incidence; from_net and crossratio_4net only read
+    # the line table (cross_ratio itself may check collinearity)
     nets_in = [constructors.pencil_char_p(19), constructors.triangular_cyclic(15, 181)]
     h4 = constructors.hesse_4net(13)
     calls = {"join": 0, "incident": 0}
