@@ -57,10 +57,10 @@ def load_document(text):
     failure).
     """
     # the point and component lists of the largest net verify admits (k =
-    # VERIFY_MAX_JOINS of order 1) and the outer list, counted before any is built
-    arrays = 2 * nets.VERIFY_MAX_JOINS + 1
+    # VERIFY_MAX_PAIRS of order 1) and the outer list, counted before any is built
+    arrays = 2 * nets.VERIFY_MAX_PAIRS + 1
     if text.count("[") > arrays:
-        raise ValueError("the document opens more than 2 VERIFY_MAX_JOINS + 1 = %d arrays"
+        raise ValueError("the document opens more than 2 VERIFY_MAX_PAIRS + 1 = %d arrays"
                          % arrays)
     try:
         doc = json.loads(text)
@@ -83,7 +83,7 @@ def load_document(text):
     # exact ints only: int() would truncate 1.9 and accept "1" and true
     try:
         # the verifier's limit, from the shape alone: no point is built past it
-        nets._check_joins(len(comps), max(map(len, comps), default=0))
+        nets._check_pairs(len(comps), max(map(len, comps), default=0))
         comps = [[tuple(P) for P in comp] for comp in comps]
     except TypeError:
         raise ValueError("components must be lists of integer triples")

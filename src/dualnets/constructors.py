@@ -8,7 +8,7 @@ before any root of unity is sought or any point is built.
 """
 
 from .gf import nth_root_of_unity
-from .nets import NetViolation, _check_joins, verify
+from .nets import NetViolation, _check_pairs, verify
 
 
 def triangular_cyclic(n, p, c=1):
@@ -21,7 +21,7 @@ def triangular_cyclic(n, p, c=1):
     c = c % p
     if c == 0:
         raise ValueError("c must be nonzero")
-    _check_joins(3, n)
+    _check_pairs(3, n)
     xi = nth_root_of_unity(p, n)
     pw = [pow(xi, i, p) for i in range(n)]
     lam1 = [(1, 0, pw[i]) for i in range(n)]
@@ -40,7 +40,7 @@ def pencil_char_p(p):
     """
     if p < 5:
         raise ValueError("p must be at least 5")
-    _check_joins(3, p)
+    _check_pairs(3, p)
     lam1 = [(a, 0, 1) for a in range(p)]
     lam2 = [(b, 1, 1) for b in range(p)]
     lam3 = [(c, 2, 1) for c in range(p)]
@@ -62,7 +62,7 @@ def conic_line(n, p, c=1):
     c = c % p
     if c == 0:
         raise ValueError("c must be nonzero")
-    _check_joins(3, n)
+    _check_pairs(3, n)
     xi = nth_root_of_unity(p, n)
     ci = pow(c, -1, p)
     lam2 = [(c * pow(xi, i, p) % p, ci * pow(xi, -i, p) % p, 1) for i in range(n)]
@@ -137,7 +137,7 @@ def tetrahedron(m, p):
     n = 2 * m
     if (p - 1) % m != 0 or p <= n:
         raise ValueError("no realization found: need m | p-1 and p > 2m")
-    _check_joins(3, n)
+    _check_pairs(3, n)
     z = nth_root_of_unity(p, m)
     S = [pow(z, i, p) for i in range(m)]
 

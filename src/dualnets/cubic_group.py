@@ -8,7 +8,7 @@ position with center (0,0,1), which nets.verify decides.
 """
 
 from .curves import curve_points, fermat_cubic, restrict, tangent_line
-from .gf import is_prime, nth_root_of_unity
+from .gf import factorize, is_prime, nth_root_of_unity
 from .plane import _base_points, normalize
 
 FERMAT_PRIME_SCAN_CAP = 500
@@ -136,11 +136,31 @@ class CurveGroup:
         return [[self.add(h, Q) for h in H] for Q in (P, uP, self.u_auto(uP))]
 
 
+def _no_invariant_cyclic_subgroup(n):
+    """True when 9 or a prime q = 2 (mod 3) divides n; see
+    find_fermat_prime_for_order."""
+    return n % 9 == 0 or any(q % 3 == 2 for q in factorize(n))
+
+
 def find_fermat_prime_for_order(n):
     """Smallest prime p = 1 (mod 3), p > n, whose Fermat cubic has a
     u-invariant subgroup of order n with a valid base point; None if no
-    prime up to FERMAT_PRIME_SCAN_CAP has one."""
+    prime up to FERMAT_PRIME_SCAN_CAP has one.
+
+    None at once, with no scan, when 9 or a prime q = 2 (mod 3) divides n,
+    for then no prime has one.  u fixes O, so it is an automorphism, and
+    P, u(P), u^2(P) lie on the line through P and (0,0,1), so they add up
+    to O.  So the group is a module over Z[w], w^2 + w + 1 = 0, with u
+    acting as w, and a u-invariant cyclic subgroup is Z[w]/(a), a of norm
+    n, which is the sum of the Z[w]/(pi^e) over the prime powers pi^e of a.
+    Its additive group is cyclic only if each of theirs is.  But a prime
+    q = 2 (mod 3) stays prime in Z[w], and Z[w]/(q^e) is (Z/q^e)^2; and 3
+    is a unit times (1 - w)^2, so for e >= 2 Z[w]/((1 - w)^e) maps onto
+    Z[w]/(3) = (Z/3)^2.
+    """
     start = max(n + 1, 7)
+    if start > FERMAT_PRIME_SCAN_CAP or _no_invariant_cyclic_subgroup(n):
+        return None
     for p in range(start + (1 - start) % 3, FERMAT_PRIME_SCAN_CAP + 1, 3):
         if not is_prime(p):
             continue

@@ -377,34 +377,28 @@ def _group_isotopy(square):
     return tuple(map(tuple, table)), rows, cols
 
 
+def _rotations(symbols):
+    row = tuple(symbols)  # rotation i starts at row[i]
+    return [row[i:] + row[:i] for i in range(len(row))]
+
+
 def cyclic_group(n):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return tuple(_rotations(range(n)))
 
 
 def dihedral_group(m):
-    """Dihedral group of order 2m: 0..m-1 rotations, m..2m-1 reflections."""
-    n = 2 * m
-    t = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            t[i][j] = (i + j) % m
-            t[i][m + j] = m + (j - i) % m
-            t[m + i][j] = m + (i + j) % m
-            t[m + i][m + j] = (j - i) % m
-    return tuple(tuple(row) for row in t)
+    """Dihedral group of order 2m: 0..m-1 rotations, m..2m-1 reflections.
+    Mod m, rotation i times rotation j is rotation i + j, times reflection
+    j reflection j - i; reflection i times rotation j is reflection i + j,
+    times reflection j rotation j - i.  So a row is two blocks shifted."""
+    rot, ref = _rotations(range(m)), _rotations(range(m, 2 * m))
+    return tuple([rot[i] + ref[-i] for i in range(m)] + [ref[i] + rot[-i] for i in range(m)])
 
 
 def direct_product(A, B):
-    na, nb = len(A), len(B)
-    t = []
-    for x1 in range(na):
-        for y1 in range(nb):
-            row = []
-            for x2 in range(na):
-                for y2 in range(nb):
-                    row.append(A[x1][x2] * nb + B[y1][y2])
-            t.append(tuple(row))
-    return tuple(t)
+    """Element (x, y) is x |B| + y; its row pairs row x of A with row y of B."""
+    nb = len(B)
+    return tuple(tuple(a * nb + b for a in ra for b in rb) for ra in A for rb in B)
 
 
 def group_catalog(max_order=16):

@@ -27,8 +27,8 @@ keep the whole-plane sweep of the definition as the oracle for both.
 from .plane import cross_ratio, join, line_points, meet, normalize
 
 
-_MAX_CENTERS = 10 ** 6  # the most centers find_centers lists for an order-1 net
-VERIFY_MAX_JOINS = 3 * 500 ** 2  # the k n^2 point pairs verify groups at most: an order-500 3-net
+_MAX_CENTERS = 10 ** 6  # find_centers' bound on its centers times the order
+VERIFY_MAX_PAIRS = 3 * 500 ** 2  # the k n^2 point pairs verify groups at most: an order-500 3-net
 
 
 class NetViolation(Exception):
@@ -67,14 +67,14 @@ class DualNet:
         return [P for comp in self.components for P in comp]
 
 
-def _check_joins(k, n):
+def _check_pairs(k, n):
     """Raise ValueError when verifying a k-net of order n would group more
-    than VERIFY_MAX_JOINS point pairs.  The constructors call it before they
+    than VERIFY_MAX_PAIRS point pairs.  The constructors call it before they
     build anything; a non-positive order passes, for their own checks to
     refuse."""
-    if n > 0 and k * n * n > VERIFY_MAX_JOINS:
-        raise ValueError("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
-                         "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
+    if n > 0 and k * n * n > VERIFY_MAX_PAIRS:
+        raise ValueError("k = %d, n = %d: k n^2 = %d point pairs exceed the verifier limit "
+                         "VERIFY_MAX_PAIRS = %d" % (k, n, k * n * n, VERIFY_MAX_PAIRS))
 
 
 def _inverter(p, pairs):
@@ -123,7 +123,7 @@ def verify(components, p, allow_char_exception=False, meta=None):
     components 0, 1, ..., k-1, P counted in component 0, and is then
     stored, as the join of P with its point of component 1, as it stands.
     That is k n^2 keys, n^2 joins and no incidence test; a net with
-    k n^2 > VERIFY_MAX_JOINS raises ValueError before the first key.
+    k n^2 > VERIFY_MAX_PAIRS raises ValueError before the first key.
 
     Only the lines PQ with Q in component 1 are checked.  That suffices:
     if they all pass, the n of them through one P are distinct and meet
@@ -159,7 +159,7 @@ def verify(components, p, allow_char_exception=False, meta=None):
     if not allow_char_exception and p <= n:
         raise NetViolation("p=%d must exceed the order n=%d" % (p, n))
     k = len(comps)
-    _check_joins(k, n)
+    _check_pairs(k, n)
 
     points = list(seen)
     inv = _inverter(p, k * n * n)
@@ -227,10 +227,12 @@ def find_centers(net):
     lines through A with the n lines through B are a complete candidate
     set.  lines_through_center tests each with at most n joins, those with
     A and B last, since for a candidate off the net they are net lines.
-    For n = 1 the k net points span the one net line, and every other
-    point of that line is a center; more than _MAX_CENTERS of them raise
-    ValueError before any is listed.  The tests compare the result with a
-    whole-plane sweep of the definition.
+    A center costs all n, so the search raises ValueError once its centers
+    times n pass _MAX_CENTERS: a net with about p^2 centers, such as the
+    pencil, would cost O(p^3).  For n = 1 the k net points span the one
+    net line, and every other point of that line is a center; more than
+    _MAX_CENTERS of them raise ValueError before any is listed.  The tests
+    compare the result with a whole-plane sweep of the definition.
     """
     p = net.p
     if net.n == 1:
@@ -244,7 +246,15 @@ def find_centers(net):
     through_a = [join(A, Q, p) for Q in net.components[1]]
     through_b = [join(B, Q, p) for Q in net.components[1]]
     candidates = {meet(la, lb, p) for la in through_a for lb in through_b}
-    return {T for T in candidates if is_perspective_center(net, T)}
+    centers = set()
+    for T in candidates:
+        if is_perspective_center(net, T):
+            centers.add(T)
+            if len(centers) * net.n > _MAX_CENTERS:
+                raise ValueError("an order-%d net over GF(%d) has more than %d centers, past the "
+                                 "limit _MAX_CENTERS = %d on centers times the order"
+                                 % (net.n, p, _MAX_CENTERS // net.n, _MAX_CENTERS))
+    return centers
 
 
 def constant_cross_ratio(net, T):

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from census import CENTER, census
+from census import CENTER, census, order3_net
 from dualnets import latin
 from dualnets.nets import (NetViolation, classify, constant_cross_ratio, crossratio_4net,
                            derived_net, extend_to_4net, find_centers, verify)
@@ -52,6 +52,28 @@ def test_order_3_census():
             # the corollary at order 3: every derived 3-net is a group's
             for i in range(4):
                 assert latin.is_group_coordinatizable(latin.from_net(derived_net(h4, i)))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_order_3_census_is_the_closed_form(p):
+    found = [net.components for net in census(3, p)]
+    assert found == sorted(order3_net(kappa, p).components for kappa in range(2, p))
+
+
+def test_order_3_closed_form_at_p31():
+    # over every kappa: the conic-line nets are kappa in {-1, 2, 1/2}, and
+    # the nets with 3 centers, which extend to 4-nets, have kappa^2 - kappa
+    # + 1 = 0
+    p = 31
+    conic = {p - 1, 2, pow(2, -1, p)}
+    for kappa in range(2, p):
+        net = order3_net(kappa, p)
+        assert constant_cross_ratio(net, CENTER).value == kappa
+        assert classify(net)["tag"] == ("conic-line" if kappa in conic
+                                        else "proper-algebraic"), kappa
+        sixth_root = (kappa * kappa - kappa + 1) % p == 0
+        assert len(find_centers(net)) == (3 if sixth_root else 1), kappa
+        assert (extend_to_4net(net) is not None) == sixth_root, kappa
 
 
 @pytest.mark.parametrize("p, centers, kappa", [(5, 15, 3), (7, 35, 6)])

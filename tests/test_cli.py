@@ -10,7 +10,7 @@ from dualnets import cli
 from dualnets.cli import MAX_DOCUMENT_CHARS, USAGE, load_document, net_document
 from dualnets.constructors import triangular_cyclic
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
-from dualnets.nets import VERIFY_MAX_JOINS
+from dualnets.nets import VERIFY_MAX_PAIRS
 from util import CLI, TIMEOUT, child_env, run_child, run_main
 
 
@@ -405,6 +405,21 @@ def test_centers_of_an_order_1_net_past_the_limit():
         assert run_child(*CLI, command, "-", stdin=doc).returncode == 0, command
 
 
+def test_centers_of_a_pencil_net_past_the_limit():
+    # the order-499 pencil net has 499 * 497 centers, each confirmed with
+    # 499 joins, which ran past 300 s: centers and crossratio stop once the
+    # centers times the order pass the limit, after about 3.5 s on a 2-core
+    # x86 VM; the timeout leaves room for a loaded host
+    rc, doc, err = run_main("construct", "pencil", "--p", "499")
+    assert rc == 0, err
+    for command in ("centers", "crossratio"):
+        done = run_child(*CLI, command, "-", stdin=doc, timeout=30)
+        assert done.returncode == 2 and done.stdout == "", command
+        assert done.stderr == ("error: an order-499 net over GF(499) has more than 2004 "
+                               "centers, past the limit _MAX_CENTERS = 1000000 on centers "
+                               "times the order\n"), command
+
+
 def test_fermat_past_the_curve_group_limit():
     # listing the points of the Fermat cubic over GF(1000003) takes about
     # 10^12 Horner steps; construct refuses before listing any
@@ -416,13 +431,13 @@ def test_fermat_past_the_curve_group_limit():
 
 
 def test_pencil_past_its_limit():
-    # an order-p pencil net costs 3p^2 joins to verify, about 3 * 10^12 at
+    # an order-p pencil net keys 3p^2 point pairs in verify, about 3 * 10^12 at
     # p = 1000003; construct refuses before listing a point
     for p in (503, 1000003):
         done = run_child(*CLI, "construct", "pencil", "--p", str(p))
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d joins exceed the verifier "
-                               "limit VERIFY_MAX_JOINS = 750000\n" % (p, 3 * p * p))
+        assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d point pairs exceed the "
+                               "verifier limit VERIFY_MAX_PAIRS = 750000\n" % (p, 3 * p * p))
 
 
 def test_classify_and_crossratio_refuse_k_above_4():
@@ -471,22 +486,22 @@ def test_smallest_documents_inspect_cleanly(argv):
 
 
 def test_verifier_join_limit():
-    # an order-1001 triangular net costs 3 * 1001^2 joins to verify: the
+    # an order-1001 triangular net keys 3 * 1001^2 point pairs in verify: the
     # hand-made document and the construction are refused before a join
     p, n = 2003, 1001
     roots = [x for x in range(1, p) if pow(x, n, p) == 1]
     doc = json.dumps({"p": p, "components": [[[1, 0, r] for r in roots],
                                              [[0, 1, r] for r in roots],
                                              [[r, p - 1, 0] for r in roots]]})
-    want = ("error: k = 3, n = 1001: k n^2 = 3006003 joins exceed the verifier limit "
-            "VERIFY_MAX_JOINS = %d\n" % VERIFY_MAX_JOINS)
+    want = ("error: k = 3, n = 1001: k n^2 = 3006003 point pairs exceed the verifier "
+            "limit VERIFY_MAX_PAIRS = %d\n" % VERIFY_MAX_PAIRS)
     runs = [run_child(*CLI, command, "-", stdin=doc)
             for command in ("verify", "classify", "centers", "crossratio")]
     runs.append(run_child(*CLI, "construct", "triangular", "--n", str(n), "--p", str(p)))
     for done in runs:
         assert done.returncode == 2 and done.stdout == "" and done.stderr == want, done.args
     # the pencil nets that construct writes are those with p <= 499
-    assert 3 * 499 ** 2 <= VERIFY_MAX_JOINS < 3 * 503 ** 2
+    assert 3 * 499 ** 2 <= VERIFY_MAX_PAIRS < 3 * 503 ** 2
 
 
 def test_oversized_shape_is_refused_before_any_point(tmp_path):
@@ -498,16 +513,17 @@ def test_oversized_shape_is_refused_before_any_point(tmp_path):
     doc.write_text(json.dumps({"p": 7, "components": [[[1, 0, 0]] * 280000] * 3}))
     done = run_child(*CLI, "verify", str(doc), timeout=30, max_bytes=2 ** 30)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == ("error: k = 3, n = 280000: k n^2 = 235200000000 joins exceed the "
-                           "verifier limit VERIFY_MAX_JOINS = %d\n" % VERIFY_MAX_JOINS)
+    assert done.stderr == ("error: k = 3, n = 280000: k n^2 = 235200000000 point pairs exceed "
+                           "the verifier limit VERIFY_MAX_PAIRS = %d\n" % VERIFY_MAX_PAIRS)
     # a ragged or defective document is measured by its largest component,
     # before its coordinates or its component count are checked
     for comps, k, n in (([[[1, 0, 0]]] + [[[0, 1, 0]] * 501] * 2, 3, 501),
                         ([[5] * 501] * 3, 3, 501), ([[[1, 0, 0]] * 1000], 1, 1000)):
         with pytest.raises(ValueError) as err:
             load_document(json.dumps({"p": 7, "components": comps}))
-        assert str(err.value) == ("k = %d, n = %d: k n^2 = %d joins exceed the verifier limit "
-                                  "VERIFY_MAX_JOINS = %d" % (k, n, k * n * n, VERIFY_MAX_JOINS))
+        assert str(err.value) == ("k = %d, n = %d: k n^2 = %d point pairs exceed the verifier "
+                                  "limit VERIFY_MAX_PAIRS = %d"
+                                  % (k, n, k * n * n, VERIFY_MAX_PAIRS))
 
 
 def test_array_count_is_refused_before_the_parse(tmp_path):
@@ -515,12 +531,12 @@ def test_array_count_is_refused_before_the_parse(tmp_path):
     # than the largest net verify admits can hold, so the document exits 2
     # before json.loads builds a list, where it used to build them all and
     # exit 2 on the verifier limit
-    arrays = 2 * VERIFY_MAX_JOINS + 1
+    arrays = 2 * VERIFY_MAX_PAIRS + 1
     doc = tmp_path / "arrays.json"
     doc.write_text(json.dumps({"p": 7, "components": [[[1, 0, 0]] * 560000] * 3}))
     done = run_child(*CLI, "verify", str(doc), timeout=30, max_bytes=2 ** 30)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == ("error: the document opens more than 2 VERIFY_MAX_JOINS + 1 = %d "
+    assert done.stderr == ("error: the document opens more than 2 VERIFY_MAX_PAIRS + 1 = %d "
                            "arrays\n" % arrays)
     # every "[" of the text counts, meta and strings included: a net
     # document at the bound loads, one past it is refused
@@ -551,8 +567,8 @@ def test_construct_refuses_oversized_orders(argv, n):
     # trial division would outlast the timeout
     done = run_child(*CLI, "construct", *argv, timeout=10, max_bytes=2 ** 30)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d joins exceed the verifier limit "
-                           "VERIFY_MAX_JOINS = %d\n" % (n, 3 * n * n, VERIFY_MAX_JOINS))
+    assert done.stderr == ("error: k = 3, n = %d: k n^2 = %d point pairs exceed the verifier "
+                           "limit VERIFY_MAX_PAIRS = %d\n" % (n, 3 * n * n, VERIFY_MAX_PAIRS))
 
 
 def test_classify_node_off_the_coordinate_vertices(tmp_path):

@@ -3,9 +3,10 @@ from itertools import combinations, product
 
 import pytest
 
-from dualnets.cubic_group import CURVE_GROUP_MAX_P, CurveGroup, find_fermat_prime_for_order
+from dualnets.cubic_group import (CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP, CurveGroup,
+                                  find_fermat_prime_for_order)
 from dualnets.gf import is_prime
-from dualnets import nets
+from dualnets import cubic_group, nets
 
 from util import collinear_brute, find_invariant_subgroup_walk
 
@@ -85,6 +86,16 @@ def test_u_automorphism_p13():
     assert fixed == {(1, 4, 0), (1, 10, 0), (1, 12, 0)}
 
 
+@pytest.mark.parametrize("p", [7, 13, 19, 61, 151])
+def test_u_orbit_adds_up_to_the_identity(p):
+    # P, u(P) and u^2(P) lie on one line, so u^2 + u + 1 = 0 on the group:
+    # the fact that makes the group a module over Z[w], w^2 + w + 1 = 0
+    G = CurveGroup(p)
+    for P in G.points:
+        uP = G.u_auto(P)
+        assert G.add(G.add(P, uP), G.u_auto(uP)) == G.O, P
+
+
 def test_invariant_subgroup_p13():
     G = CurveGroup(13)
     found = G.find_invariant_subgroup(3)
@@ -151,6 +162,25 @@ def test_find_fermat_prime_for_order():
     assert find_fermat_prime_for_order(7) == 61
     # the scan starts above n and stops at FERMAT_PRIME_SCAN_CAP = 500
     assert find_fermat_prime_for_order(499) is None
+
+
+def ruled_out(n):
+    """9 or a prime q = 2 (mod 3) divides n: no cyclic Z[w]-module of order n."""
+    return n % 9 == 0 or any(n % q == 0 and is_prime(q) for q in range(2, n + 1, 3))
+
+
+def test_fermat_scan_matches_the_module_argument(monkeypatch):
+    # with the early return, orders 2..40 give a prime exactly where the
+    # argument allows one
+    found = {n: find_fermat_prime_for_order(n) for n in range(2, 41)}
+    assert [n for n, p in found.items() if p is not None] == [3, 7, 13, 19, 21, 31, 37, 39]
+    assert all(cubic_group._no_invariant_cyclic_subgroup(n) == ruled_out(n)
+               for n in range(1, FERMAT_PRIME_SCAN_CAP + 1))
+    # the whole scan, to FERMAT_PRIME_SCAN_CAP, agrees on a few orders of
+    # each kind: q = 5, 9 | n, and allowed orders
+    monkeypatch.setattr(cubic_group, "_no_invariant_cyclic_subgroup", lambda n: False)
+    for n in (5, 9, 3, 7, 13, 21):
+        assert find_fermat_prime_for_order(n) == found[n], n
 
 
 def test_curve_group_refuses_past_its_limit():

@@ -1,7 +1,7 @@
 import random
 import signal
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -120,6 +120,32 @@ def test_catalog_contents():
     assert isomorphic(catalog["Z4"], catalog["Z2xZ2"]) is None
     assert isomorphic(catalog["D3"], catalog["Z6"]) is None
     assert isomorphic(catalog["Z4"], catalog["Z6"]) is None
+
+
+def test_group_tables_match_their_cell_definitions():
+    # the labels themselves, cell by cell: an isomorphic relabelling would
+    # pass every group test above but move every complete-mapping witness
+    for n in range(1, 31):
+        assert cyclic_group(n) == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    for m in range(1, 21):
+        table = dihedral_group(m)
+        assert len(table) == 2 * m and all(len(row) == 2 * m for row in table), m
+        for i, j in product(range(m), repeat=2):
+            assert table[i][j] == (i + j) % m, (m, i, j)
+            assert table[i][m + j] == m + (j - i) % m, (m, i, j)
+            assert table[m + i][j] == m + (i + j) % m, (m, i, j)
+            assert table[m + i][m + j] == (j - i) % m, (m, i, j)
+    catalog = group_catalog(16)
+    products = [name for name in catalog if "x" in name]
+    assert len(products) == 11
+    for name in products:
+        # the catalog builds Z_a x ... x Z_b x Z_c as (Z_a x ... x Z_b) x Z_c
+        head, last = name.rsplit("x", 1)
+        A, B, table = catalog[head], cyclic_group(int(last[1:])), catalog[name]
+        na, nb = len(A), len(B)
+        assert len(table) == na * nb and all(len(row) == na * nb for row in table), name
+        for x1, y1, x2, y2 in product(range(na), range(nb), range(na), range(nb)):
+            assert table[x1 * nb + y1][x2 * nb + y2] == A[x1][x2] * nb + B[y1][y2], name
 
 
 def quaternion_group():

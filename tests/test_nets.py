@@ -130,6 +130,30 @@ def test_find_centers_refuses_past_the_limit(monkeypatch):
                                 "limit of 5" % (p, p - 2))
 
 
+def test_find_centers_stops_past_the_limit_on_many_centers(monkeypatch):
+    # each center of an order-n net costs n joins to confirm: the search
+    # stops at the first center that takes its centers times n past the
+    # limit.  The pencil net of order 7 has 35 centers.
+    net = constructors.pencil_char_p(7)
+    want = find_centers(net)
+    assert len(want) == 35
+    monkeypatch.setattr(nets, "_MAX_CENTERS", 35 * 7)
+    assert find_centers(net) == want
+    confirmed = []
+    real = nets.is_perspective_center
+    monkeypatch.setattr(nets, "is_perspective_center",
+                        lambda net, T: real(net, T) and not confirmed.append(T))
+    for limit, most in ((35 * 7 - 1, 34), (10 * 7, 10), (10 * 7 + 6, 10)):
+        monkeypatch.setattr(nets, "_MAX_CENTERS", limit)
+        confirmed.clear()
+        with pytest.raises(ValueError) as err:
+            find_centers(net)
+        assert str(err.value) == ("an order-7 net over GF(7) has more than %d centers, past "
+                                  "the limit _MAX_CENTERS = %d on centers times the order"
+                                  % (most, limit))
+        assert len(confirmed) == most + 1 and set(confirmed) <= want
+
+
 def test_constant_cross_ratio_rejects_non_center():
     net = constructors.conic_line(5, 11)
     try:
@@ -581,11 +605,12 @@ def test_verify_refuses_past_the_join_limit(monkeypatch):
     joins = []
     monkeypatch.setattr(nets, "join", lambda *args: joins.append(args) or join(*args))
     net = constructors.triangular_cyclic(5, 11)
-    monkeypatch.setattr(nets, "VERIFY_MAX_JOINS", 3 * 5 ** 2)
+    monkeypatch.setattr(nets, "VERIFY_MAX_PAIRS", 3 * 5 ** 2)
     assert verify(net.components, 11).lines == net.lines
-    monkeypatch.setattr(nets, "VERIFY_MAX_JOINS", 3 * 5 ** 2 - 1)
+    monkeypatch.setattr(nets, "VERIFY_MAX_PAIRS", 3 * 5 ** 2 - 1)
     joins.clear()
-    with pytest.raises(ValueError, match=r"k n\^2 = 75 joins exceed .* VERIFY_MAX_JOINS = 74"):
+    with pytest.raises(ValueError,
+                       match=r"k n\^2 = 75 point pairs exceed .* VERIFY_MAX_PAIRS = 74"):
         verify(net.components, 11)
     assert joins == []
 
