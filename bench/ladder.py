@@ -1,5 +1,5 @@
 """Layer ladder: time and count the curve kernel, the verifier, the center
-search, classify and the latin searches on fixed sizes.
+search, classify, and the latin searches and group test on fixed sizes.
 
     python3 bench/ladder.py                            # print one entry
     python3 bench/ladder.py --append BENCH_layers.json # and add it to the file
@@ -40,6 +40,7 @@ import datetime
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -97,6 +98,17 @@ def _complete_mappings(max_order):
     return lambda: [latin.complete_mapping_exists(table) for table in tables]
 
 
+def _group_test(max_order):
+    # an isotope of each catalog table, rows, columns and symbols permuted
+    # from a fixed seed
+    rng = random.Random(max_order)
+    isotopes = []
+    for table in latin.group_catalog(max_order).values():
+        rows, cols, syms = (rng.sample(range(len(table)), len(table)) for _ in range(3))
+        isotopes.append(tuple(tuple(syms[table[r][c]] for c in cols) for r in rows))
+    return lambda: [latin.is_group_coordinatizable(square) for square in isotopes]
+
+
 # (layer, name, setup, size key, sizes); --quick keeps the first size of
 # each rung
 RUNGS = (
@@ -112,6 +124,8 @@ RUNGS = (
      ("D10", "Z2xZ10", "D12", "Z4xZ6")),
     ("latin", "complete_mapping_exists(table) for each table of group_catalog(max_order)",
      _complete_mappings, "max_order", (16,)),
+    ("latin", "is_group_coordinatizable(isotope) for each table of group_catalog(max_order)",
+     _group_test, "max_order", (16,)),
 )
 
 

@@ -72,7 +72,7 @@ def test_quick_ladder_schema_and_repeatable_counts(tmp_path):
     assert first["quick"] is True
     # one size per rung
     assert [r["layer"] for r in first["rungs"]] \
-        == ["curves", "nets", "nets", "nets", "nets", "latin", "latin"]
+        == ["curves", "nets", "nets", "nets", "nets", "latin", "latin", "latin"]
     # every rung records the reference loop's time
     assert all(r["ref_s"] > 0 for r in first["rungs"])
     # the classify rung reads its cubics' points off lines, not a plane listing
