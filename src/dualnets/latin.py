@@ -7,7 +7,9 @@ normalized with identity 0.
 One pipeline serves squares and group tables.  A square is relabelled to
 its principal loop isotope with identity 0, a group exactly when Light's
 test (associativity against a generating set) passes and 0 is in the
-column of every generator.  A group has no transversal when its Sylow
+column of every generator.  The test takes each generator g in the middle,
+(x*g)*z = x*(g*z): row x*g of the isotope is a whole row, and x*(g*z) is
+row x read at the entries of row g, one gather per row.  A group has no transversal when its Sylow
 2-subgroup is nontrivial cyclic (Hall and Paige), which one scan of
 element orders decides.  Otherwise one backtracking search finds the
 first transversal in column order, pruned for group isotopes by index-2
@@ -27,6 +29,7 @@ directly, with no isotope to build and no Light's test.
 """
 
 import math
+from operator import itemgetter
 
 
 def from_net(net):
@@ -342,11 +345,12 @@ def _group_isotopy(square):
     column j is labelled cols[j] = sw(square[0][j]), and
     table[rows[i]][cols[j]] = sw(square[i][j]).  Row 0 and column 0 of the
     table are then the identity 0.  Light's test proves the product
-    associative: (x*y)*g = x*(y*g) for every g of a generating set.  The g
-    that pass are closed under products (if g and h pass, then
-    (x*y)*(g*h) = ((x*y)*g)*h = (x*(y*g))*h = x*((y*g)*h) = x*(y*(g*h))),
-    and every element is a product of generators taken from 0, so all
-    elements pass.  That makes the table a monoid, which need not be
+    associative: (x*g)*z = x*(g*z) for every g of a generating set, which
+    compares row x*g of the table with row x read at the entries of row g.
+    The g that pass are closed under products (if a and b pass, then
+    (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y)),
+    and every element is a left-nested product of generators taken from 0,
+    so all elements pass.  That makes the table a monoid, which need not be
     latin: ((0, 1), (1, 1)) passes.  In a finite monoid, x*g = 0 makes g a
     unit: y -> g*y is injective (x*(g*y) = y), hence onto, so g*z = 0 for
     some z, and z = x*g*z = x.  Units are closed under products and every
@@ -366,15 +370,16 @@ def _group_isotopy(square):
         col_of[c] = j
     table = [None] * n
     for r, row in zip(rows, square):
-        table[r] = [sw[row[j]] for j in col_of]
+        table[r] = tuple([sw[row[j]] for j in col_of])
     for g in _generators(table):
-        right = [row[g] for row in table]  # y -> y*g
-        if 0 not in right:
+        column = [row[g] for row in table]  # x -> x*g
+        if 0 not in column:
             return None
-        for row in table:  # x -> x*y
-            if [right[xy] for xy in row] != [row[yg] for yg in right]:
-                return None
-    return tuple(map(tuple, table)), rows, cols
+        # row x read at the entries of row g, z -> x*(g*z), against row x*g;
+        # a generator makes n >= 2, so itemgetter returns tuples
+        if tuple(map(itemgetter(*table[g]), table)) != itemgetter(*column)(table):
+            return None
+    return tuple(table), rows, cols
 
 
 def _rotations(symbols):

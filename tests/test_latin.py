@@ -398,7 +398,6 @@ def test_transversal_search_matches_brute_on_random_arrays(table_builds):
     # monoid ((0, 1), (1, 1)) passes Light's test but is no group).  Most of
     # these arrays have no transversal, and many searches meet n dead ends,
     # so the forward check is cross-checked as well.
-    assert is_group_coordinatizable(((0, 1), (1, 1))) is None
     assert transversal_search(((0, 1), (1, 1))) == [(0, 0), (1, 1)]
     rng = random.Random(1601)
     for n in range(2, 8):
@@ -529,6 +528,71 @@ def test_light_test_matches_associativity_oracle():
     assert 50 <= non_group <= 150
 
 
+def latin_squares(n, reduced=False):
+    """Every latin square of order n, or every reduced one (first row and
+    first column 0..n-1), built row by row."""
+    out = []
+
+    def extend(square, rows):
+        # rows: the permutations that clash with no row of square in a column
+        if len(square) == n:
+            out.append(tuple(square))
+            return
+        for row in rows:
+            if not reduced or row[0] == len(square):
+                extend(square + [row], [r for r in rows if all(map(int.__ne__, r, row))])
+
+    rows = list(permutations(range(n)))
+    if reduced:
+        extend([rows[0]], [r for r in rows if all(map(int.__ne__, r, rows[0]))])
+    else:
+        extend([], rows)
+    return out
+
+
+def test_light_test_matches_associativity_oracle_on_all_small_squares():
+    # every latin square of order <= 4, all of them group isotopes, and
+    # every reduced one (a loop with identity 0) of orders 5 and 6, mostly
+    # no group.  Light's test checks generators only: testing only the
+    # first generator passes 280 of the order-6 loops, and testing
+    # (x*g)*z = x*(z*g) rejects the 20 tables of S3
+    squares = [square for n in range(1, 5) for square in latin_squares(n)]
+    assert len(squares) == 1 + 2 + 12 + 576
+    reduced = {n: latin_squares(n, reduced=True) for n in (5, 6)}
+    assert {n: len(loops) for n, loops in reduced.items()} == {5: 56, 6: 9408}
+    groups = 0
+    for square in squares + reduced[5] + reduced[6]:
+        loop = principal_isotope_brute(square)
+        want = loop if is_associative_brute(loop) else None
+        assert is_group_coordinatizable(square) == want, square
+        groups += want is not None
+    # the loops that are groups: (n - 1)! labellings of the non-identity
+    # elements over the automorphisms, 4! / 4 of Z5, 5! / 2 of Z6 and
+    # 5! / 6 of S3
+    assert groups == len(squares) + 6 + 60 + 20
+
+
+def test_group_test_pins_the_smallest_orders():
+    # order 1 has no generator, so no row gather; itemgetter with one index
+    # would return a symbol, not a row
+    def is_table(got):
+        return type(got) is tuple and all(type(row) is tuple for row in got)
+
+    got = is_group_coordinatizable([[0]])
+    assert got == ((0,),) and is_table(got)
+    assert transversal_search([[0]]) == [(0, 0)]
+    for square in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+        got = is_group_coordinatizable(square)
+        assert got == ((0, 1), (1, 0)) and is_table(got), square
+        assert transversal_search(square) is None
+    # a square that is not latin is no group isotope, whichever of its
+    # first row and column repeats a symbol; the monoid passes Light's test
+    # but 1 has no inverse
+    for square in ([[0, 1], [0, 1]], [[0, 0], [1, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 1]],
+                   ((0, 1), (1, 1))):
+        assert is_group_coordinatizable(square) is None, square
+
+
 def test_nongroup_square_agrees_with_quadrangle_oracle():
     assert is_group_coordinatizable(NONGROUP_5) is None
     assert not quadrangle_criterion(NONGROUP_5)
@@ -536,10 +600,6 @@ def test_nongroup_square_agrees_with_quadrangle_oracle():
     assert quadrangle_criterion(cyclic_group(5))
     assert quadrangle_criterion(shuffled_isotope(cyclic_group(5), 11))
     assert quadrangle_criterion(dihedral_group(3))
-    # a square that is not latin is no group isotope, whichever of its
-    # first row and column repeats a symbol
-    for square in ([[0, 1], [0, 1]], [[0, 0], [1, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 1]]):
-        assert is_group_coordinatizable(square) is None
 
 
 def test_from_net_semantics():
