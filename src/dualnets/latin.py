@@ -9,15 +9,16 @@ its principal loop isotope with identity 0, a group exactly when Light's
 test (associativity against a generating set) passes and 0 is in the
 column of every generator.  The test takes each generator g in the middle,
 (x*g)*z = x*(g*z): row x*g of the isotope is a whole row, and x*(g*z) is
-row x read at the entries of row g, one gather per row.  A group has no transversal when its Sylow
-2-subgroup is nontrivial cyclic (Hall and Paige), which one scan of
-element orders decides.  Otherwise one backtracking search finds the
-first transversal in column order, pruned for group isotopes by index-2
-quotient counting: a homomorphism chi of G onto Z/2 has
-chi(g*h) = chi(g) + chi(h), so a transversal, which meets each row,
-column and symbol once, holds n/4 cells of each type (chi(row),
-chi(column)); a partial transversal with no room left for a type under
-some chi is cut.
+row x read at the entries of row g, one gather per row.
+
+A group has no transversal when its Sylow 2-subgroup is nontrivial cyclic
+(Hall and Paige), which one scan of element orders decides.  Otherwise one
+backtracking search finds the first transversal in column order, pruned
+for group isotopes by index-2 quotient counting: a homomorphism chi of G
+onto Z/2 has chi(g*h) = chi(g) + chi(h), so a transversal, which meets
+each row, column and symbol once, holds n/4 cells of each type
+(chi(row), chi(column)); a partial transversal with no room left for a
+type under some chi is cut.
 The count is necessary for a completion, so the search returns the same
 first transversal as without it, only sooner.  A search that meets n
 dead ends also checks forward on packed integers, cutting a cell that
