@@ -96,6 +96,7 @@ def algebraic_fermat(n, p):
     """
     from .cubic_group import CurveGroup  # the only builder on the curve layers
 
+    _check_pairs(3, n)
     group = CurveGroup(p)
     if p <= n:
         raise ValueError("p must exceed n")

@@ -91,10 +91,10 @@ class CurveGroup:
     def find_invariant_subgroup(self, n):
         """A cyclic subgroup H of order n with u(H) = H, or None.
 
-        Scans points in lexicographic order for a generator of order
-        exactly n, walking at most n multiples of each, then tests
-        u-invariance of the generated subgroup directly.  None at once
-        when n does not divide the group order (Lagrange).
+        Scans points in lexicographic order for a generator g of order
+        exactly n, walking at most n multiples of each; u(<g>) = <u(g)>, so
+        <g> is u-invariant when it holds u(g).  None at once when n does
+        not divide the group order (Lagrange).
         """
         if n < 1 or len(self.points) % n:
             return None
@@ -103,7 +103,7 @@ class CurveGroup:
             if multiples is None or len(multiples) < n:
                 continue
             H = frozenset(multiples)
-            if all(self.u_auto(h) in H for h in H):
+            if self.u_auto(g) in H:
                 return g, H
         return None
 
@@ -131,9 +131,12 @@ class CurveGroup:
     def coset_net(self, H, P):
         """The coset triple (H+P, H+u(P), H+u^2(P)) as unsorted point lists;
         nets.verify decides whether it is a net (cosets that share a point
-        are not)."""
-        uP = self.u_auto(P)
-        return [[self.add(h, Q) for h in H] for Q in (P, uP, self.u_auto(uP))]
+        are not).  The last two are the u-images of H+P, as u(H) = H, so
+        Q, u(Q), u^2(Q) lie on one line through (0,0,1), the center of the
+        homology u, which is thus a perspective center."""
+        coset = [self.add(h, P) for h in H]
+        u_coset = [self.u_auto(Q) for Q in coset]
+        return [coset, u_coset, [self.u_auto(Q) for Q in u_coset]]
 
 
 def _no_invariant_cyclic_subgroup(n):

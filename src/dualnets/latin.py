@@ -38,16 +38,14 @@ def from_net(net):
 
     L[i][j] = k where the net line through the i-th point of the first
     component and the j-th point of the second holds the k-th point of the
-    third, read from the net-line table.  Component indexings follow the
-    stored (sorted) order.
+    third.  Component indexings follow the stored (sorted) order, in which
+    the net-line table is row-major, so L is its third points cut in rows.
     """
     if net.k != 3:
         raise ValueError("latin squares come from 3-nets")
-    index = [{P: i for i, P in enumerate(comp)} for comp in net.components]
-    square = [[None] * net.n for _ in range(net.n)]
-    for a, b, c in net.lines.values():
-        square[index[0][a]][index[1][b]] = index[2][c]
-    return tuple(tuple(row) for row in square)
+    index = {P: i for i, P in enumerate(net.components[2])}
+    symbols = [index[pts[2]] for pts in net.lines.values()]
+    return tuple(tuple(symbols[i:i + net.n]) for i in range(0, len(symbols), net.n))
 
 
 def transversal_search(square):

@@ -10,18 +10,16 @@ residue mod p per pair (_line_keys) rather than a join, and checks only
 the lines from component 0 to component 1, joining P with each point of
 component 1: n^2 joins in all.  A counting argument (in verify) covers
 every other line.  The same pass yields the net-line table, each of the
-n^2 net lines with its k points, which lines_through_center,
-crossratio_4net, latin.from_net and the tetrahedral step of
-classification read instead of joining again.
+n^2 net lines with its k points in row-major order (DualNet), which
+find_centers, lines_through_center, crossratio_4net, latin.from_net and
+the tetrahedral step of classification read instead of joining again.
 
 A perspective center T is a point whose lines split the kn net points into
-n full net lines.  For n >= 2 fix two points A, B of component 0: T lies on
-the net line through A and on the net line through B, and these differ,
-because a net line holds one point of component 0 only.  The net lines
-through A are the n joins of A with component 1, and likewise for B, so
-find_centers tests only the n^2 meets of one with the other.  For n = 1
-the centers are the points of the one net line off the net.  The tests
-keep the whole-plane sweep of the definition as the oracle for both.
+n full net lines.  For n >= 2 it lies on a net line through each of the
+first two points of component 0, rows 0 and 1 of the table, and these
+differ, so find_centers tests only the n^2 meets of one row with the other.
+For n = 1 the centers are the points of the one net line off the net.  The
+tests keep the whole-plane sweep of the definition as the oracle for both.
 """
 
 from .plane import cross_ratio, join, line_points, meet, normalize
@@ -45,7 +43,8 @@ class DualNet:
     """A verified dual k-net; construct through verify() only.
 
     lines maps each of the n^2 net lines to its k points, one per
-    component in component order.
+    component in component order; entry i n + j is the line through
+    components[0][i] and components[1][j].
     """
 
     __slots__ = ("p", "components", "k", "n", "lines", "meta")
@@ -121,7 +120,7 @@ def verify(components, p, allow_char_exception=False, meta=None):
     order, by the key of their line with P (_line_keys: one residue per
     pair, no join); a line through P passes when its group reads
     components 0, 1, ..., k-1, P counted in component 0, and is then
-    stored, as the join of P with its point of component 1, as it stands.
+    stored, under the join of P with its point of component 1, row-major.
     That is k n^2 keys, n^2 joins and no incidence test; a net with
     k n^2 > VERIFY_MAX_PAIRS raises ValueError before the first key.
 
@@ -220,13 +219,12 @@ def is_perspective_center(net, T):
 def find_centers(net):
     """All perspective centers of the net.
 
-    For n >= 2 a center T lies on the net line through A and on the net
-    line through B, for the first two points A, B of component 0; the two
-    lines differ, since no net line holds two points of one component.
-    Each is a join with a point of component 1, so the n^2 meets of the n
-    lines through A with the n lines through B are a complete candidate
-    set.  lines_through_center tests each with at most n joins, those with
-    A and B last, since for a candidate off the net they are net lines.
+    For n >= 2 a center T lies on a net line through each of the first two
+    points A, B of component 0, rows 0 and 1 of the line table, and no net
+    line holds both; so the n^2 meets of one row with the other, listed
+    with no join, are a complete candidate set.  lines_through_center tests
+    each with at most n joins, those with A and B last, since for a
+    candidate off the net they are net lines.
     A center costs all n, so the search raises ValueError once its centers
     times n pass _MAX_CENTERS: a net with about p^2 centers, such as the
     pencil, would cost O(p^3).  For n = 1 the k net points span the one
@@ -242,10 +240,8 @@ def find_centers(net):
                              "limit of %d" % (p, count, _MAX_CENTERS))
         (line,) = net.lines
         return set(line_points(line, p)) - set(net.all_net_points())
-    A, B = net.components[0][:2]
-    through_a = [join(A, Q, p) for Q in net.components[1]]
-    through_b = [join(B, Q, p) for Q in net.components[1]]
-    candidates = {meet(la, lb, p) for la in through_a for lb in through_b}
+    rows = list(net.lines)
+    candidates = {meet(la, lb, p) for la in rows[:net.n] for lb in rows[net.n:2 * net.n]}
     centers = set()
     for T in candidates:
         if is_perspective_center(net, T):

@@ -559,6 +559,8 @@ BIG_ORDER, BIG_P = 288230376151711813, 1152921504606847253  # p = 4 n + 1, both 
     (("tetrahedron", "--m", str(BIG_ORDER), "--p", str(BIG_P)), 2 * BIG_ORDER),
     (("pencil", "--p", "503"), 503),
     (("pencil", "--p", "1000003"), 1000003),
+    (("fermat", "--n", "600", "--p", "997"), 600),
+    (("fermat", "--n", "1000000", "--p", "997"), 1000000),
 ])
 def test_construct_refuses_oversized_orders(argv, n):
     # each order's net is past the verifier's limit, and construct says so

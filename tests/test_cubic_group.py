@@ -157,6 +157,25 @@ def test_coset_net_preserves_u_action():
     assert {G.u_auto(P) for P in c3} == c1
 
 
+def test_coset_net_matches_the_add_definition():
+    # the u-images of H+P are the cosets H+u(P) and H+u^2(P), for every
+    # point P of the curve and every u-invariant subgroup H found: orders
+    # 1 and 3 at each p, 7 and 21 at p = 61, 13 and 39 at p = 97, 19 at
+    # p = 151
+    for p in (13, 19, 61, 97, 151):
+        G = CurveGroup(p)
+        for n in range(1, 40):
+            found = G.find_invariant_subgroup(n)
+            if found is None:
+                continue
+            H = found[1]
+            for P in G.points:
+                uP = G.u_auto(P)
+                want = [[G.add(h, Q) for h in H] for Q in (P, uP, G.u_auto(uP))]
+                got = G.coset_net(H, P)
+                assert [sorted(c) for c in got] == [sorted(c) for c in want], (p, n, P)
+
+
 def test_find_fermat_prime_for_order():
     assert find_fermat_prime_for_order(3) == 19
     assert find_fermat_prime_for_order(7) == 61

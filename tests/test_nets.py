@@ -668,16 +668,41 @@ def test_lines_through_center_joins_once_per_point_of_component_0(monkeypatch):
     assert centers >= 3
 
 
+def _hesse_and_derived(p):
+    hesse = constructors.hesse_4net(p)
+    return [hesse] + [derived_net(hesse, i) for i in range(hesse.k)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [constructors.triangular_cyclic(15, 181)],
+    lambda: [constructors.conic_line(15, 31)],
+    lambda: [constructors.pencil_char_p(19)],
+    lambda: [constructors.tetrahedron(6, 61)],
+    lambda: [constructors.algebraic_fermat(7, 61)],
+    lambda: _hesse_and_derived(13),
+], ids=["triangular-15-181", "conic-line-15-31", "pencil-19", "tetrahedron-6-61",
+        "fermat-7-61", "hesse-13-and-derived"])
+def test_line_table_is_row_major(build):
+    # entry i n + j of the table is the line through the i-th point of
+    # component 0 and the j-th of component 1, as find_centers and
+    # latin.from_net read it
+    for net in build():
+        comps = net.components
+        assert [pts[:2] for pts in net.lines.values()] == \
+            [(P, Q) for P in comps[0] for Q in comps[1]]
+
+
 @pytest.mark.parametrize("build, want", [
-    (lambda: constructors.triangular_cyclic(15, 181), 285),
-    (lambda: constructors.conic_line(15, 31), 407),
-    (lambda: constructors.tetrahedron(6, 61), 184),
-    (lambda: constructors.pencil_char_p(19), 6213),
+    (lambda: constructors.triangular_cyclic(15, 181), 255),
+    (lambda: constructors.conic_line(15, 31), 377),
+    (lambda: constructors.tetrahedron(6, 61), 160),
+    (lambda: constructors.pencil_char_p(19), 6175),
 ], ids=["triangular-15-181", "conic-line-15-31", "tetrahedron-6-61", "pencil-19"])
 def test_find_centers_joins(monkeypatch, build, want):
-    # 2n joins list the lines through A and B, the first two points of
-    # component 0; a candidate lies on one of each, so lines_through_center
-    # joins it with A and B last and a non-center fails sooner
+    # the lines through A and B, the first two points of component 0, are
+    # rows 0 and 1 of the line table, read with no join; every join is
+    # lines_through_center's, which tests a candidate (on one line of each
+    # row) with A and B last, so a non-center fails sooner
     net = build()
     joins = []
     real_join = nets.join
