@@ -132,8 +132,8 @@ class CurveGroup:
         """The coset triple (H+P, H+u(P), H+u^2(P)) as unsorted point lists;
         nets.verify decides whether it is a net (cosets that share a point
         are not).  The last two are the u-images of H+P, as u(H) = H, so
-        Q, u(Q), u^2(Q) lie on one line through (0,0,1), the center of the
-        homology u, which is thus a perspective center."""
+        each Q in H+P lies with u(Q), u^2(Q) on a line through (0,0,1), the
+        center of the homology u, which is thus a perspective center."""
         coset = [self.add(h, P) for h in H]
         u_coset = [self.u_auto(Q) for Q in coset]
         return [coset, u_coset, [self.u_auto(Q) for Q in u_coset]]
