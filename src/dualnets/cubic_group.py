@@ -7,6 +7,8 @@ the coset triple (H+P, H+u(P), H+u^2(P)) is a dual 3-net in perspective
 position with center (0,0,1), which nets.verify decides.
 """
 
+from functools import cached_property
+
 from .curves import curve_points, fermat_cubic, restrict, tangent_line
 from .gf import factorize, is_prime, nth_root_of_unity
 from .plane import _base_points, normalize
@@ -18,7 +20,11 @@ CURVE_GROUP_MAX_P = 1000
 
 
 class CurveGroup:
-    """All GF(p)-points of the Fermat cubic with the chord-tangent group law."""
+    """All GF(p)-points of the Fermat cubic with the chord-tangent group law.
+
+    The points are listed on first use of `points`, so refusing an order
+    costs no listing.
+    """
 
     def __init__(self, p: int):
         if p % 3 != 1:
@@ -29,10 +35,13 @@ class CurveGroup:
         self.p = p
         self.curve = fermat_cubic(p)
         self.O = normalize((1, -1, 0), p)
-        self.points = tuple(curve_points(self.curve))
         r = nth_root_of_unity(p, 3)
         # smallest primitive cube root of unity, fixed per field for determinism
         self.epsilon = min(r, r * r % p)
+
+    @cached_property
+    def points(self):
+        return tuple(curve_points(self.curve))
 
     def third_intersection(self, P, Q):
         """Third point of the curve on the line PQ (tangent line when P = Q),
@@ -91,12 +100,26 @@ class CurveGroup:
     def find_invariant_subgroup(self, n):
         """A cyclic subgroup H of order n with u(H) = H, or None.
 
-        Scans points in lexicographic order for a generator g of order
+        None at once, before any point is listed, when n < 1, when n > 2p
+        (past the Hasse bound p + 1 + 2 sqrt(p) on the group order, which
+        keeps factorizing n cheap), or when 9 or a prime q = 2 (mod 3)
+        divides n, for then no p has one.  u fixes O, so it is an
+        automorphism, and P, u(P), u^2(P) lie on the line through P and
+        (0,0,1), so they add up to O.  So the group is a module over Z[w],
+        w^2 + w + 1 = 0, with u acting as w, and a u-invariant cyclic
+        subgroup is Z[w]/(a), a of norm n, which is the sum of the
+        Z[w]/(pi^e) over the prime powers pi^e of a.  Its additive group is
+        cyclic only if each of theirs is.  But a prime q = 2 (mod 3) stays
+        prime in Z[w], and Z[w]/(q^e) is (Z/q^e)^2; and 3 is a unit times
+        (1 - w)^2, so for e >= 2 Z[w]/((1 - w)^e) maps onto
+        Z[w]/(3) = (Z/3)^2.
+
+        None also when n does not divide the group order (Lagrange).  Else
+        scans points in lexicographic order for a generator g of order
         exactly n, walking at most n multiples of each; u(<g>) = <u(g)>, so
-        <g> is u-invariant when it holds u(g).  None at once when n does
-        not divide the group order (Lagrange).
+        <g> is u-invariant when it holds u(g).
         """
-        if n < 1 or len(self.points) % n:
+        if n < 1 or n > 2 * self.p or _no_invariant_cyclic_subgroup(n) or len(self.points) % n:
             return None
         for g in self.points:
             multiples = self._multiples(g, n)
@@ -141,35 +164,21 @@ class CurveGroup:
 
 def _no_invariant_cyclic_subgroup(n):
     """True when 9 or a prime q = 2 (mod 3) divides n; see
-    find_fermat_prime_for_order."""
+    CurveGroup.find_invariant_subgroup."""
     return n % 9 == 0 or any(q % 3 == 2 for q in factorize(n))
 
 
 def find_fermat_prime_for_order(n):
     """Smallest prime p = 1 (mod 3), p > n, whose Fermat cubic has a
     u-invariant subgroup of order n with a valid base point; None if no
-    prime up to FERMAT_PRIME_SCAN_CAP has one.
-
-    None at once, with no scan, when 9 or a prime q = 2 (mod 3) divides n,
-    for then no prime has one.  u fixes O, so it is an automorphism, and
-    P, u(P), u^2(P) lie on the line through P and (0,0,1), so they add up
-    to O.  So the group is a module over Z[w], w^2 + w + 1 = 0, with u
-    acting as w, and a u-invariant cyclic subgroup is Z[w]/(a), a of norm
-    n, which is the sum of the Z[w]/(pi^e) over the prime powers pi^e of a.
-    Its additive group is cyclic only if each of theirs is.  But a prime
-    q = 2 (mod 3) stays prime in Z[w], and Z[w]/(q^e) is (Z/q^e)^2; and 3
-    is a unit times (1 - w)^2, so for e >= 2 Z[w]/((1 - w)^e) maps onto
-    Z[w]/(3) = (Z/3)^2.
+    prime up to FERMAT_PRIME_SCAN_CAP has one.  An order that
+    find_invariant_subgroup rules out for every p costs no point listing.
     """
-    start = max(n + 1, 7)
-    if start > FERMAT_PRIME_SCAN_CAP or _no_invariant_cyclic_subgroup(n):
-        return None
-    for p in range(start + (1 - start) % 3, FERMAT_PRIME_SCAN_CAP + 1, 3):
-        if not is_prime(p):
-            continue
-        try:
-            CurveGroup(p).subgroup_and_base_point(n)
-        except ValueError:
-            continue
-        return p
+    for p in range(max(n + 1, 7), FERMAT_PRIME_SCAN_CAP + 1):
+        if p % 3 == 1 and is_prime(p):
+            try:
+                CurveGroup(p).subgroup_and_base_point(n)
+                return p
+            except ValueError:
+                pass
     return None

@@ -6,7 +6,7 @@ import pytest
 from dualnets.cubic_group import (CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP, CurveGroup,
                                   find_fermat_prime_for_order)
 from dualnets.gf import is_prime
-from dualnets import cubic_group, nets
+from dualnets import constructors, cubic_group, nets
 
 from util import collinear_brute, find_invariant_subgroup_walk
 
@@ -189,17 +189,39 @@ def ruled_out(n):
 
 
 def test_fermat_scan_matches_the_module_argument(monkeypatch):
-    # with the early return, orders 2..40 give a prime exactly where the
-    # argument allows one
-    found = {n: find_fermat_prime_for_order(n) for n in range(2, 41)}
-    assert [n for n, p in found.items() if p is not None] == [3, 7, 13, 19, 21, 31, 37, 39]
+    # with find_invariant_subgroup's rule, orders 2..60 give a prime
+    # exactly where the argument allows one
+    found = {n: find_fermat_prime_for_order(n) for n in range(2, 61)}
+    assert {n: p for n, p in found.items() if p is not None} == {
+        3: 19, 7: 61, 13: 97, 19: 151, 21: 163, 31: 313, 37: 331, 39: 379,
+        43: 349, 49: 409, 57: 487}
     assert all(cubic_group._no_invariant_cyclic_subgroup(n) == ruled_out(n)
                for n in range(1, FERMAT_PRIME_SCAN_CAP + 1))
-    # the whole scan, to FERMAT_PRIME_SCAN_CAP, agrees on a few orders of
-    # each kind: q = 5, 9 | n, and allowed orders
+    # with the rule switched off, find_invariant_subgroup walks every
+    # point, and the whole scan, to FERMAT_PRIME_SCAN_CAP, agrees on a few
+    # orders of each kind: q = 5, 9 | n, and allowed orders
     monkeypatch.setattr(cubic_group, "_no_invariant_cyclic_subgroup", lambda n: False)
     for n in (5, 9, 3, 7, 13, 21):
         assert find_fermat_prime_for_order(n) == found[n], n
+
+
+def test_refusals_list_no_point(monkeypatch):
+    # orders the Z[w] rule excludes, and p <= n, are refused before the
+    # curve's points are listed, with the messages of the listing search
+    def forbidden(*args):
+        raise AssertionError("forbidden call")
+
+    monkeypatch.setattr(cubic_group, "curve_points", forbidden)
+    assert "points" not in vars(CurveGroup(997))
+    for n, p in ((500, 997), (4, 997), (9, 37), (2, 7)):
+        with pytest.raises(ValueError, match=r"^no subgroup/base point found: no u-invariant "
+                           r"subgroup of order %d over GF\(%d\)$" % (n, p)):
+            constructors.algebraic_fermat(n, p)
+    with pytest.raises(ValueError, match=r"^p must exceed n$"):
+        constructors.algebraic_fermat(400, 397)
+    # an order past the Hasse bound is refused without factorizing it
+    monkeypatch.setattr(cubic_group, "factorize", forbidden)
+    assert CurveGroup(7).find_invariant_subgroup(10 ** 18 + 3) is None
 
 
 def test_curve_group_refuses_past_its_limit():
