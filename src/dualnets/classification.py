@@ -201,7 +201,7 @@ def classify(net):
                 "j_values": sorted({str(j) for j in js if j is not None}),
             }
             if js[0] is not None:
-                info["j"] = js[0]
+                info["j"] = str(js[0])
             if len(sing) == 1:
                 info["singular_type"] = curves.singular_type(F, sing[0])
             return info

@@ -29,7 +29,6 @@ import sys
 
 from . import nets
 from .gf import is_prime
-from .plane import PValue
 
 # the longest net document read; the largest net verify admits, an order-1
 # net of 750000 collinear points with 64-bit coordinates, is about 39 million
@@ -120,15 +119,8 @@ def _decode(raw):
         text.detach()  # the caller closes raw
 
 
-def _pvalue_repr(obj):
-    # json writes tuples as lists; a PValue is written as its repr
-    if isinstance(obj, PValue):
-        return repr(obj)
-    raise TypeError("%r is not JSON serializable" % (obj,))
-
-
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, default=_pvalue_repr))
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _violation_report(exc):

@@ -246,8 +246,11 @@ def _index2_characters(table):
     which is elementary abelian: label S with 0, then, while some g is
     unlabelled, give g a new basis bit and each labelled h the label of
     h*g.  The characters are the nonzero F2-linear forms on the labels.
+    A group of odd order has none: by Lagrange no subgroup has index 2.
     """
     n = len(table)
+    if n % 2:
+        return []
     label = [None] * n
     for h in _generated_subgroup(table, {table[g][g] for g in range(n)}):
         label[h] = 0

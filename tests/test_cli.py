@@ -11,6 +11,7 @@ from dualnets.cli import MAX_DOCUMENT_CHARS, USAGE, load_document, net_document
 from dualnets.constructors import triangular_cyclic
 from dualnets.cubic_group import CURVE_GROUP_MAX_P, FERMAT_PRIME_SCAN_CAP
 from dualnets.nets import VERIFY_MAX_PAIRS
+from test_cli_golden import FIXTURE
 from util import CLI, TIMEOUT, child_env, run_child, run_main
 
 
@@ -297,6 +298,19 @@ def test_document_roundtrip_is_stable(tmp_path):
         doc = json.loads(out)
         net = load_document(json.dumps(doc))
         assert net_document(net) == doc
+
+
+with open(FIXTURE) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_are_plain_json_data(name):
+    # every inspection report serializes with no encoder hook: the library
+    # returns text, not PValues, for every value a command prints
+    net = load_document(GOLDEN[name]["construct"]["stdout"])
+    for inspect in cli.INSPECT.values():
+        json.dumps(inspect(net), sort_keys=True)
 
 
 def test_demos_pass():

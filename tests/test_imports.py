@@ -2,6 +2,7 @@
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -38,6 +39,36 @@ def test_every_import_is_used(module):
 def test_unused_imports_finds_a_leftover():
     source = "from .plane import det3, normalize\n\ndef f(v, p):\n    return normalize(v, p)\n"
     assert unused_imports(source) == [(1, "det3")]
+
+
+def foreign_imports(source):
+    """(line, name) of each absolute import whose top-level module is
+    neither in the standard library nor dualnets; relative imports pass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"dualnets"}]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_the_standard_library(module):
+    # no runtime dependencies, and nothing from perfbench/ or the tests
+    with open(os.path.join(SRC, module)) as fh:
+        assert foreign_imports(fh.read()) == []
+
+
+def test_foreign_imports_finds_a_dependency():
+    source = ("import json, numpy.linalg\nfrom . import nets\nfrom .plane import join\n"
+              "from dualnets.gf import is_prime\n\ndef f():\n    from perfbench import tracing\n"
+              "    import os.path\n")
+    assert foreign_imports(source) == [(1, "numpy.linalg"), (7, "perfbench")]
 
 
 def uncalled_public_names(defining, calling):

@@ -422,6 +422,17 @@ def test_complete_mapping_exists_builds_no_isotope(monkeypatch):
     assert calls == [1]
 
 
+def test_odd_orders_walk_no_subgroup_for_index2_characters(monkeypatch):
+    # a group of odd order has no subgroup of index 2, so no character is
+    # looked for
+    def walk(table, gens):
+        raise AssertionError("the squares' subgroup was walked")
+
+    monkeypatch.setattr(latin, "_generated_subgroup", walk)
+    assert _index2_characters(cyclic_group(15)) == []
+    assert complete_mapping_exists(cyclic_group(15)) == (True, list(range(15)))
+
+
 def test_complete_mapping_positive_groups_are_fast():
     # plain backtracking took 40-60 ms on the order-16 groups and about 7 s
     # on the order-20 ones; transversal_search on the tables and on their
